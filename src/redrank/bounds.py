@@ -38,7 +38,7 @@ from typing import Optional, Union
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
                     gamma_half_ratio, sqrt_enclosure)
 from .graphs import Graph, is_reduced, min_removal_for_rank_drop
-from .poly import RationalPolynomial, gegenbauer, locate_interval
+from .poly import RationalPolynomial, gegenbauer_values, locate_interval
 
 CosineLike = Union[int, Fraction, QSqrt2]
 
@@ -355,17 +355,15 @@ def levenshtein_bound(n: int, s: CosineLike,
         raise ValueError("dimension must be at least 3")
     sv = _as_cosine(s)
     k, branch = locate_interval(n, sv)
-    qk = gegenbauer(n, k)(sv)
+    qk1, qk, qk2 = gegenbauer_values(n, sv, k - 1, k + 1)
     one = QSqrt2(1)
     if branch == "A":
-        qk1 = gegenbauer(n, k - 1)(sv)
         den = (one - sv) * qk
         if den.sign() == 0:
             raise LevDenominatorZero(f"Q_{k}(s) = 0 at n = {n}")
         value = comb(k + n - 3, k - 1) * (
             QSqrt2(Fraction(2 * k + n - 3, n - 1)) - (qk1 - qk) / den)
     else:
-        qk2 = gegenbauer(n, k + 1)(sv)
         den = (one - sv) * (qk + qk2)
         if den.sign() == 0:
             raise LevDenominatorZero(f"Q_{k}(s) + Q_{k+1}(s) = 0 at n = {n}")

@@ -10,7 +10,8 @@ and ignored, because all computations are exact and single-valued.
 Exit status: 0 on success with all verifications passing, 1 on a
 verification failure (a census violation, a bound that does not hold, a
 construction that misses its target, a refused evaluation), 2 on usage
-or input-format errors.
+or input-format errors and inputs beyond a stated cap, 130 on an
+interrupt (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -479,6 +480,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

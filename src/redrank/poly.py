@@ -13,16 +13,27 @@ The adjacent families are derived from them by exact polynomial division:
     Q_k^{1,1} = (n-1) (Q_k - Q_{k+2}) / ((2k + n) (1 - t^2)),
 
 and their largest zeros t_k^{1,0} < t_k^{1,1} partition [-1, 1) into the
-cells on which the Levenshtein-style bound switches branch.  All root
-comparisons go through Sturm counts and exact sign evaluations; no
-floating point is used anywhere.
+cells on which the Levenshtein-style bound switches branch.
+
+locate_interval finds the cell of s without building a polynomial per k.
+It runs the recurrence on the values Q_j(s) in exact integer arithmetic,
+reads the sign of each adjacent polynomial at s off Q_j(s) - Q_{j+1}(s) and
+Q_j(s) - Q_{j+2}(s), and takes the first k with Q_k^{1,1}(s) < 0; the
+interlacing of the largest zeros (Levenshtein, "Universal bounds for codes
+and designs", Handbook of Coding Theory, 1998, section 5) makes that the
+cell.  The cell is then certified without the theorem: its upper end by the
+intermediate value theorem, its lower end by Descartes' rule of signs on
+the Taylor coefficients at s, with a Sturm count as the fallback when the
+rule proves nothing.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from itertools import islice
+from math import lcm
+from typing import Iterable, Iterator, Union
 
 from .exact import QSqrt2
 
@@ -205,13 +216,6 @@ class RationalPolynomial:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
-    def decimal_form(self, digits: int = 12) -> str:
-        """Coefficients rendered as decimals, for report output."""
-        rendered = []
-        for i, c in enumerate(self.coeffs):
-            rendered.append(f"t^{i}: {float(c):.{digits}g}")
-        return "; ".join(rendered) if rendered else "0"
-
 
 def _coerce_poly(x: object) -> "RationalPolynomial | None":
     if isinstance(x, RationalPolynomial):
@@ -352,19 +356,64 @@ def compare_largest_roots(p1: RationalPolynomial,
 
 @lru_cache(maxsize=None)
 def gegenbauer(n: int, k: int) -> RationalPolynomial:
-    """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1."""
+    """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1.
+
+    Built from the explicit coefficients of C_k^lambda, lambda = (n-2)/2
+    (DLMF 18.5.10), rather than by recursion on k: the leading coefficient
+    is prod_{i=1}^{k-1} (n-2+2i)/(n-2+i), and each coefficient of t^(k-2m-2)
+    is the one of t^(k-2m) times
+    -(k-2m)(k-2m-1) / (2(m+1)(2k-2m+n-4))."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k == 0:
-        return RationalPolynomial((1,))
-    if k == 1:
-        return RationalPolynomial.identity()
-    t = RationalPolynomial.identity()
-    j = k - 1
-    num = (t * gegenbauer(n, j)).scaled(2 * j + n - 2) - gegenbauer(n, j - 1).scaled(j)
-    return num.scaled(Fraction(1, j + n - 2))
+    coeffs = [Fraction(0)] * (k + 1)
+    c = Fraction(1)
+    for i in range(1, k):
+        c = c * (n - 2 + 2 * i) / (n - 2 + i)
+    coeffs[k] = c
+    for m in range(k // 2):
+        c = c * -((k - 2 * m) * (k - 2 * m - 1)) / (2 * (m + 1) * (2 * k - 2 * m + n - 4))
+        coeffs[k - 2 * m - 2] = c
+    return RationalPolynomial(coeffs)
+
+
+def _integer_form(s: Scalar) -> tuple[int, int, int]:
+    """Integers (a, c, b) with s = (a + c*sqrt2)/b and b > 0."""
+    sv = QSqrt2._coerce(s)
+    b = lcm(sv.a.denominator, sv.b.denominator)
+    return int(sv.a * b), int(sv.b * b), b
+
+
+def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int]]:
+    """Integer triples (x, y, w), w > 0, with Q_j(s) = (x + y*sqrt2)/w for
+    j = 0, 1, 2, ... without end.
+
+    With s = r/b, r in Z[sqrt2], the three-term recurrence becomes
+    R_{j+1} = (2j+n-2) r R_j - j (j+n-3) b^2 R_{j-1} (the factor j+n-3 is
+    1 at j = 1) on R_j = Q_j(s) b^j D_j, D_{j+1} = (j+n-2) D_j, D_1 = 1.
+    No gcd is taken, so a term costs a few integer products."""
+    a, c, b = _integer_form(s)
+    yield 1, 0, 1
+    x0, y0, x1, y1, w = 1, 0, a, c, b
+    j = 1
+    while True:
+        yield x1, y1, w
+        u, v = (2 * j + n - 2) * a, (2 * j + n - 2) * c
+        f = j * b * b * (j + n - 3 if j > 1 else 1)
+        x0, y0, x1, y1 = (x1, y1, u * x1 + 2 * v * y1 - f * x0,
+                          u * y1 + v * x1 - f * y0)
+        w *= b * (j + n - 2)
+        j += 1
+
+
+def gegenbauer_values(n: int, s: Scalar, first: int, last: int) -> list[QSqrt2]:
+    """Q_first(s), ..., Q_last(s) for dimension n, by the three-term
+    recurrence in exact arithmetic; equal to gegenbauer(n, j)(s)."""
+    if n < 2:
+        raise ValueError("dimension must be at least 2")
+    return [QSqrt2(Fraction(x, w), Fraction(y, w)) for x, y, w in
+            islice(_scaled_gegenbauer_values(n, s), first, last + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -397,23 +446,107 @@ def adjacent_largest_zero(n: int, k: int, kind: str,
     return largest_zero(adjacent_poly(n, k, kind), width)
 
 
+# ── locating s among the adjacent zeros ──────────────────────────
+
+# Largest cell index locate_interval searches; beyond it, s is refused.
+LOCATE_CELL_CAP = 1000
+
+
+class CellCapError(ValueError):
+    """The cell holding s lies beyond LOCATE_CELL_CAP."""
+
+
+def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
+    """Whether Descartes' rule of signs proves that p has no zero above s.
+
+    The rule is applied to the Taylor coefficients of p(s + t): with no
+    sign variation among them, p(s + t) has no positive zero.  They are
+    computed in integers, writing s = (a + c*sqrt2)/b and shifting
+    S(x) = b^d p(x/b) by a + c*sqrt2, which scales the coefficient of t^j
+    by the positive b^(d-j).  False only means that the rule proves
+    nothing."""
+    a, c, b = _integer_form(s)
+    den = lcm(*(x.denominator for x in p.coeffs))
+    d = p.degree
+    u = [int(x * den) * b ** (d - i) for i, x in enumerate(p.coeffs)]
+    w = [0] * (d + 1)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            u[j], w[j] = (u[j] + a * u[j + 1] + 2 * c * w[j + 1],
+                          w[j] + c * u[j + 1] + a * w[j + 1])
+    signs = [g for g in (QSqrt2(x, y).sign() for x, y in zip(u, w)) if g]
+    return all(g == signs[0] for g in signs)
+
+
+def _at_or_above_largest_zero(p: RationalPolynomial, s: Scalar) -> bool:
+    """Whether s is at or above every real zero of p: by Descartes' rule
+    when it applies, by a Sturm count when it does not."""
+    return _no_zero_above(p, s) or cmp_to_largest_root(p, s) >= 0
+
+
+def _scan(n: int, s: Scalar) -> tuple[int, bool]:
+    """The first k >= 1 with Q_k^{1,1}(s) < 0, and whether Q_k^{1,0}(s) < 0.
+
+    For -1 < s < 1, Q_k^{1,1}(s) has the sign of Q_k(s) - Q_{k+2}(s), since
+    (2k + n)(1 - s^2) > 0, and Q_k^{1,0}(s) the sign of Q_k(s) - Q_{k+1}(s),
+    since 1 - s > 0.  With Q_j(s) = R_j / w_j, those are the signs of
+    R_k m - R_{k+2} and R_k m' - R_{k+1} for the integer ratios m, m' of
+    the scales."""
+    b = _integer_form(s)[2]
+
+    def sign(p: tuple[int, int, int], q: tuple[int, int, int], m: int) -> int:
+        return QSqrt2(p[0] * m - q[0], p[1] * m - q[1]).sign()
+
+    values = _scaled_gegenbauer_values(n, s)
+    next(values)
+    q = [next(values), next(values)]
+    for k in range(1, LOCATE_CELL_CAP + 1):
+        q.append(next(values))
+        step = b * (k + n - 2)  # w_{k+1} / w_k
+        if sign(q[0], q[2], step * b * (k + n - 1)) < 0:
+            return k, sign(q[0], q[1], step) < 0
+        del q[0]
+    raise CellCapError(f"no cell k <= {LOCATE_CELL_CAP} (LOCATE_CELL_CAP) "
+                       f"holds s at n = {n}; refused")
+
+
 def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     """Find the cell of the partition of [-1, 1) holding s.
 
     Returns (k, branch) where branch "A" means
     t_{k-1}^{1,1} <= s < t_k^{1,0} and branch "B" means
-    t_k^{1,0} <= s < t_k^{1,1}.  Membership at the left endpoint is
-    closed.  All comparisons are exact sign evaluations and Sturm counts.
+    t_k^{1,0} <= s < t_k^{1,1}, with t_0^{1,1} = -1.  Membership at the
+    left endpoint is closed, and s = -1 is cell (1, "A").
+
+    A scan over values proposes the cell: k is the first index with
+    Q_k^{1,1}(s) < 0, and the branch is A when Q_k^{1,0}(s) < 0.  The
+    largest zeros interlace, t_{k-1}^{1,1} < t_k^{1,0} < t_k^{1,1}
+    (Levenshtein, "Universal bounds for codes and designs", Handbook of
+    Coding Theory, 1998, section 5), which makes the proposal right; the
+    code does not rely on it and certifies each end of the cell:
+
+      * s < t_k^{1,1}, and s < t_k^{1,0} on branch A, by the intermediate
+        value theorem: the polynomial is negative at s and 1 at t = 1;
+      * t_{k-1}^{1,1} <= s, and t_k^{1,0} <= s on branch B, by Descartes'
+        rule on the Taylor coefficients at s, or by a Sturm count where
+        the rule proves nothing.
+
+    Should the lower end fail, k steps left until it holds, and the
+    branch is then decided by Descartes' rule or a Sturm count alone.
+    Cells beyond LOCATE_CELL_CAP raise CellCapError.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     sv = s if isinstance(s, QSqrt2) else Fraction(s)
     if not (-1 <= sv and sv < 1):
         raise ValueError("s must lie in [-1, 1)")
-    for k in range(1, 1001):
-        # cells are [t_{k-1}^{1,1}, t_k^{1,1}); t_0^{1,1} = -1
-        if cmp_to_largest_root(adjacent_poly(n, k, "11"), sv) < 0:
-            if cmp_to_largest_root(adjacent_poly(n, k, "10"), sv) < 0:
-                return k, "A"
-            return k, "B"
-    raise RuntimeError("failed to locate s; cell index over 1000")
+    if sv == -1:
+        return 1, "A"
+    k, below_10 = _scan(n, sv)
+    while k > 1 and not _at_or_above_largest_zero(adjacent_poly(n, k - 1, "11"), sv):
+        # s < t_{k-1}^{1,1}: the cell lies further left
+        k, below_10 = k - 1, False
+    if (below_10
+            or not _at_or_above_largest_zero(adjacent_poly(n, k, "10"), sv)):
+        return k, "A"
+    return k, "B"

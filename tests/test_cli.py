@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from redrank import cli
 from redrank.cli import main
 from redrank.formats import graph6_decode
 from redrank.graphs import rank
@@ -98,6 +99,21 @@ def test_lev_rejects_bad_cosine(capsys):
     assert code == 2 and "cosine" in err
     code, _, err = run(capsys, "lev", "--n", "5", "--s", "3/2")
     assert code == 2
+
+
+def test_lev_refuses_cells_beyond_cap(capsys):
+    code, out, err = run(capsys, "lev", "--n", "3", "--s", "9999999/10000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "LOCATE_CELL_CAP" in err
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+    monkeypatch.setitem(cli._HANDLERS, "rank", interrupted)
+    code, out, err = run(capsys, "rank", "--graph6", "C~")
+    assert (code, out, err) == (130, "", "interrupted\n")
 
 
 def test_rankin_cases(capsys):

@@ -6,17 +6,20 @@ precision and against frozen exact literals.
 """
 
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from redrank.exact import COS_REFERENCE
-from redrank.poly import (RationalPolynomial, SturmChain,
-                          adjacent_largest_zero, adjacent_poly,
+from redrank import poly
+from redrank.exact import COS_REFERENCE, QSqrt2
+from redrank.poly import (LOCATE_CELL_CAP, CellCapError, RationalPolynomial,
+                          SturmChain, adjacent_largest_zero, adjacent_poly,
                           cmp_to_largest_root, compare_largest_roots,
                           count_distinct_real_roots, gegenbauer,
-                          largest_zero, locate_interval)
+                          gegenbauer_values, largest_zero, locate_interval)
 
 
 def test_polynomial_algebra():
@@ -170,3 +173,103 @@ def test_locate_interval_k_grows_with_dimension():
         assert k >= last
         last = k
     assert last >= 5
+
+
+def test_gegenbauer_matches_three_term_recurrence():
+    t = RationalPolynomial.identity()
+    for n in (2, 3, 4, 7, 24, 119):
+        qs = [RationalPolynomial((1,)), t]
+        for j in range(1, 40):
+            qs.append(((t * qs[j]).scaled(2 * j + n - 2)
+                       - qs[j - 1].scaled(j)).scaled(Fraction(1, j + n - 2)))
+        assert [gegenbauer(n, k) for k in range(41)] == qs
+
+
+def test_gegenbauer_cold_call_needs_no_recursion():
+    gegenbauer.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        q = gegenbauer(3, 600)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert q.degree == 600 and q(Fraction(1)) == 1
+
+
+def test_gegenbauer_values_match_polynomials():
+    for n in (3, 8, 24):
+        for s in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), COS_REFERENCE):
+            got = gegenbauer_values(n, s, 0, 12)
+            assert got == [gegenbauer(n, j)(QSqrt2._coerce(s)) for j in range(13)]
+            assert gegenbauer_values(n, s, 4, 6) == got[4:7]
+
+
+# ── locate_interval against an independent linear Sturm scan ─────
+
+
+def reference_cell(n, s):
+    """The first k with s below the largest zero of Q_k^{1,1}, and the
+    branch from Q_k^{1,0}, both by Sturm counts."""
+    for k in range(1, 200):
+        if cmp_to_largest_root(adjacent_poly(n, k, "11"), s) < 0:
+            if cmp_to_largest_root(adjacent_poly(n, k, "10"), s) < 0:
+                return k, "A"
+            return k, "B"
+    raise AssertionError("reference scan ran past k = 200")
+
+
+def equivalence_points():
+    rng = random.Random(20120113)
+    points = [(n, s) for n in range(3, 41, 3)
+              for s in (Fraction(-1), Fraction(0), Fraction(1, 2),
+                        Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
+                        COS_REFERENCE)]
+    for _ in range(60):
+        d = rng.randint(1, 60)
+        points.append((rng.randint(3, 40), Fraction(rng.randint(-d, d - 1), d)))
+    return points
+
+
+def test_locate_interval_matches_sturm_scan():
+    for n, s in equivalence_points():
+        assert locate_interval(n, s) == reference_cell(n, s), (n, s)
+
+
+def test_locate_interval_sturm_fallback_is_exact(monkeypatch):
+    points = equivalence_points()[::4]
+    want = [locate_interval(n, s) for n, s in points]
+    # Descartes' rule proving nothing leaves every lower end to Sturm counts
+    monkeypatch.setattr(poly, "_no_zero_above", lambda p, s: False)
+    assert [locate_interval(n, s) for n, s in points] == want
+    monkeypatch.undo()
+    # a scan that proposes a cell too far right fails its lower end and
+    # walks back
+    scan = poly._scan
+    monkeypatch.setattr(poly, "_scan", lambda n, s: (scan(n, s)[0] + 3, False))
+    assert [locate_interval(n, s) for n, s in points] == want
+
+
+def test_locate_interval_large_k_frozen():
+    assert locate_interval(3, Fraction(999, 1000)) == (85, "A")
+    assert locate_interval(3, Fraction(9999, 10000)) == (270, "A")
+
+
+def test_locate_interval_refuses_beyond_cap():
+    start = time.perf_counter()
+    with pytest.raises(CellCapError) as exc:
+        locate_interval(3, Fraction(10 ** 7 - 1, 10 ** 7))
+    assert isinstance(exc.value, ValueError)
+    assert str(LOCATE_CELL_CAP) in str(exc.value)
+    assert time.perf_counter() - start < 5
+
+
+def test_descartes_reports_not_proved_when_a_zero_lies_above():
+    # (t - 1/2)(t + 1): a zero at 1/2
+    p = RationalPolynomial((Fraction(-1, 2), Fraction(1, 2), 1))
+    assert not poly._no_zero_above(p, Fraction(0))
+    assert not poly._no_zero_above(p, Fraction(49, 100))
+    assert poly._no_zero_above(p, Fraction(1, 2))
+    assert poly._no_zero_above(p, Fraction(3, 5))
+    # t_3^{1,0} < s0 < t_4^{1,0} at n = 10 (see test_cmp_to_largest_root)
+    assert poly._no_zero_above(adjacent_poly(10, 3, "10"), COS_REFERENCE)
+    assert not poly._no_zero_above(adjacent_poly(10, 4, "10"), COS_REFERENCE)
