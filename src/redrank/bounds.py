@@ -12,7 +12,8 @@ provides three bound families, all evaluated in exact arithmetic:
     Gegenbauer ladder, with the branch and level selected exactly by
     locate_interval,
   * closed_form_bound: the elementary envelope (n^2 - 1) / sin(alpha)^n,
-    compared to thresholds by squaring into Q(sqrt2).
+    compared to thresholds by squaring both sides and taking one integer
+    sign in Z[sqrt2].
 
 The cosine threshold of interest is s0 = sqrt(2) - 1.  At s0 a reduced
 graph embeds as a code: replace 0 by -1 in the adjacency matrix and
@@ -36,7 +37,7 @@ from math import comb
 from typing import Optional, Union
 
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
-                    gamma_half_ratio, sqrt_enclosure)
+                    gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
 from .graphs import Graph, is_reduced, min_removal_for_rank_drop
 from .poly import RationalPolynomial, gegenbauer_values, locate_interval
 
@@ -167,11 +168,17 @@ def threshold_value(n: int, offset: int) -> QSqrt2:
     return QSqrt2(-2, b)
 
 
-def _holds_by_squares(value_sq: QSqrt2, threshold: QSqrt2) -> bool:
-    """value < threshold for positive value given value^2, exact."""
-    if threshold.sign() <= 0:
+def _holds_by_squares(x: int, y: int, d: int, threshold: QSqrt2) -> bool:
+    """value < threshold for the positive value sqrt((x + y*sqrt2)/d),
+    d > 0, exactly: with threshold = (tx + ty*sqrt2)/e, that is
+    threshold > 0 and d (tx + ty*sqrt2)^2 - e^2 (x + y*sqrt2) > 0, two
+    integer sign tests."""
+    tx, ty, e = threshold.as_integers()
+    if sign_sqrt2(tx, ty) <= 0:
         return False
-    return value_sq < threshold * threshold
+    e2 = e * e
+    return sign_sqrt2(d * (tx * tx + 2 * ty * ty) - e2 * x,
+                      2 * d * tx * ty - e2 * y) > 0
 
 
 # ── Rankin-style bounds ──────────────────────────────────────────
@@ -270,12 +277,12 @@ def rankin_bound(n: int, case: str,
     if case == "exactly_half_pi":
         value = QSqrt2(2 * n)
         return BoundReport(n, "rankin_half_pi", value, True, threshold,
-                           _holds_by_squares(value * value, threshold) if threshold else None,
+                           _holds_by_squares(4 * n * n, 0, 1, threshold) if threshold else None,
                            notes=("exact maximum, attained by the cross-polytope",))
     if case == "obtuse":
         value = QSqrt2(n + 1)
         return BoundReport(n, "rankin_obtuse", value, True, threshold,
-                           _holds_by_squares(value * value, threshold) if threshold else None)
+                           _holds_by_squares((n + 1) ** 2, 0, 1, threshold) if threshold else None)
     if case != "acute":
         raise ValueError(f"unknown case {case!r}")
     if params is None:
@@ -294,7 +301,8 @@ def rankin_bound(n: int, case: str,
     value_up = root_hi * PI_HI ** (e // 2)
     holds = None
     if threshold is not None:
-        holds = _holds_by_squares(QSqrt2(value_up * value_up), threshold)
+        holds = _holds_by_squares(value_up.numerator ** 2, 0,
+                                  value_up.denominator ** 2, threshold)
     return BoundReport(n, "rankin_integral", value_up, False, threshold, holds,
                        notes=("one-sided rounding of the integral bound",))
 
@@ -327,7 +335,8 @@ def closed_form_bound(n: int, params: AngleParams,
     else:
         value = sqrt_enclosure(value_sq, 40)[1]
         exact = False
-    holds = _holds_by_squares(value_sq, threshold) if threshold is not None else None
+    holds = (_holds_by_squares(*value_sq.as_integers(), threshold)
+             if threshold is not None else None)
     notes: tuple[str, ...] = ()
     if p.s == COS_REFERENCE and n < CLOSED_FORM_REPORT_FLOOR:
         notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)
@@ -406,7 +415,11 @@ def verify_code_lemma(n_lo: int, n_hi: int,
 
 def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
     """Closed-form reports at s0 for a dimension range, with the power
-    (1 + 1/sqrt2)^n maintained incrementally as an integer pair."""
+    (1 + 1/sqrt2)^n maintained incrementally as an integer pair.  The
+    square of the value is c (a + b*sqrt2)/2^n with c = (n^2 - 1)^2, so
+    each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
+    for the threshold T; only odd n, whose value is the upper end of a
+    square-root enclosure, builds the square as a QSqrt2."""
     if n_lo < 6:
         raise ValueError("closed form needs n >= 6 at the reference cosine")
     if n_hi < n_lo:
@@ -422,9 +435,8 @@ def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
     for n in range(n_lo, n_hi + 1):
         c = (n * n - 1) ** 2
         denom = 1 << n
-        value_sq = QSqrt2(Fraction(c * a, denom), Fraction(c * b, denom))
         thr = threshold_value(n, offset)
-        holds = _holds_by_squares(value_sq, thr)
+        holds = _holds_by_squares(c * a, c * b, denom, thr)
         if n % 2 == 0:
             half_denom = 1 << (n // 2)
             value: Union[QSqrt2, Fraction] = QSqrt2(
@@ -432,7 +444,8 @@ def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
                 Fraction((n * n - 1) * bh, half_denom))
             exact = True
         else:
-            value = sqrt_enclosure(value_sq, 40)[1]
+            value = sqrt_enclosure(QSqrt2(Fraction(c * a, denom),
+                                          Fraction(c * b, denom)), 40)[1]
             exact = False
         reports.append(BoundReport(n, "closed_form", value, exact, thr, holds))
         a, b = 2 * a + 2 * b, a + 2 * b

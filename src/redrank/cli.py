@@ -22,7 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (BoundReport, LevDenominatorZero, closed_form_bound,
                      levenshtein_bound, rankin_bound, reference_params,
@@ -113,23 +113,26 @@ def _parse_cosine(text: str) -> Union[QSqrt2, Fraction]:
 # ── output plumbing ──────────────────────────────────────────────
 
 
-def _emit(args: argparse.Namespace, payload: dict,
-          text_lines: list[str],
-          csv_header: Optional[list[str]] = None,
-          csv_rows: Optional[list[list[object]]] = None) -> None:
+_Table = tuple[list[str], list[list[object]]]
+
+
+def _emit(args: argparse.Namespace, payload: Callable[[], dict],
+          text_lines: Callable[[], list[str]],
+          csv_table: Callable[[], _Table]) -> None:
+    """Write the report in the requested format.  Each format is given
+    as a function and only the requested one is called, so a command
+    never builds the renderings it does not print."""
     if args.format == "json":
-        body = json.dumps({"schema": SCHEMA, **payload}, indent=2) + "\n"
+        body = json.dumps({"schema": SCHEMA, **payload()}, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_header is None or csv_rows is None:
-            raise _UsageError(
-                f"csv output is not available for '{args.command}'")
+        header, rows = csv_table()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerow(header)
+        writer.writerows(rows)
         body = buf.getvalue()
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(text_lines()) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
@@ -165,16 +168,19 @@ def _bound_text(report: BoundReport) -> str:
     return " ".join(bits)
 
 
+def _bound_table(reports: list[BoundReport]) -> _Table:
+    return _BOUND_CSV_HEADER, [_bound_csv_row(r) for r in reports]
+
+
 def _emit_bound_list(args: argparse.Namespace, command: str,
                      reports: list[BoundReport]) -> int:
     all_hold = all(r.holds for r in reports if r.holds is not None)
-    payload = {"command": command,
-               "reports": [_bound_json(r) for r in reports],
-               "all_hold": all_hold}
-    lines = [_bound_text(r) for r in reports]
-    lines.append(f"all hold: {all_hold}")
-    _emit(args, payload, lines, _BOUND_CSV_HEADER,
-          [_bound_csv_row(r) for r in reports])
+    _emit(args,
+          lambda: {"command": command,
+                   "reports": [_bound_json(r) for r in reports],
+                   "all_hold": all_hold},
+          lambda: [_bound_text(r) for r in reports] + [f"all hold: {all_hold}"],
+          lambda: _bound_table(reports))
     return 0 if all_hold else 1
 
 
@@ -184,8 +190,8 @@ def _emit_bound_list(args: argparse.Namespace, command: str,
 def _cmd_rank(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     value = rank(g)
-    _emit(args, {"command": "rank", "order": g.n, "rank": value},
-          [str(value)], ["order", "rank"], [[g.n, value]])
+    _emit(args, lambda: {"command": "rank", "order": g.n, "rank": value},
+          lambda: [str(value)], lambda: (["order", "rank"], [[g.n, value]]))
     return 0
 
 
@@ -193,66 +199,76 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     reduced = reduce_graph(g)
     g6 = graph6_encode(reduced)
-    _emit(args, {"command": "reduce", "input_order": g.n,
-                 "order": reduced.n, "rank": rank(reduced), "graph6": g6},
-          [g6], ["input_order", "order", "rank", "graph6"],
-          [[g.n, reduced.n, rank(reduced), g6]])
+    _emit(args,
+          lambda: {"command": "reduce", "input_order": g.n,
+                   "order": reduced.n, "rank": rank(reduced), "graph6": g6},
+          lambda: [g6],
+          lambda: (["input_order", "order", "rank", "graph6"],
+                   [[g.n, reduced.n, rank(reduced), g6]]))
     return 0
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     value = min_removal_for_duplicates(g)
-    _emit(args, {"command": "tau", "order": g.n, "tau": value},
-          [str(value)], ["order", "tau"], [[g.n, value]])
+    _emit(args, lambda: {"command": "tau", "order": g.n, "tau": value},
+          lambda: [str(value)], lambda: (["order", "tau"], [[g.n, value]]))
     return 0
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     value = min_removal_for_rank_drop(g)
-    _emit(args, {"command": "rho", "order": g.n, "rho": value},
-          [str(value)], ["order", "rho"], [[g.n, value]])
+    _emit(args, lambda: {"command": "rho", "order": g.n, "rho": value},
+          lambda: [str(value)], lambda: (["order", "rho"], [[g.n, value]]))
     return 0
 
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     diff = neighborhood_symdiff(g, args.u, args.v)
-    _emit(args, {"command": "delta", "u": args.u, "v": args.v,
-                 "vertices": list(diff), "size": len(diff)},
-          [str(len(diff))], ["u", "v", "size", "vertices"],
-          [[args.u, args.v, len(diff), " ".join(map(str, diff))]])
+    _emit(args,
+          lambda: {"command": "delta", "u": args.u, "v": args.v,
+                   "vertices": list(diff), "size": len(diff)},
+          lambda: [str(len(diff))],
+          lambda: (["u", "v", "size", "vertices"],
+                   [[args.u, args.v, len(diff), " ".join(map(str, diff))]]))
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
     w = duplication_witness(g)
-    payload = {
-        "command": "witness",
-        "pair": list(w.pair),
-        "removed": list(w.removed),
-        "classes": [list(c) for c in w.classes],
-        "oriented": None if w.oriented is None else [list(p) for p in w.oriented],
-        "t1": None if w.t1 is None else list(w.t1),
-        "t2": None if w.t2 is None else list(w.t2),
-        "isolated": w.isolated,
-        "split_ok": w.split_ok,
-    }
-    lines = [f"pair: {w.pair[0]} {w.pair[1]}",
-             f"removed: {' '.join(map(str, w.removed)) or '-'}",
-             f"classes: {'; '.join(' '.join(map(str, c)) for c in w.classes)}",
-             f"split_ok: {w.split_ok}"]
-    if w.split_ok:
-        lines.append(f"t1: {' '.join(map(str, w.t1)) or '-'}")
-        lines.append(f"t2: {' '.join(map(str, w.t2)) or '-'}")
-    _emit(args, payload, lines,
-          ["pair", "removed", "classes", "t1", "t2", "split_ok"],
-          [[" ".join(map(str, w.pair)), " ".join(map(str, w.removed)),
-            ";".join(" ".join(map(str, c)) for c in w.classes),
-            "" if w.t1 is None else " ".join(map(str, w.t1)),
-            "" if w.t2 is None else " ".join(map(str, w.t2)), w.split_ok]])
+
+    def lines() -> list[str]:
+        out = [f"pair: {w.pair[0]} {w.pair[1]}",
+               f"removed: {' '.join(map(str, w.removed)) or '-'}",
+               f"classes: {'; '.join(' '.join(map(str, c)) for c in w.classes)}",
+               f"split_ok: {w.split_ok}"]
+        if w.split_ok:
+            out.append(f"t1: {' '.join(map(str, w.t1)) or '-'}")
+            out.append(f"t2: {' '.join(map(str, w.t2)) or '-'}")
+        return out
+
+    _emit(args,
+          lambda: {
+              "command": "witness",
+              "pair": list(w.pair),
+              "removed": list(w.removed),
+              "classes": [list(c) for c in w.classes],
+              "oriented": None if w.oriented is None else [list(p) for p in w.oriented],
+              "t1": None if w.t1 is None else list(w.t1),
+              "t2": None if w.t2 is None else list(w.t2),
+              "isolated": w.isolated,
+              "split_ok": w.split_ok,
+          },
+          lines,
+          lambda: (["pair", "removed", "classes", "t1", "t2", "split_ok"],
+                   [[" ".join(map(str, w.pair)), " ".join(map(str, w.removed)),
+                     ";".join(" ".join(map(str, c)) for c in w.classes),
+                     "" if w.t1 is None else " ".join(map(str, w.t1)),
+                     "" if w.t2 is None else " ".join(map(str, w.t2)),
+                     w.split_ok]]))
     return 0
 
 
@@ -270,18 +286,19 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         reports.append(rankin_bound(n, "acute", params))
     if not reports:
         raise _UsageError("no bound applies below dimension 3")
-    payload = {"command": "bounds", "n": n, "cosine": "s0",
-               "reports": [_bound_json(r) for r in reports]}
-    _emit(args, payload, [_bound_text(r) for r in reports],
-          _BOUND_CSV_HEADER, [_bound_csv_row(r) for r in reports])
+    _emit(args,
+          lambda: {"command": "bounds", "n": n, "cosine": "s0",
+                   "reports": [_bound_json(r) for r in reports]},
+          lambda: [_bound_text(r) for r in reports],
+          lambda: _bound_table(reports))
     return 0
 
 
 def _cmd_lev(args: argparse.Namespace) -> int:
     s = _parse_cosine(args.s)
     report = levenshtein_bound(args.n, s)
-    _emit(args, {"command": "lev", "s": args.s, **_bound_json(report)},
-          [_bound_text(report)], _BOUND_CSV_HEADER, [_bound_csv_row(report)])
+    _emit(args, lambda: {"command": "lev", "s": args.s, **_bound_json(report)},
+          lambda: [_bound_text(report)], lambda: _bound_table([report]))
     return 0
 
 
@@ -290,8 +307,9 @@ def _cmd_rankin(args: argparse.Namespace) -> int:
             "acute": "acute"}[args.case]
     params = reference_params(args.n) if case == "acute" else None
     report = rankin_bound(args.n, case, params)
-    _emit(args, {"command": "rankin", "case": args.case, **_bound_json(report)},
-          [_bound_text(report)], _BOUND_CSV_HEADER, [_bound_csv_row(report)])
+    _emit(args,
+          lambda: {"command": "rankin", "case": args.case, **_bound_json(report)},
+          lambda: [_bound_text(report)], lambda: _bound_table([report]))
     return 0
 
 
@@ -310,13 +328,13 @@ def _cmd_lemma8(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     rows = census_counts(args.max_order)
-    payload = {"command": "census",
-               "rows": [{"order": o, "total_graphs": t, "reduced_graphs": r}
-                        for o, t, r in rows]}
-    _emit(args, payload,
-          [f"order {o}: {t} graphs, {r} reduced" for o, t, r in rows],
-          ["order", "total_graphs", "reduced_graphs"],
-          [list(row) for row in rows])
+    _emit(args,
+          lambda: {"command": "census",
+                   "rows": [{"order": o, "total_graphs": t, "reduced_graphs": r}
+                            for o, t, r in rows]},
+          lambda: [f"order {o}: {t} graphs, {r} reduced" for o, t, r in rows],
+          lambda: (["order", "total_graphs", "reduced_graphs"],
+                   [list(row) for row in rows]))
     return 0
 
 
@@ -326,58 +344,62 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         text = _read_source(args)
         stream = parse_graph6(text)
     summary = verify_conjecture(args.max_order, graphs=stream)
-    payload = {"command": "conjecture", **summary.to_json()}
-    lines = []
-    for rep in summary.reports:
-        ranks = ", ".join(f"rank {r} -> order {o}"
-                          for r, o in rep.per_rank_max_order) or "-"
-        lines.append(f"order {rep.order}: {rep.total_graphs} graphs, "
-                     f"{rep.reduced_graphs} reduced, {ranks}")
-    lines.append(f"violations: {len(summary.violations)}")
-    lines.append(f"covered ranks: "
-                 f"{' '.join(map(str, summary.covered_ranks)) or '-'}")
-    lines.append(f"holds: {summary.holds}")
-    _emit(args, payload, lines,
-          ["order", "total_graphs", "reduced_graphs", "violations"],
-          [[r.order, r.total_graphs, r.reduced_graphs,
-            ";".join(r.violations)] for r in summary.reports])
+
+    def lines() -> list[str]:
+        out = []
+        for rep in summary.reports:
+            ranks = ", ".join(f"rank {r} -> order {o}"
+                              for r, o in rep.per_rank_max_order) or "-"
+            out.append(f"order {rep.order}: {rep.total_graphs} graphs, "
+                       f"{rep.reduced_graphs} reduced, {ranks}")
+        out.append(f"violations: {len(summary.violations)}")
+        out.append(f"covered ranks: "
+                   f"{' '.join(map(str, summary.covered_ranks)) or '-'}")
+        out.append(f"holds: {summary.holds}")
+        return out
+
+    _emit(args, lambda: {"command": "conjecture", **summary.to_json()}, lines,
+          lambda: (["order", "total_graphs", "reduced_graphs", "violations"],
+                   [[r.order, r.total_graphs, r.reduced_graphs,
+                     ";".join(r.violations)] for r in summary.reports]))
     return 0 if summary.holds else 1
 
 
 def _cmd_extremal(args: argparse.Namespace) -> int:
     g = construct_extremal(args.rank)
     g6 = graph6_encode(g)
-    _emit(args, {"command": "extremal", "rank": args.rank, "order": g.n,
-                 "reduced": True, "graph6": g6},
-          [g6], ["rank", "order", "graph6"], [[args.rank, g.n, g6]])
+    _emit(args,
+          lambda: {"command": "extremal", "rank": args.rank, "order": g.n,
+                   "reduced": True, "graph6": g6},
+          lambda: [g6],
+          lambda: (["rank", "order", "graph6"], [[args.rank, g.n, g6]]))
     return 0
 
 
 def _cmd_mineq(args: argparse.Namespace) -> int:
     report = verify_m_inequalities(args.r_max)
-    payload = {"command": "mineq", **report.to_json()}
-    lines = [f"recurrence checks: {report.recurrence_checks}",
-             f"family (i) checks: {report.family_i_checks}",
-             f"family (ii) checks: {report.family_ii_checks}",
-             f"failures: {len(report.failures)}",
-             f"holds: {report.holds}"]
-    _emit(args, payload, lines,
-          ["r_max", "recurrence_checks", "family_i_checks",
-           "family_ii_checks", "failures", "holds"],
-          [[report.r_max, report.recurrence_checks, report.family_i_checks,
-            report.family_ii_checks, len(report.failures), report.holds]])
+    _emit(args, lambda: {"command": "mineq", **report.to_json()},
+          lambda: [f"recurrence checks: {report.recurrence_checks}",
+                   f"family (i) checks: {report.family_i_checks}",
+                   f"family (ii) checks: {report.family_ii_checks}",
+                   f"failures: {len(report.failures)}",
+                   f"holds: {report.holds}"],
+          lambda: (["r_max", "recurrence_checks", "family_i_checks",
+                    "family_ii_checks", "failures", "holds"],
+                   [[report.r_max, report.recurrence_checks,
+                     report.family_i_checks, report.family_ii_checks,
+                     len(report.failures), report.holds]]))
     return 0 if report.holds else 1
 
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     report = lemma_suite(args.max_order)
-    payload = {"command": "lemmas", **report.to_json()}
-    lines = [f"reduced graphs processed: {report.graphs_processed}"]
-    lines.extend(f"{c.name}: {c.passed}/{c.run}" for c in report.checks)
-    lines.append(f"holds: {report.holds}")
-    _emit(args, payload, lines,
-          ["check", "run", "passed"],
-          [[c.name, c.run, c.passed] for c in report.checks])
+    _emit(args, lambda: {"command": "lemmas", **report.to_json()},
+          lambda: [f"reduced graphs processed: {report.graphs_processed}",
+                   *(f"{c.name}: {c.passed}/{c.run}" for c in report.checks),
+                   f"holds: {report.holds}"],
+          lambda: (["check", "run", "passed"],
+                   [[c.name, c.run, c.passed] for c in report.checks]))
     return 0 if report.holds else 1
 
 
@@ -466,9 +488,21 @@ _HANDLERS = {
 }
 
 
+def _join_cosine(argv: Sequence[str]) -> list[str]:
+    """argparse takes a token such as -1/2 for an option, so a negative
+    cosine after --s is passed on as --s=-1/2."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--s" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--s={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_cosine(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except (_UsageError, FormatError, EnumerationCapError, ValueError) as exc:

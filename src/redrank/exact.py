@@ -2,9 +2,15 @@
 
 Provides the real quadratic field Q(sqrt2) (class QSqrt2), exact ratios of
 Gamma values at integer and half-integer arguments (GammaRatio), and
-directed decimal rendering of exact quantities.  Everything is built on
-fractions.Fraction and Python integers; no floating point enters any
-comparison or verdict.
+directed decimal rendering of exact quantities.  Field elements hold
+fractions.Fraction parts.  Signs, floors, square-root enclosures and
+decimal renderings first write a value as (A + B*sqrt2)/D with integers
+A, B and D > 0 (QSqrt2.as_integers) and then work in integers alone: a
+sign is that of A + B*sqrt2 (sign_sqrt2, which compares A^2 with 2*B^2),
+and floor(x * 10^k), for k of either sign, is one integer isqrt and one
+floor division.  A float only estimates the decimal exponent of a
+rendering, which the integer digits then confirm or correct; no floating
+point enters any comparison or verdict.
 
 All values are immutable and every function is pure, so the module is safe
 for concurrent use.
@@ -14,17 +20,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import factorial, isqrt
+from math import factorial, floor, isqrt, lcm, log10
 from typing import Union
 
 Rational = Union[int, Fraction]
 
 # 50 decimal digits of pi, verified against a 60-digit independent
-# evaluation in the test suite.  Used only for one-sided rounding of
-# reported values that carry a power of pi; never for a verdict.
+# evaluation in the test suite.  PI_HI rounds reported values that carry
+# a power of pi upward; neither bound enters a verdict.
 _PI_DIGITS = "314159265358979323846264338327950288419716939937510"
 PI_LO = Fraction(int(_PI_DIGITS), 10 ** 50)
 PI_HI = Fraction(int(_PI_DIGITS) + 1, 10 ** 50)
+
+_LOG10_2 = log10(2)
 
 
 def _floor_int_sqrt2(b: int) -> int:
@@ -35,6 +43,25 @@ def _floor_int_sqrt2(b: int) -> int:
         return isqrt(2 * b * b)
     # sqrt(2)*|b| is irrational for b != 0, so the floor is never exact
     return -isqrt(2 * b * b) - 1
+
+
+def sign_sqrt2(x: int, y: int) -> int:
+    """The sign of x + y*sqrt(2) for integers x and y, exactly."""
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x == 0 or (x > 0) == (y > 0):
+        return 1 if y > 0 else -1
+    # opposite signs: |x| against |y|*sqrt2.  Bit lengths decide when
+    # they differ by two or more (2^(bx-1) <= |x| < 2^bx, likewise y),
+    # otherwise x^2 against 2 y^2, which never tie as sqrt2 is irrational
+    bx, by = x.bit_length(), y.bit_length()
+    if bx - by >= 2:
+        x_wins = True
+    elif by - bx >= 1:
+        x_wins = False
+    else:
+        x_wins = x * x > 2 * y * y
+    return 1 if x_wins == (x > 0) else -1
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -83,6 +110,16 @@ class QSqrt2:
         if self.b != 0:
             raise ValueError(f"{self!r} is irrational")
         return self.a
+
+    def as_integers(self) -> tuple[int, int, int]:
+        """Integers (A, B, D), D > 0 the least common denominator of the
+        parts, with self = (A + B*sqrt2)/D."""
+        a, b = self.a, self.b
+        da, db = a.denominator, b.denominator
+        if da == db:
+            return a.numerator, b.numerator, da
+        d = lcm(da, db)
+        return a.numerator * (d // da), b.numerator * (d // db), d
 
     @staticmethod
     def _coerce(x: object) -> "QSqrt2 | None":
@@ -167,16 +204,9 @@ class QSqrt2:
 
     def sign(self) -> int:
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: |a| vs |b|*sqrt2 decided by a^2 vs 2 b^2
-        d = a * a - 2 * b * b
-        s = (d > 0) - (d < 0)  # d == 0 impossible: sqrt2 is irrational
-        return s if a > 0 else -s
+        # a + b*sqrt2 times the positive a.denominator * b.denominator
+        return sign_sqrt2(a.numerator * b.denominator,
+                          b.numerator * a.denominator)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -199,11 +229,7 @@ class QSqrt2:
 
     def floor(self) -> int:
         """Exact floor, via floor(B*sqrt2) computed with integer isqrt."""
-        a, b = self.a, self.b
-        den = a.denominator * b.denominator
-        num_a = a.numerator * b.denominator
-        num_b = b.numerator * a.denominator
-        return (num_a + _floor_int_sqrt2(num_b)) // den
+        return _floor_scaled(*self.as_integers(), 0)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * (2.0 ** 0.5)
@@ -221,10 +247,28 @@ class QSqrt2:
         return f"{_frac_str(self.a)} + {_frac_str(self.b)}*sqrt2"
 
 
+def _int_str(n: int) -> str:
+    """str(n) for an integer of any length.
+
+    Plain str() is the fast path; past the interpreter's limit on the
+    digits of an integer-to-string conversion (ValueError) the number is
+    split at a power of ten into halves rendered the same way.  The limit
+    itself is left alone."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = int(n.bit_length() * _LOG10_2) // 2
+    high, low = divmod(n, 10 ** half)
+    return _int_str(high) + _int_str(low).zfill(half)
+
+
 def _frac_str(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 SQRT2 = QSqrt2(0, 1)
@@ -235,19 +279,33 @@ COS_REFERENCE = QSqrt2(-1, 1)
 # ── directed decimal rendering ───────────────────────────────────
 
 
-def _floor_scaled(x: QSqrt2, scale: int) -> int:
-    """floor(x * scale) for a positive integer scale, exactly."""
-    a, b = x.a, x.b
-    den = a.denominator * b.denominator
-    num_a = a.numerator * b.denominator * scale
-    num_b = b.numerator * a.denominator * scale
-    return (num_a + _floor_int_sqrt2(num_b)) // den
+def _floor_scaled(a: int, b: int, d: int, k: int) -> int:
+    """floor((a + b*sqrt2)/d * 10^k) for integers a, b, d > 0 and k,
+    exactly: for k < 0 the floor division by d * 10^-k may follow the
+    floor of a + b*sqrt2, since d * 10^-k is a positive integer."""
+    if k >= 0:
+        p = 10 ** k
+        return (a * p + _floor_int_sqrt2(b * p)) // d
+    return (a + _floor_int_sqrt2(b)) // (d * 10 ** -k)
 
 
-def _is_exact_decimal(x: QSqrt2, scale: int) -> bool:
-    if x.b != 0:
-        return False
-    return (x.a * scale).denominator == 1
+def _log10_sum(x: int, y: int) -> float:
+    """log10(x + y*sqrt2), approximately, for x, y >= 0 not both 0."""
+    shift = max(x.bit_length(), y.bit_length()) - 60
+    if shift <= 0:
+        return log10(x + y * 2 ** 0.5)
+    return log10((x >> shift) + (y >> shift) * 2 ** 0.5) + shift * _LOG10_2
+
+
+def _log10_estimate(a: int, b: int, d: int) -> float:
+    """log10((a + b*sqrt2)/d), approximately, for a positive value.  When
+    a and b have opposite signs, a + b*sqrt2 is written as the norm
+    a^2 - 2 b^2 over |a| + |b|*sqrt2, so cancellation costs no accuracy."""
+    if a >= 0 and b >= 0:
+        top = _log10_sum(a, b)
+    else:
+        top = log10(abs(a * a - 2 * b * b)) - _log10_sum(abs(a), abs(b))
+    return top - log10(d)
 
 
 def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
@@ -265,43 +323,38 @@ def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
         raise TypeError(f"cannot render {type(value).__name__}")
     if digits < 1:
         raise ValueError("digits must be positive")
-    s = x.sign()
+    a, b, d = x.as_integers()
+    s = sign_sqrt2(a, b)
     if s == 0:
         return "0." + "0" * (digits - 1)
-    mag = -x if s < 0 else x
+    if s < 0:
+        a, b = -a, -b
     # toward +infinity on the signed value means: ceil the magnitude of a
     # positive value, floor the magnitude of a negative one
     ceil_mag = (rounding == "up") != (s < 0)
 
-    # decimal exponent: largest e10 with 10^e10 <= mag
-    f = mag.floor()
-    if f >= 1:
-        e10 = len(str(f)) - 1
-    else:
-        e10 = 0
-        scaled = mag
-        while scaled.floor() < 1:
+    # decimal exponent e10, 10^e10 <= magnitude < 10^(e10+1), holds exactly
+    # when m = floor(magnitude * 10^(digits-1-e10)) has `digits` digits; a
+    # float estimate is off by at most one, which m shows and one step fixes
+    e10 = floor(_log10_estimate(a, b, d))
+    lo, hi = 10 ** (digits - 1), 10 ** digits
+    while True:
+        k = digits - 1 - e10
+        m = _floor_scaled(a, b, d, k)
+        if m < lo:
             e10 -= 1
-            scaled = scaled * 10
-            if e10 < -400:
-                raise ValueError("value too small to render")
-
-    k = digits - 1 - e10
-    scale = 10 ** k if k >= 0 else 1
-    if k >= 0:
-        m = _floor_scaled(mag, scale)
-        exact = _is_exact_decimal(mag, scale)
-    else:
-        shrunk = mag / (10 ** (-k))
-        m = shrunk.floor()
-        exact = _is_exact_decimal(mag, 1) and (mag.a.numerator % 10 ** (-k) == 0)
+        elif m >= hi:
+            e10 += 1
+        else:
+            break
+    exact = b == 0 and (a * 10 ** k % d == 0 if k >= 0
+                        else a % (d * 10 ** -k) == 0)
     if ceil_mag and not exact:
         m += 1
-        if m == 10 ** digits:
+        if m == hi:
             m //= 10
             e10 += 1
     text = str(m)
-    assert len(text) == digits
 
     if -5 < e10 < 0:
         body = "0." + "0" * (-e10 - 1) + text
@@ -315,17 +368,7 @@ def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
     return ("-" + body) if s < 0 else body
 
 
-# ── rational enclosures ──────────────────────────────────────────
-
-
-def rational_enclosure(x: QSqrt2, digits: int = 40) -> tuple[Fraction, Fraction]:
-    """An interval [lo, hi] of rationals containing x, of width 10^-digits
-    (width 0 when x is itself rational with a terminating check)."""
-    if x.b == 0:
-        return (x.a, x.a)
-    scale = 10 ** digits
-    f = _floor_scaled(x, scale)
-    return (Fraction(f, scale), Fraction(f + 1, scale))
+# ── square-root enclosures ───────────────────────────────────────
 
 
 def sqrt_enclosure(x: "QSqrt2 | Fraction | int", digits: int = 40) -> tuple[Fraction, Fraction]:
@@ -337,15 +380,16 @@ def sqrt_enclosure(x: "QSqrt2 | Fraction | int", digits: int = 40) -> tuple[Frac
     v = QSqrt2._coerce(x)
     if v is None:
         raise TypeError(f"cannot take sqrt of {type(x).__name__}")
-    s = v.sign()
+    a, b, d = v.as_integers()
+    s = sign_sqrt2(a, b)
     if s < 0:
         raise ValueError("sqrt of a negative value")
     if s == 0:
         return (Fraction(0), Fraction(0))
     scale = 10 ** digits
-    big = _floor_scaled(v, scale * scale)
+    big = _floor_scaled(a, b, d, 2 * digits)
     t = isqrt(big)
-    if t * t == big and _is_exact_decimal(v, scale * scale):
+    if t * t == big and b == 0 and a * scale * scale % d == 0:
         return (Fraction(t, scale), Fraction(t, scale))
     return (Fraction(t, scale), Fraction(t + 1, scale))
 
@@ -398,23 +442,6 @@ class GammaRatio:
 
     def __hash__(self) -> int:
         return hash((self.q, self.pi_half_power if self.q else 0))
-
-    def enclosure(self, digits: int = 40) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the numeric value (q > 0 only)."""
-        if self.q <= 0:
-            raise ValueError("enclosure defined for positive values only")
-        e = self.pi_half_power
-        whole, half = divmod(abs(e), 2)
-        lo = PI_LO ** whole
-        hi = PI_HI ** whole
-        if half:
-            rt_lo, _ = sqrt_enclosure(PI_LO, digits)
-            _, rt_hi = sqrt_enclosure(PI_HI, digits)
-            lo *= rt_lo
-            hi *= rt_hi
-        if e < 0:
-            lo, hi = 1 / hi, 1 / lo
-        return (self.q * lo, self.q * hi)
 
     def __repr__(self) -> str:
         return f"GammaRatio({self.q!r}, {self.pi_half_power})"

@@ -35,7 +35,7 @@ from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator, Union
 
-from .exact import QSqrt2
+from .exact import QSqrt2, sign_sqrt2
 
 Scalar = Union[int, Fraction, QSqrt2]
 
@@ -380,9 +380,7 @@ def gegenbauer(n: int, k: int) -> RationalPolynomial:
 
 def _integer_form(s: Scalar) -> tuple[int, int, int]:
     """Integers (a, c, b) with s = (a + c*sqrt2)/b and b > 0."""
-    sv = QSqrt2._coerce(s)
-    b = lcm(sv.a.denominator, sv.b.denominator)
-    return int(sv.a * b), int(sv.b * b), b
+    return QSqrt2._coerce(s).as_integers()
 
 
 def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int]]:
@@ -456,6 +454,26 @@ class CellCapError(ValueError):
     """The cell holding s lies beyond LOCATE_CELL_CAP."""
 
 
+# Most decimal digits locate_interval admits in a numerator or a
+# denominator of s (of either rational part when s is in Q(sqrt2)): the
+# scan's integers and the certificates' Taylor shifts grow with k times
+# these digits, so beyond the cap s is refused before any work.
+COSINE_DIGIT_CAP = 20
+
+
+class CosineDigitCapError(ValueError):
+    """s has more digits than COSINE_DIGIT_CAP."""
+
+
+def _check_digits(s: Scalar) -> None:
+    limit = 10 ** COSINE_DIGIT_CAP
+    parts = (s.a, s.b) if isinstance(s, QSqrt2) else (s,)
+    if any(abs(x.numerator) >= limit or x.denominator >= limit for x in parts):
+        raise CosineDigitCapError(
+            f"s has a numerator or denominator of more than "
+            f"{COSINE_DIGIT_CAP} digits (COSINE_DIGIT_CAP); refused")
+
+
 def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
     """Whether Descartes' rule of signs proves that p has no zero above s.
 
@@ -474,7 +492,7 @@ def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
         for j in range(d - 1, i - 1, -1):
             u[j], w[j] = (u[j] + a * u[j + 1] + 2 * c * w[j + 1],
                           w[j] + c * u[j + 1] + a * w[j + 1])
-    signs = [g for g in (QSqrt2(x, y).sign() for x, y in zip(u, w)) if g]
+    signs = [g for g in (sign_sqrt2(x, y) for x, y in zip(u, w)) if g]
     return all(g == signs[0] for g in signs)
 
 
@@ -495,7 +513,7 @@ def _scan(n: int, s: Scalar) -> tuple[int, bool]:
     b = _integer_form(s)[2]
 
     def sign(p: tuple[int, int, int], q: tuple[int, int, int], m: int) -> int:
-        return QSqrt2(p[0] * m - q[0], p[1] * m - q[1]).sign()
+        return sign_sqrt2(p[0] * m - q[0], p[1] * m - q[1])
 
     values = _scaled_gegenbauer_values(n, s)
     next(values)
@@ -533,11 +551,14 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
 
     Should the lower end fail, k steps left until it holds, and the
     branch is then decided by Descartes' rule or a Sturm count alone.
-    Cells beyond LOCATE_CELL_CAP raise CellCapError.
+    Cells beyond LOCATE_CELL_CAP raise CellCapError; a numerator or
+    denominator of s longer than COSINE_DIGIT_CAP digits raises
+    CosineDigitCapError before the scan.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     sv = s if isinstance(s, QSqrt2) else Fraction(s)
+    _check_digits(sv)
     if not (-1 <= sv and sv < 1):
         raise ValueError("s must lie in [-1, 1)")
     if sv == -1:

@@ -5,13 +5,18 @@ Commands run in-process through redrank.cli.main so the tests stay
 fast; the console entry point wraps the same function.
 """
 
+import hashlib
 import io
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from redrank import cli
+from redrank.bounds import levenshtein_bound
 from redrank.cli import main
+from redrank.exact import QSqrt2
 from redrank.formats import graph6_decode
 from redrank.graphs import rank
 
@@ -99,6 +104,58 @@ def test_lev_rejects_bad_cosine(capsys):
     assert code == 2 and "cosine" in err
     code, _, err = run(capsys, "lev", "--n", "5", "--s", "3/2")
     assert code == 2
+
+
+def test_lev_accepts_negative_cosine_after_space(capsys):
+    for fmt in ("json", "text", "csv"):
+        joined = run(capsys, "lev", "--n", "5", "--s=-1/2", "--format", fmt)
+        spaced = run(capsys, "lev", "--n", "5", "--s", "-1/2", "--format", fmt)
+        assert joined[0] == 0 and spaced == joined
+    code, out, _ = run(capsys, "lev", "--n", "8", "--s", "-1")
+    assert code == 0 and json.loads(out)["s"] == "-1"
+
+
+def _parse_int(digits):
+    """int(digits) without the interpreter's limit on string length."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _parse_fraction(text):
+    num, _, den = text.partition("/")
+    return Fraction(_parse_int(num), _parse_int(den or "1"))
+
+
+def test_lev_renders_values_beyond_the_digit_limit(capsys):
+    # the exact value has numerators of over 4,300 digits, past the
+    # interpreter's default limit on integer-to-string conversion
+    expected = levenshtein_bound(3, Fraction(99999, 100000)).value
+    code, out, err = run(capsys, "lev", "--n", "3", "--s", "99999/100000")
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert QSqrt2(_parse_fraction(blob["value_exact"])) == expected
+    assert len(blob["value_exact"]) > 4300
+    assert (blob["k"], blob["branch"]) == (856, "A")
+    decimal = "734097.308058071069175963777360"
+    assert blob["value_decimal"] == decimal
+    code, out, err = run(capsys, "lev", "--n", "3", "--s", "99999/100000",
+                         "--format", "text")
+    assert (code, out, err) == (0, f"n=3 levenshtein {decimal} k=856 branch=A\n", "")
+    code, out, err = run(capsys, "lev", "--n", "3", "--s", "99999/100000",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"3,levenshtein,{decimal},,,856,A"
+
+
+def test_lev_refuses_cosines_beyond_digit_cap(capsys):
+    for s in ("1/" + "1" + "0" * 20, "-" + "9" * 21 + "/" + "1" * 22):
+        code, out, err = run(capsys, "lev", "--n", "3", "--s", s)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "COSINE_DIGIT_CAP" in err
 
 
 def test_lev_refuses_cells_beyond_cap(capsys):
@@ -249,3 +306,40 @@ def test_byte_identical_reruns(capsys):
         code, out, _ = run(capsys, "lemma8", "--to", "12", "--format", "csv")
         outs.append(out)
     assert outs[2] == outs[3]
+
+
+# ── golden reports ──────────────────────────────────────────────
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
+                    .read_text())["reports"]
+
+
+def _golden_invocations():
+    for fmt in ("json", "text", "csv"):
+        yield ["lemma5", "--from", "47", "--to", "3000", "--format", fmt]
+        yield ["lemma8", "--format", fmt]
+        for n in range(3, 41):
+            yield ["bounds", "--n", str(n), "--format", fmt]
+        for s in ("s0", "1/2", "0", "99/100"):
+            for n in range(3, 25):
+                yield ["lev", "--n", str(n), "--s", s, "--format", fmt]
+        for n in range(6, 41):
+            yield ["rankin", "--case", "acute", "--n", str(n), "--format", fmt]
+
+
+def test_golden_set_is_complete():
+    assert sorted(" ".join(a) for a in _golden_invocations()) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("command", ["lemma5", "lemma8", "bounds", "lev", "rankin"])
+def test_reports_match_golden(capsys, command):
+    """Every report is byte-identical to the recorded one, in json, text
+    and csv."""
+    for argv in _golden_invocations():
+        if argv[0] != command:
+            continue
+        code, out, _ = run(capsys, *argv)
+        data = out.encode()
+        assert [code, len(data), hashlib.sha256(data).hexdigest()] == \
+            GOLDEN[" ".join(argv)], " ".join(argv)

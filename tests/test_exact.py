@@ -2,17 +2,21 @@
 decimal rendering, enclosures, and the half-integer gamma ratios.
 
 Random cases are seeded and cross-checked against mpmath at 100
-digits, so a sign or rounding bug cannot hide behind float noise.
+digits, so a sign or rounding bug cannot hide behind float noise.  The
+integer decimal renderer is also checked against a reference renderer
+written here in Fraction arithmetic.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from redrank.exact import (COS_REFERENCE, PI_HI, PI_LO, GammaRatio, QSqrt2,
-                           decimal_str, gamma_half_ratio, rational_enclosure,
+                           decimal_str, gamma_half_ratio, sign_sqrt2,
                            sqrt_enclosure)
 
 
@@ -100,6 +104,21 @@ def test_sign_on_pell_convergents():
         assert x.sign() == (1 if p * p - 2 * q * q == 1 else -1)
 
 
+@settings(max_examples=500, deadline=None)
+@given(x=st.integers(-2 ** 200, 2 ** 200), y=st.integers(-2 ** 200, 2 ** 200),
+       shift=st.integers(0, 3))
+def test_sign_sqrt2_matches_squares(x, y, shift):
+    # shift moves the bit lengths of x and y apart by up to three, across
+    # the point where bit lengths alone decide
+    y >>= shift
+    expected = (x > 0) - (x < 0) if y == 0 else (
+        (1 if y > 0 else -1) if x == 0 or (x > 0) == (y > 0)
+        else (1 if (x * x > 2 * y * y) == (x > 0) else -1))
+    assert sign_sqrt2(x, y) == expected
+    assert sign_sqrt2(-x, -y) == -expected
+    assert QSqrt2(x, y).sign() == expected
+
+
 def test_ordering_total_and_consistent():
     vals = _random_values(200, seed=35)
     for i in range(0, 200, 2):
@@ -181,14 +200,14 @@ def test_pi_bounds():
     assert mpf(PI_HI.numerator) / mpf(PI_HI.denominator) > pi
 
 
-def test_rational_enclosure():
+def test_decimal_str_encloses_quadratic_irrational():
     x = QSqrt2(Fraction(1, 3), Fraction(2, 7))
-    lo, hi = rational_enclosure(x, 30)
-    assert lo < hi
-    assert hi - lo <= Fraction(2, 10 ** 30)
+    lo = mpf(decimal_str(x, 30, "down"))
+    hi = mpf(decimal_str(x, 30, "up"))
     mp.dps = 60
     v = _to_mpf(x, 60)
-    assert mpf(lo.numerator) / lo.denominator < v < mpf(hi.numerator) / hi.denominator
+    assert lo < v < hi
+    assert hi - lo <= mpf(2) / mpf(10) ** 30
 
 
 def test_sqrt_enclosure():
@@ -217,12 +236,13 @@ def test_gamma_half_ratio_matches_mpmath():
     # gamma_half_ratio(n) = sqrt(pi) Gamma((n-1)/2) / (2 Gamma(n/2))
     mp.dps = 60
     for n in range(3, 40):
-        lo, hi = gamma_half_ratio(n).enclosure(40)
+        g = gamma_half_ratio(n)
+        value = mpf(g.q.numerator) / g.q.denominator * \
+            mp.pi ** (mpf(g.pi_half_power) / 2)
         truth = mp.sqrt(mp.pi) * mp.gamma(mpf(n - 1) / 2) / \
             (2 * mp.gamma(mpf(n) / 2))
-        eps = mpf(10) ** -50   # mpmath's own roundoff at 60 dps
-        assert mpf(lo.numerator) / lo.denominator <= truth + eps
-        assert mpf(hi.numerator) / hi.denominator >= truth - eps
+        # mpmath's own roundoff at 60 dps
+        assert abs(value - truth) <= truth * mpf(10) ** -50
 
 
 def test_gamma_ratio_algebra():
@@ -231,3 +251,132 @@ def test_gamma_ratio_algebra():
     assert x * y == GammaRatio(Fraction(1, 6), 2)
     assert (x / y) * y == x
     assert x * Fraction(4) == GammaRatio(1, 2)
+
+
+def test_str_renders_integers_beyond_the_conversion_limit():
+    # the interpreter refuses str() of integers over 4,300 digits by
+    # default; exact renderings must not depend on that limit
+    big = 10 ** 6000 + 10 ** 3000
+    text = "1" + "0" * 2999 + "1" + "0" * 3000
+    assert str(QSqrt2(big)) == text
+    assert str(QSqrt2(Fraction(-big, 7))) == "-" + text + "/7"
+    sevens = 7 * (10 ** 9001 - 1) // 9
+    assert str(QSqrt2(1, Fraction(1, sevens))) == \
+        "1 + 1/" + "7" * 9001 + "*sqrt2"
+
+
+# ── the integer renderer against the Fraction algorithm it replaced ──
+
+
+def _ref_floor_int_sqrt2(b):
+    if b >= 0:
+        return isqrt(2 * b * b)
+    return -isqrt(2 * b * b) - 1
+
+
+def _ref_floor(a, b):
+    """floor(a + b*sqrt2) for Fractions a, b."""
+    den = a.denominator * b.denominator
+    return (a.numerator * b.denominator
+            + _ref_floor_int_sqrt2(b.numerator * a.denominator)) // den
+
+
+def _ref_sign(a, b):
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    d = a * a - 2 * b * b
+    return (d > 0) - (d < 0) if a > 0 else (d < 0) - (d > 0)
+
+
+def reference_decimal_str(x, digits, rounding):
+    """decimal_str as it was computed in Fraction arithmetic: the
+    exponent by repeated multiplication by 10, digits by one floor."""
+    a, b = x.a, x.b
+    s = _ref_sign(a, b)
+    if s == 0:
+        return "0." + "0" * (digits - 1)
+    if s < 0:
+        a, b = -a, -b
+    ceil_mag = (rounding == "up") != (s < 0)
+    f = _ref_floor(a, b)
+    if f >= 1:
+        e10 = len(str(f)) - 1
+    else:
+        e10 = 0
+        sa, sb = a, b
+        while _ref_floor(sa, sb) < 1:
+            e10 -= 1
+            sa, sb = sa * 10, sb * 10
+    k = digits - 1 - e10
+    if k >= 0:
+        m = _ref_floor(a * 10 ** k, b * 10 ** k)
+        exact = b == 0 and (a * 10 ** k).denominator == 1
+    else:
+        m = _ref_floor(a / 10 ** -k, b / 10 ** -k)
+        exact = (b == 0 and a.denominator == 1
+                 and a.numerator % 10 ** -k == 0)
+    if ceil_mag and not exact:
+        m += 1
+        if m == 10 ** digits:
+            m //= 10
+            e10 += 1
+    text = str(m)
+    assert len(text) == digits
+    if -5 < e10 < 0:
+        body = "0." + "0" * (-e10 - 1) + text
+    elif 0 <= e10 <= 32:
+        if e10 >= digits - 1:
+            body = text + "0" * (e10 - digits + 1) + ".0"
+        else:
+            body = text[:e10 + 1] + "." + text[e10 + 1:]
+    else:
+        body = text[0] + "." + text[1:] + f"e{e10:+d}"
+    return ("-" + body) if s < 0 else body
+
+
+def _scaled(x, e):
+    return x * Fraction(10) ** e
+
+
+_exponents = st.integers(-300, 800)
+_small = st.integers(-10 ** 6, 10 ** 6)
+_den = st.integers(1, 10 ** 6)
+
+# irrational values a + b*sqrt2 with any mix of signs, cancellation
+# included, scaled by 10^e
+_general = st.builds(
+    lambda p, q, r, t, e: QSqrt2(_scaled(Fraction(p, q), e),
+                                 _scaled(Fraction(r, t), e)),
+    _small, _den, _small, _den, _exponents)
+# exact decimals m * 10^e, which render the same in both directions
+_decimals = st.builds(lambda m, e: QSqrt2(_scaled(Fraction(m), e)),
+                      st.integers(-10 ** 40, 10 ** 40), _exponents)
+# runs of nines, exact and just off, where rounding up carries into a
+# new digit
+_nines = st.builds(
+    lambda j, e, off, neg: QSqrt2(_scaled(Fraction(10 ** j - 1) + off, e)
+                                  * (-1 if neg else 1)),
+    st.integers(1, 45), _exponents,
+    st.sampled_from([Fraction(0), Fraction(1, 10 ** 50),
+                     Fraction(-1, 10 ** 50), Fraction(1, 3)]),
+    st.booleans())
+# (1 + sqrt2)^k and its conjugate: a near-integer and a tiny value with
+# heavy cancellation between the parts
+_pell = st.builds(lambda k, e, conj: _scaled_qsqrt2(
+                      QSqrt2(1, -1 if conj else 1) ** k, e),
+                  st.integers(1, 400), st.integers(-300, 300), st.booleans())
+
+
+def _scaled_qsqrt2(x, e):
+    return QSqrt2(_scaled(x.a, e), _scaled(x.b, e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(_general, _decimals, _nines, _pell),
+       digits=st.integers(1, 40),
+       rounding=st.sampled_from(["up", "down"]))
+def test_decimal_str_matches_reference(x, digits, rounding):
+    assert decimal_str(x, digits, rounding) == \
+        reference_decimal_str(x, digits, rounding)

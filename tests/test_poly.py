@@ -15,7 +15,8 @@ from mpmath import mp, mpf
 
 from redrank import poly
 from redrank.exact import COS_REFERENCE, QSqrt2
-from redrank.poly import (LOCATE_CELL_CAP, CellCapError, RationalPolynomial,
+from redrank.poly import (COSINE_DIGIT_CAP, LOCATE_CELL_CAP, CellCapError,
+                          CosineDigitCapError, RationalPolynomial,
                           SturmChain, adjacent_largest_zero, adjacent_poly,
                           cmp_to_largest_root, compare_largest_roots,
                           count_distinct_real_roots, gegenbauer,
@@ -261,6 +262,22 @@ def test_locate_interval_refuses_beyond_cap():
     assert isinstance(exc.value, ValueError)
     assert str(LOCATE_CELL_CAP) in str(exc.value)
     assert time.perf_counter() - start < 5
+
+
+def test_locate_interval_refuses_cosines_beyond_digit_cap():
+    big = 10 ** COSINE_DIGIT_CAP
+    over = [1 - Fraction(1, 10 ** 1000), Fraction(1, big),
+            Fraction(-big, big + 1), QSqrt2(0, Fraction(1, big))]
+    start = time.perf_counter()
+    for s in over:
+        with pytest.raises(CosineDigitCapError) as exc:
+            locate_interval(3, s)
+        assert isinstance(exc.value, ValueError)
+        assert "COSINE_DIGIT_CAP" in str(exc.value)
+    assert time.perf_counter() - start < 0.5
+    # cap digits are admitted, the range check still applies after it
+    assert locate_interval(3, Fraction(1, big - 1)) == locate_interval(3, 0)
+    assert locate_interval(3, Fraction(1 - big, big - 1)) == (1, "A")
 
 
 def test_descartes_reports_not_proved_when_a_zero_lies_above():
