@@ -5,7 +5,10 @@ or as '~' followed by three bytes carrying an 18-bit big-endian value
 for 63 <= n <= 258047.  The upper-triangle adjacency bits follow in
 column-major order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), packed
 big-endian into 6-bit groups, each emitted as byte value 63 + group;
-trailing pad bits are zero.  One graph per line.
+trailing pad bits are zero.  One graph per line.  Decoding is linear in
+the length of the input: the body is written out once as a bit string,
+and each row is read from one column slice plus one character of every
+later column.
 
 Edge list: first line "n m", then m lines "u v" with 0-based vertex
 indices; blank lines and '#' comments are ignored anywhere.
@@ -101,31 +104,21 @@ def graph6_decode(text: str, line: int = 1) -> Graph:
         raise FormatError(
             f"order {n} needs {need} adjacency bytes, found {have}",
             line, body_at + min(have, need) + 1)
-    rows = [0] * n
-    bit_at = 0
-    for off in range(need):
-        group = ord(text[body_at + off]) - _OFFSET
-        for b in range(5, -1, -1):
-            bit = group >> b & 1
-            if bit_at >= n * (n - 1) // 2:
-                if bit:
-                    raise FormatError("nonzero padding bits", line,
-                                      body_at + off + 1)
-                continue
-            i, j = _triangle_position(bit_at)
-            if bit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit_at += 1
+    bits = "".join(format(ord(c) - _OFFSET, "06b") for c in text[body_at:])
+    total = n * (n - 1) // 2
+    if "1" in bits[total:]:
+        # fewer than six pad bits, so all of them sit in the last byte
+        raise FormatError("nonzero padding bits", line, len(text))
+    # column j is the slice bits[starts[j]:starts[j] + j], x_{0,j} first
+    starts = [j * (j - 1) // 2 for j in range(n)]
+    rows = []
+    for i in range(n):
+        # row i: x_{0,i} .. x_{i-1,i} from column i, a zero diagonal, then
+        # x_{i,j} from entry i of each later column j; reversed, bit v is x_v
+        upper = "".join([bits[at + i] for at in starts[i + 1:]])
+        lower = bits[starts[i]:starts[i] + i]
+        rows.append(int((lower + "0" + upper)[::-1], 2))
     return Graph._raw(n, tuple(rows))
-
-
-def _triangle_position(index: int) -> tuple[int, int]:
-    """The (i, j) pair, i < j, at a column-major upper-triangle index."""
-    j = 1
-    while j * (j - 1) // 2 + j <= index:
-        j += 1
-    return index - j * (j - 1) // 2, j
 
 
 def parse_graph6(text: str) -> list[Graph]:

@@ -1,8 +1,14 @@
 """Graphs, adjacency rank over Q, and the reducedness invariants.
 
 A graph is a tuple of neighbor bitmasks.  Rank of the 0/1 adjacency
-matrix is computed by fraction-free Bareiss elimination on Python
-integers, so it is the exact rank over Q (equivalently over R).
+matrix is the exact rank over Q (equivalently over R).  It is first
+sought by Gaussian elimination modulo the prime p = 32749, with each
+row packed into one Python integer of 48-bit lanes.  A matrix that is
+nonsingular mod p has a determinant that p does not divide, hence a
+nonzero one, so its rank is n; through order 9 Hadamard's inequality
+keeps every minor below p, so the rank mod p is the rank.  Any other
+matrix (singular, or with p dividing its determinant) falls back to
+fraction-free Bareiss elimination on Python integers.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -11,12 +17,13 @@ with identical neighborhoods.  For reduced graphs the module provides:
     removal leaves a graph with two duplicated vertices (the minimum of
     |N(u) xor N(v)| over non-adjacent pairs),
   * min_removal_for_rank_drop: the least number of vertices whose
-    removal lowers the rank,
+    removal lowers the rank (a subset search capped by RHO_SUBSET_CAP),
   * rank_drop_report: checks that removing any closed-neighborhood or
     neighborhood symmetric difference drops the rank by the expected
     amount,
   * duplication_witness: a largest induced subgraph with duplicated
-    vertices together with the two-sided split of the removed set,
+    vertices together with the two-sided split of the removed set (an
+    orientation search capped by WITNESS_ORIENTATION_CAP),
   * the conjectured and proven order bounds for a given rank.
 
 Graphs are immutable; all functions are pure.
@@ -25,7 +32,9 @@ Graphs are immutable; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -218,8 +227,96 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
     return r
 
 
+# The certificate's prime, p = 2^15 - 19, so that 2^15 = 19 (mod p).
+_P = 32749
+# Orders whose rank mod p is their rank over Q: by Hadamard's
+# inequality an r x r 0/1 minor is at most r^(r/2) <= 9^4.5 = 19683 < p
+# in absolute value, so it vanishes mod p only when it vanishes.
+_EXACT_ORDER = 9
+_LANE = 48
+_LANE_MASK = (1 << _LANE) - 1
+_FOLD_EVERY = 64
+# byte b -> eight 48-bit lanes in hex, lane 0 last, lane i = bit i of b
+_BYTE_LANES = tuple("".join("0" * 11 + bit for bit in format(b, "08b"))
+                    for b in range(256))
+
+
+@lru_cache(maxsize=64)
+def _lane_masks(n: int) -> tuple[int, int, int]:
+    """For n lanes: the low 15 bits of each lane, the next 33, and 3p in
+    each lane."""
+    ones = int("0" + ("0" * 11 + "1") * n, 16)
+    return ones * ((1 << 15) - 1), ones * ((1 << 33) - 1), ones * 3 * _P
+
+
+def _fold(x: int, lo: int, hi: int) -> int:
+    """x with every lane replaced by a smaller one congruent to it mod p,
+    by the rule 2^15 = 19: three rounds take lanes below 2^38 to lanes
+    below 2^16 (bounds 2^27.3, 2^17, then 2^15 + 57)."""
+    x = (x >> 15 & hi) * 19 + (x & lo)
+    x = (x >> 15 & hi) * 19 + (x & lo)
+    return (x >> 15 & hi) * 19 + (x & lo)
+
+
+def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
+    """The rank over Q of the 0/1 matrix with these row bitmasks, when
+    Gaussian elimination modulo p proves it, else None.
+
+    A matrix that is nonsingular mod p has det A != 0 (mod p), so det A
+    != 0 and its rank is n.  For n <= _EXACT_ORDER every minor is below
+    p in absolute value, so the rank mod p is the rank.  A matrix of
+    larger order that is singular mod p gets None: it is singular, or p
+    divides det A.
+
+    Each row is one integer with entry v in lane v (bits 48v..48v+47).
+    The elimination keeps the current column in lane 0: a row y becomes
+    (y >> 48) + f*neg, where f is y's lane 0 divided by the pivot, mod p,
+    and neg holds 3p - b for the lanes b of the pivot row folded below
+    2^16 < 3p, so no lane borrows.  Each step adds less than 3p^2 to a
+    lane, so lanes that start below 2^16 stay under 2^16 + 64*3p^2 <
+    2^38 < 2^48 for 64 steps; the lanes are folded every 64 steps.
+    """
+    lo, hi, three_p = _lane_masks(n)
+    width = (n + 7) // 8
+    live = []
+    for row in rows:
+        lanes = [_BYTE_LANES[b] for b in row.to_bytes(width, "big")]
+        live.append(int("".join(lanes), 16))
+    found = 0
+    for step in range(n):
+        if step and step % _FOLD_EVERY == 0:
+            live = [_fold(y, lo, hi) for y in live]
+        for at, y in enumerate(live):
+            if (y & _LANE_MASK) % _P:
+                break
+        else:
+            if n > _EXACT_ORDER:
+                return None
+            live = [y >> _LANE for y in live]
+            three_p >>= _LANE
+            continue
+        pivot = live.pop(at)
+        inv = pow(pivot & _LANE_MASK, -1, _P)
+        neg = (three_p - _fold(pivot, lo, hi)) >> _LANE
+        three_p >>= _LANE
+        live = [(y >> _LANE) + (y & _LANE_MASK) * inv % _P * neg for y in live]
+        found += 1
+    return found
+
+
 def rank(g: Graph) -> int:
-    """Exact rank over Q of the adjacency matrix of g."""
+    """Exact rank over Q of the adjacency matrix of g.
+
+    Gaussian elimination modulo the prime p = 32749 runs first.  If A is
+    nonsingular mod p then det A is not divisible by p, so det A != 0
+    and the rank is n exactly; for n <= 9 Hadamard's inequality keeps
+    every minor below p, so the rank mod p is exact as well.  Otherwise
+    (A is singular, or p divides det A) the rank comes from
+    fraction-free Bareiss elimination on integers.
+    """
+    found = _certified_rank(g.rows, g.n)
+    if found is not None:
+        return found
     matrix = [[g.rows[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]
     return _bareiss_rank(matrix)
 
@@ -309,23 +406,57 @@ def min_removal_for_duplicates(g: Graph) -> int:
     return _min_symdiff_pair(g)[2]
 
 
+# Exhaustive searches are refused before they start when they could go
+# past these caps.  min_removal_for_rank_drop ranks what is left of each
+# vertex subset it tries, by Bareiss elimination whenever the mod-p
+# certificate fails, at a cost that grows with the cube of the order n;
+# so its subsets count as subsets of an order-20 graph, each weighing
+# (n/20)^3 past order 20.  duplication_witness tries up to 2^k
+# orientations of k duplicated pairs.
+RHO_SUBSET_CAP = 10_000
+WITNESS_ORIENTATION_CAP = 1 << 16
+
+
+class SearchCapError(ValueError):
+    """An exhaustive search would go past its declared cap."""
+
+
+def _check_rho_budget(n: int, cap: int) -> None:
+    """Refuse a rank-drop search over the subsets of sizes 1..cap-1 of n
+    vertices when it could go past RHO_SUBSET_CAP."""
+    weight = max(n, 20) ** 3
+    searched = 0
+    for k in range(1, cap):
+        searched += comb(n, k) * weight
+        if searched > RHO_SUBSET_CAP * 20 ** 3:
+            raise SearchCapError(
+                f"rho could try more than {RHO_SUBSET_CAP} vertex subsets, "
+                f"counted at order 20 (RHO_SUBSET_CAP); refused")
+
+
 def min_removal_for_rank_drop(g: Graph) -> int:
     """Least k such that deleting some k vertices lowers the rank.
 
     Ascending search over subset sizes.  When the graph is reduced and
     not complete, the symmetric difference of the closest non-adjacent
     pair is tried first; if its removal verifiably drops the rank it
-    caps the search, keeping the bound non-circular.
+    caps the search, keeping the bound non-circular.  A search that
+    could try more than RHO_SUBSET_CAP subsets (weighted past order 20)
+    is refused with SearchCapError before it starts.
     """
     if not g.has_edges:
         raise ValueError("rank drop needs at least one edge")
-    base = rank(g)
-    cap = g.n
+    pair = None
     if is_reduced(g) and not g.is_complete:
-        u, v, size = _min_symdiff_pair(g)
-        removed = neighborhood_symdiff(g, u, v)
-        if rank(g.without(removed)) < base:
-            cap = size
+        pair = _min_symdiff_pair(g)
+    cap = g.n if pair is None else pair[2]
+    _check_rho_budget(g.n, cap)  # before any rank: the least it can cost
+    base = rank(g)
+    if pair is not None:
+        removed = neighborhood_symdiff(g, pair[0], pair[1])
+        if rank(g.without(removed)) >= base:
+            cap = g.n
+            _check_rho_budget(g.n, cap)
     for k in range(1, cap):
         for subset in combinations(range(g.n), k):
             if rank(g.without(subset)) < base:
@@ -425,7 +556,9 @@ class DuplicationWitness:
 
 
 def duplication_witness(g: Graph) -> DuplicationWitness:
-    """Witness for a reduced, non-complete graph; see DuplicationWitness."""
+    """Witness for a reduced, non-complete graph; see DuplicationWitness.
+    A split search past WITNESS_ORIENTATION_CAP orientations is refused
+    with SearchCapError."""
     _require_reduced_noncomplete(g, "duplication_witness")
     u, v, _size = _min_symdiff_pair(g)
     removed = neighborhood_symdiff(g, u, v)
@@ -453,10 +586,15 @@ def _two_sided_split(g: Graph, removed: tuple[int, ...],
     which every removed vertex is adjacent either to all first members
     and no second member (T1) or the other way around (T2).  Returns
     the first orientation found in flip-bit order, so the result is
-    deterministic."""
+    deterministic.  More than WITNESS_ORIENTATION_CAP orientations are
+    refused with SearchCapError before the search starts."""
     if not classes or any(len(c) != 2 for c in classes):
         return None, None, None, False
     k = len(classes)
+    if 1 << k > WITNESS_ORIENTATION_CAP:
+        raise SearchCapError(
+            f"witness would try 2^{k} orientations, more than "
+            f"{WITNESS_ORIENTATION_CAP} (WITNESS_ORIENTATION_CAP); refused")
     for flips in range(1 << k):
         oriented = tuple(
             (c[1], c[0]) if flips >> i & 1 else (c[0], c[1])

@@ -8,6 +8,7 @@ fast; the console entry point wraps the same function.
 import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from redrank import cli
 from redrank.bounds import levenshtein_bound
 from redrank.cli import main
 from redrank.exact import QSqrt2
-from redrank.formats import graph6_decode
-from redrank.graphs import rank
+from redrank.formats import graph6_decode, graph6_encode
+from redrank.graphs import Graph, rank
 
 
 def run(capsys, *argv):
@@ -163,6 +164,30 @@ def test_lev_refuses_cells_beyond_cap(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "LOCATE_CELL_CAP" in err
+
+
+def test_rho_refuses_searches_beyond_cap(capsys):
+    # K_{10,10} is not reduced, so rho could try 2^20 - 2 subsets
+    k1010 = Graph.from_edges(20, [(i, j) for i in range(10)
+                                  for j in range(10, 20)])
+    for fmt in ("json", "text", "csv"):
+        code, out, err = run(capsys, "rho", "--graph6", graph6_encode(k1010),
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "RHO_SUBSET_CAP" in err
+
+
+def test_witness_refuses_searches_beyond_cap(capsys):
+    # 17 twin pairs over C_17 told apart only by vertex 34: 2^17 orientations
+    k = 17
+    edges = [(x, y) for i in range(k) for x in (i, k + i)
+             for y in ((i + 1) % k, k + (i + 1) % k)]
+    g = Graph.from_edges(2 * k + 1, edges + [(2 * k, i) for i in range(k)])
+    code, out, err = run(capsys, "witness", "--graph6", graph6_encode(g))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "WITNESS_ORIENTATION_CAP" in err
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):
@@ -315,31 +340,69 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
                     .read_text())["reports"]
 
 
+def _golden_graphs():
+    """Named graph6 inputs of the graph commands' golden reports: the
+    README examples, K_n, P_n and C_n for n <= 10, and seeded dense
+    graphs and twin blow-ups in the long form (n >= 63)."""
+    graphs = {g6: g6 for g6 in ("C~", "Cr", "Ch", "DQc")}
+    for n in range(1, 11):
+        graphs[f"K{n}"] = graph6_encode(Graph.complete(n))
+        graphs[f"P{n}"] = graph6_encode(Graph.path(n))
+        if n >= 3:
+            graphs[f"C{n}"] = graph6_encode(Graph.cycle(n))
+    rng = random.Random(5151)
+    for n in (63, 100, 150):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.5]
+        graphs[f"dense{n}"] = graph6_encode(Graph.from_edges(n, edges))
+        # every vertex a twin of one of 12 base vertices, labels shuffled
+        base = [(i, j) for i in range(12) for j in range(i + 1, 12)
+                if rng.random() < 0.5]
+        owner = list(range(12)) + [rng.randrange(12) for _ in range(n - 12)]
+        rng.shuffle(owner)
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if (min(owner[a], owner[b]), max(owner[a], owner[b])) in base]
+        graphs[f"twins{n}"] = graph6_encode(Graph.from_edges(n, edges))
+    return graphs
+
+
+GOLDEN_GRAPHS = _golden_graphs()
+
+
 def _golden_invocations():
+    """(key, argv) pairs; a graph input is keyed by its name."""
     for fmt in ("json", "text", "csv"):
-        yield ["lemma5", "--from", "47", "--to", "3000", "--format", fmt]
-        yield ["lemma8", "--format", fmt]
+        argvs = [["lemma5", "--from", "47", "--to", "3000", "--format", fmt],
+                 ["lemma8", "--format", fmt]]
         for n in range(3, 41):
-            yield ["bounds", "--n", str(n), "--format", fmt]
+            argvs.append(["bounds", "--n", str(n), "--format", fmt])
         for s in ("s0", "1/2", "0", "99/100"):
             for n in range(3, 25):
-                yield ["lev", "--n", str(n), "--s", s, "--format", fmt]
+                argvs.append(["lev", "--n", str(n), "--s", s, "--format", fmt])
         for n in range(6, 41):
-            yield ["rankin", "--case", "acute", "--n", str(n), "--format", fmt]
+            argvs.append(["rankin", "--case", "acute", "--n", str(n),
+                          "--format", fmt])
+        for argv in argvs:
+            yield " ".join(argv), argv
+        for command in ("rank", "reduce", "tau"):
+            for name, g6 in GOLDEN_GRAPHS.items():
+                yield (f"{command} --graph6 {name} --format {fmt}",
+                       [command, "--graph6", g6, "--format", fmt])
 
 
 def test_golden_set_is_complete():
-    assert sorted(" ".join(a) for a in _golden_invocations()) == sorted(GOLDEN)
+    assert sorted(key for key, _ in _golden_invocations()) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("command", ["lemma5", "lemma8", "bounds", "lev", "rankin"])
+@pytest.mark.parametrize("command", ["lemma5", "lemma8", "bounds", "lev",
+                                     "rankin", "rank", "reduce", "tau"])
 def test_reports_match_golden(capsys, command):
     """Every report is byte-identical to the recorded one, in json, text
     and csv."""
-    for argv in _golden_invocations():
+    for key, argv in _golden_invocations():
         if argv[0] != command:
             continue
         code, out, _ = run(capsys, *argv)
         data = out.encode()
         assert [code, len(data), hashlib.sha256(data).hexdigest()] == \
-            GOLDEN[" ".join(argv)], " ".join(argv)
+            GOLDEN[key], key

@@ -1,11 +1,15 @@
 """graph6 and edge-list round-trips plus diagnostics with line and
 column positions.
 
-The round-trip check runs over every isomorphism class up to order 7,
-so the encoder and decoder cannot drift apart silently.
+The round-trip check runs over every isomorphism class up to order 7
+and over seeded random graphs of orders 0 to 300, so the encoder and
+decoder cannot drift apart silently.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redrank.census import enumerate_graphs
 from redrank.formats import (FormatError, graph6_decode, graph6_encode,
@@ -35,6 +39,47 @@ def test_long_form_orders():
     assert graph6_decode(text) == g
     h = Graph.cycle(100)
     assert graph6_decode(graph6_encode(h)) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_round_trip_random_graphs(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < density])
+    text = graph6_encode(g)
+    assert text.startswith("~") == (n >= 63)
+    assert len(text) == (1 if n < 63 else 4) + (n * (n - 1) // 2 + 5) // 6
+    assert graph6_decode(text) == g
+    assert graph6_encode(graph6_decode(text)) == text
+
+
+_P63 = graph6_encode(Graph.path(63))
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("", "empty graph6 string", 1),
+    ("C!", "byte 33 outside graph6 range 63..126", 2),
+    ("C\x7f", "byte 127 outside graph6 range 63..126", 2),
+    (_P63[:40] + "\x10" + _P63[41:], "byte 16 outside graph6 range 63..126", 41),
+    ("~??", "truncated long-form order", 4),
+    ("~~????", "order beyond the supported long form", 2),
+    ("~??}", "long-form order 62 must use the short form", 2),
+    ("~???", "long-form order 0 must use the short form", 2),
+    ("C", "order 4 needs 1 adjacency bytes, found 0", 2),
+    (_P63[:-1], "order 63 needs 326 adjacency bytes, found 325", 330),
+    ("C~extra", "order 4 needs 1 adjacency bytes, found 6", 3),
+    (_P63 + "?", "order 63 needs 326 adjacency bytes, found 327", 331),
+    ("DhD", "nonzero padding bits", 3),
+    (_P63[:-1] + "K", "nonzero padding bits", 330),
+])
+def test_decode_error_positions(text, message, column):
+    """Message, line and column of each malformed input, as the per-bit
+    decoder reported them."""
+    with pytest.raises(FormatError) as exc:
+        graph6_decode(text, 3)
+    assert (exc.value.message, exc.value.line, exc.value.column) == \
+        (message, 3, column)
 
 
 def test_decode_rejects_garbage():

@@ -1,9 +1,9 @@
 """Graph invariants: exact rank, reducedness, removal counts, and the
 duplication witness.
 
-The Bareiss rank is cross-checked against an independent dense
-Gaussian elimination over Fraction and against rank computations
-modulo three large primes.
+The rank is cross-checked against an independent dense Gaussian
+elimination over Fraction, against rank computations modulo three large
+primes, and against the Bareiss elimination it falls back on.
 """
 
 import itertools
@@ -11,10 +11,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redrank.census import enumerate_graphs
-from redrank.graphs import (DuplicationWitness, Graph, conjectured_max_order,
-                            duplication_classes, duplication_witness,
+from redrank.formats import graph6_decode
+from redrank.graphs import (RHO_SUBSET_CAP, WITNESS_ORIENTATION_CAP,
+                            DuplicationWitness, Graph, SearchCapError,
+                            _bareiss_rank, _certified_rank,
+                            conjectured_max_order, duplication_classes,
+                            duplication_witness,
                             is_candidate_minimal_violation, is_reduced,
                             min_removal_for_duplicates,
                             min_removal_for_rank_drop, neighborhood_symdiff,
@@ -64,9 +69,9 @@ def _modp_rank(g: Graph, p: int) -> int:
     return r
 
 
-def _random_graph(rng: random.Random, n: int) -> Graph:
+def _random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.5]
+             if rng.random() < density]
     return Graph.from_edges(n, edges)
 
 
@@ -117,6 +122,63 @@ def test_rank_matches_mod_p():
         # primes at this size at least one of them attains it
         assert all(x <= r for x in modp)
         assert max(modp) == r
+
+
+def _bareiss(g: Graph) -> int:
+    return _bareiss_rank([[g.rows[u] >> v & 1 for v in range(g.n)]
+                          for u in range(g.n)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 200), st.floats(0.3, 0.7), st.integers(0, 2**32))
+def test_rank_matches_bareiss_on_dense_graphs(n, density, seed):
+    # orders past 64 and 128 cross the periodic lane folds
+    g = _random_graph(random.Random(seed), n, density)
+    assert rank(g) == _bareiss(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_rank_matches_bareiss_on_small_graphs(n, density, seed):
+    # through order 9 the rank mod p is taken as exact, singular or not
+    g = _random_graph(random.Random(seed), n, density)
+    assert rank(g) == _bareiss(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 150), st.integers(0, 2**32))
+def test_rank_matches_bareiss_on_twin_blowups(k, extra, seed):
+    # every vertex a twin of one of k base vertices, labels shuffled
+    rng = random.Random(seed)
+    base = _random_graph(rng, k)
+    owner = list(range(k)) + [rng.randrange(k) for _ in range(extra)]
+    rng.shuffle(owner)
+    n = len(owner)
+    g = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                             if base.has_edge(owner[a], owner[b])])
+    assert rank(g) == _bareiss(g) == _bareiss(base)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 64, 65, 129, 200])
+def test_rank_of_empty_and_complete_graphs(n):
+    assert rank(Graph.empty(n)) == _bareiss(Graph.empty(n)) == 0
+    expected = n if n >= 2 else 0
+    assert rank(Graph.complete(n)) == _bareiss(Graph.complete(n)) == expected
+
+
+# Found by a seeded search (random.Random(32749), G(30, 1/2)): its
+# determinant is 78826843 = 2407 * 32749, a nonzero multiple of the
+# certificate's prime, so elimination mod p proves nothing and the rank
+# must come from the Bareiss fallback.
+DET_DIVISIBLE_BY_P = (r"]olvaL~qpAQws}FyDBj?c?xrEgRjV\jc^NRzGwQM?PDkgrPiKynNUBZp_Xwb"
+                      r"\jREwVmR@bXpP_")
+
+
+def test_rank_falls_back_when_p_divides_the_determinant():
+    g = graph6_decode(DET_DIVISIBLE_BY_P)
+    assert g.n == 30
+    assert _certified_rank(g.rows, g.n) is None
+    assert rank(g) == _bareiss(g) == _gauss_rank(g) == 30
 
 
 def test_rank_invariant_under_relabeling():
@@ -213,6 +275,53 @@ def test_removal_counts_by_brute_force():
                 brute_tau = size
                 break
         assert min_removal_for_duplicates(g) == brute_tau
+
+
+def _complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, j) for i in range(a)
+                                    for j in range(a, a + b)])
+
+
+def test_rank_drop_search_cap():
+    # K_{6,7} is not reduced, so every subset size below 13 is in reach
+    # (2^13 - 2 subsets); rho is 6, the smaller side
+    assert 2 ** 13 - 2 <= RHO_SUBSET_CAP < 2 ** 14 - 2
+    assert min_removal_for_rank_drop(_complete_bipartite(6, 7)) == 6
+    with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
+        min_removal_for_rank_drop(_complete_bipartite(7, 7))
+    # past order 20 a subset weighs (n/20)^3, so for C_n (reduced, tau 2)
+    # level 1 alone is too much once n^4 > 8000 * RHO_SUBSET_CAP
+    assert min_removal_for_rank_drop(Graph.cycle(94)) == 1
+    g = Graph.cycle(95)
+    assert is_reduced(g)
+    with pytest.raises(SearchCapError):
+        min_removal_for_rank_drop(g)
+
+
+def _twin_pairs_on_cycle(k: int, split: bool) -> Graph:
+    """C_k with every vertex doubled into a twin pair (i, k + i), and
+    vertex 2k adjacent to the first member of each pair.  Without
+    `split` vertex 2k + 1 is adjacent to the first members of pairs
+    0..k-2 and to the second member of pair k-1, so no orientation of
+    the k pairs splits the two extra vertices."""
+    edges = [(x, y) for i in range(k) for x in (i, k + i)
+             for y in ((i + 1) % k, k + (i + 1) % k)]
+    edges += [(2 * k, i) for i in range(k)]
+    if not split:
+        edges += [(2 * k + 1, i) for i in range(k - 1)]
+        edges.append((2 * k + 1, 2 * k - 1))
+    return Graph.from_edges(2 * k + (1 if split else 2), edges)
+
+
+def test_duplication_witness_orientation_cap():
+    assert WITNESS_ORIENTATION_CAP == 2 ** 16
+    w = duplication_witness(_twin_pairs_on_cycle(16, split=False))
+    assert len(w.classes) == 16 and not w.split_ok
+    w = duplication_witness(_twin_pairs_on_cycle(16, split=True))
+    assert len(w.classes) == 16 and w.split_ok and w.t1 == (32,)
+    for split in (True, False):
+        with pytest.raises(SearchCapError, match="WITNESS_ORIENTATION_CAP"):
+            duplication_witness(_twin_pairs_on_cycle(17, split))
 
 
 def test_rho_at_most_tau_plus_structure():
