@@ -10,8 +10,8 @@ All core arithmetic is exact; floating point never decides a verdict.
 
 from .bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                      AngleParams, BoundReport, CodeReport, IntegralBracket,
-                     LevDenominatorZero, TailCertificate, closed_form_bound,
-                     closed_form_sweep, graph_to_code, integral_bracket,
+                     LevDenominatorZero, TailCertificate, closed_form_sweep,
+                     graph_to_code, integral_bracket,
                      levenshtein_bound, rankin_bound, reference_params,
                      tail_ratio_certificate, threshold_value,
                      verify_code_lemma)
@@ -30,11 +30,9 @@ from .graphs import (DuplicationWitness, Graph, RankDropReport,
                      conjectured_max_order, duplication_classes,
                      duplication_witness, is_reduced,
                      min_removal_for_duplicates, min_removal_for_rank_drop,
-                     neighborhood_symdiff, order_bound, proven_max_order,
-                     rank, rank_drop_report, rank_profile, reduce_graph)
-from .poly import (RationalPolynomial, SturmChain, adjacent_largest_zero,
-                   adjacent_poly, compare_largest_roots,
-                   count_distinct_real_roots, gegenbauer, largest_zero,
+                     neighborhood_symdiff, proven_max_order, rank,
+                     rank_drop_report, reduce_graph)
+from .poly import (RationalPolynomial, SturmChain, adjacent_poly, gegenbauer,
                    locate_interval)
 
 __version__ = "0.1.0"
@@ -42,26 +40,23 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleParams", "BoundReport", "CLOSED_FORM_REPORT_FLOOR",
     "COS_REFERENCE", "CensusReport", "CodeReport", "ConjectureSummary",
-    "DuplicationWitness", "EnumerationCapError", "ExtremalConstructionError",
-    "FormatError", "GammaRatio", "Graph", "InequalityReport",
-    "IntegralBracket", "LEVENSHTEIN_CEILING", "LevDenominatorZero",
-    "ORDER_CAP", "PI_HI", "PI_LO", "PropertySuiteReport", "QSqrt2",
-    "RankDropReport", "RationalPolynomial", "SuiteCheck", "TailCertificate",
-    "SturmChain", "adjacent_largest_zero",
+    "DuplicationWitness", "EnumerationCapError",
+    "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
+    "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
+    "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
+    "PropertySuiteReport", "QSqrt2", "RankDropReport",
+    "RationalPolynomial", "SturmChain", "SuiteCheck", "TailCertificate",
     "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
-    "closed_form_bound", "closed_form_sweep", "compare_largest_roots",
-    "conjectured_max_order",
-    "construct_extremal", "count_distinct_real_roots", "decimal_str",
-    "duplication_classes",
-    "duplication_witness", "enumerate_graphs", "gamma_half_ratio",
-    "gegenbauer", "graph6_decode", "graph6_encode", "graph_to_code",
-    "integral_bracket", "is_reduced", "largest_zero",
+    "closed_form_sweep", "conjectured_max_order", "construct_extremal",
+    "decimal_str", "duplication_classes", "duplication_witness",
+    "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
+    "graph6_encode", "graph_to_code", "integral_bracket", "is_reduced",
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
-    "neighborhood_symdiff", "order_bound", "parse_edge_list",
-    "parse_graph6", "proven_max_order", "rank", "rank_drop_report",
-    "rank_profile", "rankin_bound", "reduce_graph", "reference_params",
-    "serialize_edge_list", "sniff_format", "sqrt_enclosure",
-    "tail_ratio_certificate", "threshold_value", "verify_code_lemma",
-    "verify_conjecture", "verify_m_inequalities",
+    "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
+    "proven_max_order", "rank", "rank_drop_report", "rankin_bound",
+    "reduce_graph", "reference_params", "serialize_edge_list",
+    "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
+    "threshold_value", "verify_code_lemma", "verify_conjecture",
+    "verify_m_inequalities",
 ]

@@ -11,9 +11,9 @@ provides three bound families, all evaluated in exact arithmetic:
   * levenshtein_bound: the linear-programming bound built from the
     Gegenbauer ladder, with the branch and level selected exactly by
     locate_interval,
-  * closed_form_bound: the elementary envelope (n^2 - 1) / sin(alpha)^n,
-    compared to thresholds by squaring both sides and taking one integer
-    sign in Z[sqrt2].
+  * closed_form_sweep: the elementary envelope (n^2 - 1) / sin(alpha)^n
+    at s0 over a dimension range, compared to thresholds by squaring both
+    sides and taking one integer sign in Z[sqrt2].
 
 The cosine threshold of interest is s0 = sqrt(2) - 1.  At s0 a reduced
 graph embeds as a code: replace 0 by -1 in the adjacency matrix and
@@ -22,7 +22,7 @@ product is then (n - 2d)/n where d is the smallest number of positions
 in which two rows differ, and d is at least the minimal rank-drop
 removal count.
 
-verify_code_thresholds sweeps a dimension range and compares the bound
+verify_code_lemma sweeps a dimension range and compares the bound
 at s0 against 5 * 2^((n + offset)/2) - 2, using the Levenshtein bound up
 to n = 118 and the closed form beyond, where a ratio-monotonicity
 certificate (tail_ratio_certificate) extends the verdict to all larger
@@ -102,10 +102,17 @@ def reference_params(n: int) -> AngleParams:
     return AngleParams.from_cos(n, COS_REFERENCE)
 
 
-def _check_dimension(n: int, params: AngleParams) -> None:
+def _check_guard(n: int, params: AngleParams) -> None:
+    """Refuse n unless n > max(6 tan^2(alpha) - 3, 5), the range of the
+    integral bracket and of the closed form.  The condition only grows
+    easier with n, so it holds on a whole range once it holds at the
+    start."""
     if params.n != n:
         raise ValueError(
             f"params built for dimension {params.n}, used with n = {n}")
+    if not (n > 5 and QSqrt2(n) > 6 * params.tan_sq_alpha - 3):
+        raise ValueError(
+            f"bracket and closed form need n > max(6 tan^2(alpha) - 3, 5); n = {n}")
 
 
 # ── reports ──────────────────────────────────────────────────────
@@ -193,10 +200,8 @@ class IntegralBracket:
             (1 - 3 xi tan^2(alpha) / (n+3)),   xi in [0, 1],
 
     valid when n > max(6 tan^2(alpha) - 3, 5); that guard keeps the
-    parenthesized factor above 1/2, so hi/lo < 2.  Endpoints are exact
-    in Q(sqrt2) when n is odd (sin^(n+1) is then a whole power of
-    sin^2); for even n the squares are exact and rational enclosures
-    are available at any precision.
+    parenthesized factor above 1/2, so hi/lo < 2.  The squares of both
+    endpoints are exact in Q(sqrt2).
     """
 
     n: int
@@ -206,45 +211,11 @@ class IntegralBracket:
 
     def __post_init__(self) -> None:
         n, p = self.n, self.params
-        _check_dimension(n, p)
-        guard = 6 * p.tan_sq_alpha - 3
-        if not (n > 5 and QSqrt2(n) > guard):
-            raise ValueError(
-                f"bracket needs n > max(6 tan^2(alpha) - 3, 5); n = {n}")
+        _check_guard(n, p)
         base = (p.sin_sq_alpha ** (n + 1)) / (QSqrt2((n * n - 1) ** 2) * p.s * p.s)
         f1 = QSqrt2(1) - 3 * p.tan_sq_alpha / (n + 3)
         object.__setattr__(self, "lo_sq", base * f1 * f1)
         object.__setattr__(self, "hi_sq", base)
-
-    def _endpoint_exact(self, which: str) -> Optional[QSqrt2]:
-        if self.n % 2 == 0:
-            return None
-        n, p = self.n, self.params
-        root = p.sin_sq_alpha ** ((n + 1) // 2)
-        value = root / (QSqrt2(n * n - 1) * p.s)
-        if which == "lo":
-            value = value * (QSqrt2(1) - 3 * p.tan_sq_alpha / (n + 3))
-        return value
-
-    @property
-    def lo(self) -> "QSqrt2 | tuple[Fraction, Fraction]":
-        exact = self._endpoint_exact("lo")
-        return exact if exact is not None else self.lo_enclosure()
-
-    @property
-    def hi(self) -> "QSqrt2 | tuple[Fraction, Fraction]":
-        exact = self._endpoint_exact("hi")
-        return exact if exact is not None else self.hi_enclosure()
-
-    def lo_enclosure(self, digits: int = 40) -> tuple[Fraction, Fraction]:
-        return sqrt_enclosure(self.lo_sq, digits)
-
-    def hi_enclosure(self, digits: int = 40) -> tuple[Fraction, Fraction]:
-        return sqrt_enclosure(self.hi_sq, digits)
-
-    def ratio_below_two(self) -> bool:
-        """hi / lo < 2, exactly (via hi^2 < 4 lo^2)."""
-        return self.hi_sq < self.lo_sq * 4
 
     def contains(self, x: Fraction, strict: bool = True) -> bool:
         """Whether the positive rational x lies in [lo, hi], decided
@@ -287,7 +258,7 @@ def rankin_bound(n: int, case: str,
         raise ValueError(f"unknown case {case!r}")
     if params is None:
         raise ValueError("acute case needs AngleParams")
-    integral_bracket(n, params)  # validates the guard
+    _check_guard(n, params)
     g = gamma_half_ratio(n)
     p = params
     f1 = QSqrt2(1) - 3 * p.tan_sq_alpha / (n + 3)
@@ -305,42 +276,6 @@ def rankin_bound(n: int, case: str,
                                   value_up.denominator ** 2, threshold)
     return BoundReport(n, "rankin_integral", value_up, False, threshold, holds,
                        notes=("one-sided rounding of the integral bound",))
-
-
-# ── closed-form envelope ─────────────────────────────────────────
-
-# Conservative dimension from which the closed form is quoted in
-# reports at the reference cosine; the analytic guard alone already
-# holds from n = 6 there.
-CLOSED_FORM_REPORT_FLOOR = 26
-
-
-def closed_form_bound(n: int, params: AngleParams,
-                      threshold: Optional[QSqrt2] = None) -> BoundReport:
-    """The envelope (n^2 - 1) / sin(alpha)^n, exact in Q(sqrt2) for even
-    n and certified by one-sided rounding for odd n.  Comparisons with
-    the threshold square both sides into Q(sqrt2), so the verdict is
-    exact for every n."""
-    p = params
-    _check_dimension(n, p)
-    guard = 6 * p.tan_sq_alpha - 3
-    if not (n > 5 and QSqrt2(n) > guard):
-        raise ValueError(
-            f"closed form needs n > max(6 tan^2(alpha) - 3, 5); n = {n}")
-    inv = QSqrt2(1) / p.sin_sq_alpha
-    value_sq = QSqrt2((n * n - 1) ** 2) * inv ** n
-    if n % 2 == 0:
-        value: Union[QSqrt2, Fraction] = QSqrt2(n * n - 1) * inv ** (n // 2)
-        exact = True
-    else:
-        value = sqrt_enclosure(value_sq, 40)[1]
-        exact = False
-    holds = (_holds_by_squares(*value_sq.as_integers(), threshold)
-             if threshold is not None else None)
-    notes: tuple[str, ...] = ()
-    if p.s == COS_REFERENCE and n < CLOSED_FORM_REPORT_FLOOR:
-        notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)
-    return BoundReport(n, "closed_form", value, exact, threshold, holds, notes=notes)
 
 
 # ── Levenshtein bound ────────────────────────────────────────────
@@ -413,15 +348,27 @@ def verify_code_lemma(n_lo: int, n_hi: int,
     return reports
 
 
-def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
-    """Closed-form reports at s0 for a dimension range, with the power
-    (1 + 1/sqrt2)^n maintained incrementally as an integer pair.  The
-    square of the value is c (a + b*sqrt2)/2^n with c = (n^2 - 1)^2, so
-    each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
-    for the threshold T; only odd n, whose value is the upper end of a
-    square-root enclosure, builds the square as a QSqrt2."""
-    if n_lo < 6:
-        raise ValueError("closed form needs n >= 6 at the reference cosine")
+# ── closed-form envelope ─────────────────────────────────────────
+
+# Conservative dimension from which the closed form is quoted in
+# reports at the reference cosine; the analytic guard alone already
+# holds from n = 6 there.
+CLOSED_FORM_REPORT_FLOOR = 26
+
+
+def closed_form_sweep(n_lo: int, n_hi: int,
+                      offset: Optional[int]) -> list[BoundReport]:
+    """The envelope (n^2 - 1) / sin(alpha)^n at s0 for every dimension in
+    [n_lo, n_hi], exact in Q(sqrt2) for even n and the upper end of a
+    40-digit square-root enclosure for odd n, compared with the threshold
+    5 * 2^((n + offset)/2) - 2 unless offset is None.
+
+    The power (1 + 1/sqrt2)^n = 1/sin(alpha)^n is kept as an integer pair,
+    so the square of the value is c (a + b*sqrt2)/2^n with c = (n^2 - 1)^2
+    and each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
+    for the threshold T, exact for every n; only odd n builds the square
+    as a QSqrt2."""
+    _check_guard(n_lo, reference_params(n_lo))
     if n_hi < n_lo:
         raise ValueError("empty range")
     # (2 + sqrt2)^n = A + B sqrt2; (1 + 1/sqrt2)^n = (A + B sqrt2)/2^n
@@ -435,8 +382,10 @@ def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
     for n in range(n_lo, n_hi + 1):
         c = (n * n - 1) ** 2
         denom = 1 << n
-        thr = threshold_value(n, offset)
-        holds = _holds_by_squares(c * a, c * b, denom, thr)
+        thr = holds = None
+        if offset is not None:
+            thr = threshold_value(n, offset)
+            holds = _holds_by_squares(c * a, c * b, denom, thr)
         if n % 2 == 0:
             half_denom = 1 << (n // 2)
             value: Union[QSqrt2, Fraction] = QSqrt2(
@@ -447,7 +396,11 @@ def closed_form_sweep(n_lo: int, n_hi: int, offset: int) -> list[BoundReport]:
             value = sqrt_enclosure(QSqrt2(Fraction(c * a, denom),
                                           Fraction(c * b, denom)), 40)[1]
             exact = False
-        reports.append(BoundReport(n, "closed_form", value, exact, thr, holds))
+        notes: tuple[str, ...] = ()
+        if n < CLOSED_FORM_REPORT_FLOOR:
+            notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)
+        reports.append(BoundReport(n, "closed_form", value, exact, thr, holds,
+                                   notes=notes))
         a, b = 2 * a + 2 * b, a + 2 * b
         if n % 2 == 1:
             ah, bh = 2 * ah + 2 * bh, ah + 2 * bh
@@ -503,8 +456,7 @@ def tail_ratio_certificate(n_lo: int = LEVENSHTEIN_CEILING,
         r = ratio(n)
         return QSqrt2(r * r) * growth < two
 
-    boundary = closed_form_bound(n_lo, reference_params(n_lo),
-                                 threshold_value(n_lo, offset))
+    boundary = closed_form_sweep(n_lo, n_lo, offset)[0]
     ratio_all = all(ratio_ok(n) for n in range(n_lo, n_hi + 1))
 
     # r(n) > r(n+1) cross-multiplies to 2n^2 + 4n + 3 > 0; verify the

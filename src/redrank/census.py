@@ -247,10 +247,11 @@ class CensusReport:
 class ConjectureSummary:
     """Census rows for orders 1..max_order plus the aggregate verdict.
 
-    covered_ranks lists the ranks r whose cap is fully certified by this
-    census: a smallest-order violation for rank r would have order
-    exactly one above the cap, so clearing every order up to
-    conjectured_max_order(r) + 1 clears the rank outright.
+    covered_ranks lists the ranks r with conjectured_max_order(r) + 1 <=
+    max_order, the ranks whose cap the census passes by at least one
+    order.  It is not a certificate that the cap holds for r: a violation
+    of rank r need not have order conjectured_max_order(r) + 1, because
+    deleting a vertex of a reduced graph need not leave a reduced graph.
     """
 
     max_order: int

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .bounds import (BoundReport, LevDenominatorZero, closed_form_bound,
+from .bounds import (BoundReport, LevDenominatorZero, closed_form_sweep,
                      levenshtein_bound, rankin_bound, reference_params,
                      verify_code_lemma)
 from .census import (EnumerationCapError, ExtremalConstructionError,
@@ -172,26 +172,22 @@ def _bound_table(reports: list[BoundReport]) -> _Table:
     return _BOUND_CSV_HEADER, [_bound_csv_row(r) for r in reports]
 
 
-def _emit_bound_list(args: argparse.Namespace, command: str,
-                     reports: list[BoundReport]) -> int:
-    all_hold = all(r.holds for r in reports if r.holds is not None)
-    _emit(args,
-          lambda: {"command": command,
-                   "reports": [_bound_json(r) for r in reports],
-                   "all_hold": all_hold},
-          lambda: [_bound_text(r) for r in reports] + [f"all hold: {all_hold}"],
-          lambda: _bound_table(reports))
-    return 0 if all_hold else 1
+# ── graph commands ───────────────────────────────────────────────
+
+# One integer per graph; the command name is also the report key.
+_SCALARS: dict[str, Callable[[Graph], int]] = {
+    "rank": rank,
+    "tau": min_removal_for_duplicates,
+    "rho": min_removal_for_rank_drop,
+}
 
 
-# ── scalar graph commands ────────────────────────────────────────
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_scalar(args: argparse.Namespace) -> int:
     g = _load_one_graph(args)
-    value = rank(g)
-    _emit(args, lambda: {"command": "rank", "order": g.n, "rank": value},
-          lambda: [str(value)], lambda: (["order", "rank"], [[g.n, value]]))
+    key = args.command
+    value = _SCALARS[key](g)
+    _emit(args, lambda: {"command": key, "order": g.n, key: value},
+          lambda: [str(value)], lambda: (["order", key], [[g.n, value]]))
     return 0
 
 
@@ -205,22 +201,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
           lambda: [g6],
           lambda: (["input_order", "order", "rank", "graph6"],
                    [[g.n, reduced.n, rank(reduced), g6]]))
-    return 0
-
-
-def _cmd_tau(args: argparse.Namespace) -> int:
-    g = _load_one_graph(args)
-    value = min_removal_for_duplicates(g)
-    _emit(args, lambda: {"command": "tau", "order": g.n, "tau": value},
-          lambda: [str(value)], lambda: (["order", "tau"], [[g.n, value]]))
-    return 0
-
-
-def _cmd_rho(args: argparse.Namespace) -> int:
-    g = _load_one_graph(args)
-    value = min_removal_for_rank_drop(g)
-    _emit(args, lambda: {"command": "rho", "order": g.n, "rho": value},
-          lambda: [str(value)], lambda: (["order", "rho"], [[g.n, value]]))
     return 0
 
 
@@ -281,9 +261,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if n >= 3:
         reports.append(levenshtein_bound(n, COS_REFERENCE))
     if n >= 6:
-        params = reference_params(n)
-        reports.append(closed_form_bound(n, params))
-        reports.append(rankin_bound(n, "acute", params))
+        reports.append(closed_form_sweep(n, n, None)[0])
+        reports.append(rankin_bound(n, "acute", reference_params(n)))
     if not reports:
         raise _UsageError("no bound applies below dimension 3")
     _emit(args,
@@ -313,14 +292,21 @@ def _cmd_rankin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lemma5(args: argparse.Namespace) -> int:
-    reports = verify_code_lemma(args.start, args.end, -4)
-    return _emit_bound_list(args, "lemma5", reports)
+# exponent offset of the threshold 5 * 2^((n + offset)/2) - 2 per command
+_LEMMA_OFFSETS = {"lemma5": -4, "lemma8": 2}
 
 
-def _cmd_lemma8(args: argparse.Namespace) -> int:
-    reports = verify_code_lemma(args.start, args.end, 2)
-    return _emit_bound_list(args, "lemma8", reports)
+def _cmd_lemma(args: argparse.Namespace) -> int:
+    reports = verify_code_lemma(args.start, args.end,
+                                _LEMMA_OFFSETS[args.command])
+    all_hold = all(r.holds for r in reports if r.holds is not None)
+    _emit(args,
+          lambda: {"command": args.command,
+                   "reports": [_bound_json(r) for r in reports],
+                   "all_hold": all_hold},
+          lambda: [_bound_text(r) for r in reports] + [f"all hold: {all_hold}"],
+          lambda: _bound_table(reports))
+    return 0 if all_hold else 1
 
 
 # ── enumeration commands ─────────────────────────────────────────
@@ -469,17 +455,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "rank": _cmd_rank,
+    "rank": _cmd_scalar,
     "reduce": _cmd_reduce,
-    "tau": _cmd_tau,
-    "rho": _cmd_rho,
+    "tau": _cmd_scalar,
+    "rho": _cmd_scalar,
     "delta": _cmd_delta,
     "witness": _cmd_witness,
     "bounds": _cmd_bounds,
     "lev": _cmd_lev,
     "rankin": _cmd_rankin,
-    "lemma5": _cmd_lemma5,
-    "lemma8": _cmd_lemma8,
+    "lemma5": _cmd_lemma,
+    "lemma8": _cmd_lemma,
     "census": _cmd_census,
     "conjecture": _cmd_conjecture,
     "extremal": _cmd_extremal,

@@ -636,40 +636,3 @@ def conjectured_max_order(r: int) -> int:
 def proven_max_order(r: int) -> int:
     """The proven order bound 8 * conjectured_max_order(r) + 14."""
     return 8 * conjectured_max_order(r) + 14
-
-
-def order_bound(r: int, variant: str = "conjectured") -> int:
-    if variant == "conjectured":
-        return conjectured_max_order(r)
-    if variant == "proven":
-        return proven_max_order(r)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    order: int
-    rank: int
-    reduced: bool
-    conjectured_max: Optional[int]
-    proven_max: Optional[int]
-
-
-def rank_profile(g: Graph) -> RankProfile:
-    r = rank(g)
-    cm = conjectured_max_order(r) if r >= 2 else None
-    pm = proven_max_order(r) if r >= 2 else None
-    return RankProfile(g.n, r, is_reduced(g), cm, pm)
-
-
-def is_candidate_minimal_violation(g: Graph) -> bool:
-    """True when g is reduced and its order is exactly one more than the
-    conjectured maximum for its rank.  A minimum-order violation of the
-    conjectured bound necessarily has this exact shape, so a search for
-    minimal counterexamples only needs graphs passing this filter."""
-    if not is_reduced(g):
-        return False
-    r = rank(g)
-    if r < 2:
-        return False
-    return g.n == conjectured_max_order(r) + 1

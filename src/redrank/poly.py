@@ -39,8 +39,6 @@ from .exact import QSqrt2, sign_sqrt2
 
 Scalar = Union[int, Fraction, QSqrt2]
 
-_ISOLATION_WIDTH = Fraction(1, 2 ** 64)
-
 
 class RationalPolynomial:
     """A dense polynomial with Fraction coefficients, lowest degree first."""
@@ -55,10 +53,6 @@ class RationalPolynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalPolynomial is immutable")
-
-    @classmethod
-    def constant(cls, c: Union[int, Fraction]) -> "RationalPolynomial":
-        return cls((c,))
 
     @classmethod
     def identity(cls) -> "RationalPolynomial":
@@ -174,15 +168,6 @@ class RationalPolynomial:
             raise ValueError(f"inexact polynomial division, remainder {r}")
         return q
 
-    def gcd(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Monic gcd over Q."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a.scaled(1 / a.leading)
-
     def root_bound(self) -> Fraction:
         """A Cauchy bound B with every real root in (-B, B]."""
         if self.degree < 1:
@@ -275,39 +260,6 @@ class SturmChain:
         return self.count_roots_halfopen(a, bound)
 
 
-def count_distinct_real_roots(p: RationalPolynomial,
-                              a: Scalar, b: Scalar) -> int:
-    return SturmChain(p).count_roots_halfopen(a, b)
-
-
-# ── root isolation ───────────────────────────────────────────────
-
-
-def largest_zero(p: RationalPolynomial,
-                 width: Fraction = _ISOLATION_WIDTH) -> tuple[Fraction, Fraction]:
-    """An isolating interval (lo, hi] for the largest real root of p.
-
-    The interval contains exactly that root, has width at most `width`,
-    and can be refined further by calling again with a smaller width.
-    Raises ValueError when p has no real root.
-    """
-    if p.degree < 1:
-        raise ValueError("constant polynomial has no roots")
-    chain = SturmChain(p)
-    bound = p.root_bound()
-    lo, hi = -bound, bound
-    if chain.count_roots_halfopen(lo, hi) == 0:
-        raise ValueError("polynomial has no real root")
-    # push lo rightward past all roots but the largest, then shrink
-    while chain.count_roots_halfopen(lo, hi) > 1 or hi - lo > width:
-        mid = (lo + hi) / 2
-        if chain.count_roots_halfopen(mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def cmp_to_largest_root(p: RationalPolynomial, s: Scalar) -> int:
     """-1, 0, or +1 as s is below, equal to, or above the largest real
     root of p.  Exact: uses a Sturm count above s and a sign evaluation."""
@@ -320,35 +272,6 @@ def cmp_to_largest_root(p: RationalPolynomial, s: Scalar) -> int:
     if chain.count_roots_halfopen(-bound, bound) == 0:
         raise ValueError("polynomial has no real root")
     return 1
-
-
-def compare_largest_roots(p1: RationalPolynomial,
-                          p2: RationalPolynomial) -> int:
-    """Order the largest real roots of p1 and p2: -1, 0, or +1.
-
-    Refines isolating intervals until they separate; when they keep
-    overlapping, a common root of gcd(p1, p2) in the overlap certifies
-    equality.
-    """
-    w = Fraction(1, 2 ** 8)
-    g = p1.gcd(p2)
-    c1 = SturmChain(p1)
-    c2 = SturmChain(p2)
-    for _ in range(300):
-        lo1, hi1 = largest_zero(p1, w)
-        lo2, hi2 = largest_zero(p2, w)
-        if hi1 <= lo2:
-            return -1
-        if hi2 <= lo1:
-            return 1
-        olo, ohi = max(lo1, lo2), min(hi1, hi2)
-        if g.degree >= 1 and olo < ohi:
-            if (SturmChain(g).count_roots_halfopen(olo, ohi) >= 1
-                    and c1.count_roots_halfopen(olo, ohi) == 1
-                    and c2.count_roots_halfopen(olo, ohi) == 1):
-                return 0
-        w /= 2 ** 8
-    raise RuntimeError("root comparison failed to converge")
 
 
 # ── Gegenbauer ladder ────────────────────────────────────────────
@@ -433,15 +356,6 @@ def adjacent_poly(n: int, k: int, kind: str) -> RationalPolynomial:
         den = RationalPolynomial((1, 0, -1)).scaled(2 * k + n)  # (2k+n)(1-t^2)
         return num.exact_div(den)
     raise ValueError(f'kind must be "10" or "11", got {kind!r}')
-
-
-def adjacent_largest_zero(n: int, k: int, kind: str,
-                          width: Fraction = _ISOLATION_WIDTH) -> tuple[Fraction, Fraction]:
-    """Isolating interval for t_k^{1,0} or t_k^{1,1}.  The k = 0 zero of
-    kind "11" is -1 by convention (the polynomial is constant)."""
-    if kind == "11" and k == 0:
-        return (Fraction(-1), Fraction(-1))
-    return largest_zero(adjacent_poly(n, k, kind), width)
 
 
 # ── locating s among the adjacent zeros ──────────────────────────

@@ -1,0 +1,63 @@
+"""The public API: the names `redrank` exports, pinned so that the
+export list cannot grow back unnoticed, and the names the benchmark's
+traced runs rebind, which must keep resolving."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import redrank
+
+PUBLIC = [
+    "AngleParams", "BoundReport", "CLOSED_FORM_REPORT_FLOOR",
+    "COS_REFERENCE", "CensusReport", "CodeReport", "ConjectureSummary",
+    "DuplicationWitness", "EnumerationCapError",
+    "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
+    "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
+    "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
+    "PropertySuiteReport", "QSqrt2", "RankDropReport",
+    "RationalPolynomial", "SturmChain", "SuiteCheck", "TailCertificate",
+    "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
+    "closed_form_sweep", "conjectured_max_order", "construct_extremal",
+    "decimal_str", "duplication_classes", "duplication_witness",
+    "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
+    "graph6_encode", "graph_to_code", "integral_bracket", "is_reduced",
+    "lemma_suite", "levenshtein_bound", "locate_interval",
+    "min_removal_for_duplicates", "min_removal_for_rank_drop",
+    "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
+    "proven_max_order", "rank", "rank_drop_report", "rankin_bound",
+    "reduce_graph", "reference_params", "serialize_edge_list",
+    "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
+    "threshold_value", "verify_code_lemma", "verify_conjecture",
+    "verify_m_inequalities",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(redrank.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(redrank, name), name
+
+
+def _child_tables():
+    """BOUNDARIES and LIBRARY_CALLS of perfbench/child.py, read from its
+    source without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    tables = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("BOUNDARIES", "LIBRARY_CALLS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_benchmark_trace_names_resolve():
+    tables = _child_tables()
+    assert set(tables) == {"BOUNDARIES", "LIBRARY_CALLS"}
+    for module, name, _span in tables["BOUNDARIES"] + tables["LIBRARY_CALLS"]:
+        assert callable(getattr(importlib.import_module(f"redrank.{module}"),
+                                name, None)), (module, name)
+    # traced runs also read the cache counters of these two
+    for name in ("gegenbauer", "adjacent_poly"):
+        assert hasattr(getattr(redrank.poly, name), "cache_info"), name

@@ -14,12 +14,12 @@ from mpmath import mp, mpf, binomial, cos, gegenbauer as mp_gegenbauer
 
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, LevDenominatorZero,
-                            closed_form_bound, closed_form_sweep,
-                            graph_to_code, integral_bracket,
+                            closed_form_sweep, graph_to_code,
+                            integral_bracket,
                             levenshtein_bound, rankin_bound,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
-from redrank.exact import COS_REFERENCE, QSqrt2
+from redrank.exact import COS_REFERENCE, QSqrt2, sqrt_enclosure
 from redrank.graphs import Graph, is_reduced, min_removal_for_rank_drop, rank
 from redrank.census import enumerate_graphs
 
@@ -48,8 +48,6 @@ def test_angle_params_validation():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        closed_form_bound(10, reference_params(9))
     with pytest.raises(ValueError):
         integral_bracket(10, reference_params(9))
     with pytest.raises(ValueError):
@@ -141,7 +139,8 @@ def test_levenshtein_matches_float_recomputation():
 
 
 def test_closed_form_frozen():
-    r = closed_form_bound(10, reference_params(10))
+    r = closed_form_sweep(10, 10, None)[0]
+    assert (r.threshold, r.holds) == (None, None)
     assert r.value == QSqrt2(Fraction(2871, 4), Fraction(4059, 8))
     assert r.value_is_exact
     assert r.value_decimal() == "1435.28660620904910038575681645"
@@ -151,7 +150,7 @@ def test_closed_form_frozen():
 
 
 def test_closed_form_odd_dimension_certified():
-    r = closed_form_bound(9, reference_params(9))
+    r = closed_form_sweep(9, 9, None)[0]
     assert not r.value_is_exact
     # the certified upper value must cover the true square root
     true_sq = QSqrt2((9 * 9 - 1) ** 2) * (1 / (QSqrt2(1) - COS_REFERENCE)) ** 9
@@ -160,13 +159,18 @@ def test_closed_form_odd_dimension_certified():
 
 def test_closed_form_report_floor():
     assert CLOSED_FORM_REPORT_FLOOR == 26
-    r = closed_form_bound(26, reference_params(26))
+    r = closed_form_sweep(26, 26, None)[0]
     assert r.value > QSqrt2(0)
+    assert r.notes == ()
+    below = closed_form_sweep(6, 25, -4)
+    assert all(b.notes == ("below the conservative reporting floor n >= 26",)
+               for b in below)
+    with pytest.raises(ValueError):
+        closed_form_sweep(5, 10, None)
 
 
 def test_closed_form_crossover():
-    lo = closed_form_bound(117, reference_params(117), threshold_value(117, -4))
-    hi = closed_form_bound(118, reference_params(118), threshold_value(118, -4))
+    lo, hi = closed_form_sweep(117, 118, -4)
     assert lo.holds is False
     assert hi.holds is True
 
@@ -244,7 +248,7 @@ def test_rankin_acute_is_true_upper():
 def test_integral_bracket_ratio_and_guard():
     for n in range(6, 41):
         br = integral_bracket(n, reference_params(n))
-        assert br.ratio_below_two()
+        assert br.hi_sq < br.lo_sq * 4    # hi / lo < 2
         assert br.lo_sq < br.hi_sq
     with pytest.raises(ValueError):
         integral_bracket(5, reference_params(5))
@@ -265,10 +269,10 @@ def test_integral_bracket_quadrature_containment():
 
 def test_integral_bracket_enclosures_nest():
     br = integral_bracket(9, reference_params(9))
-    lo_lo, lo_hi = br.lo_enclosure(30)
-    hi_lo, hi_hi = br.hi_enclosure(30)
+    lo_lo, lo_hi = sqrt_enclosure(br.lo_sq, 30)
+    hi_lo, hi_hi = sqrt_enclosure(br.hi_sq, 30)
     assert lo_lo <= lo_hi <= hi_lo <= hi_hi
-    coarse_lo, coarse_hi = br.lo_enclosure(10)
+    coarse_lo, coarse_hi = sqrt_enclosure(br.lo_sq, 10)
     assert coarse_lo <= lo_lo and lo_hi <= coarse_hi
 
 

@@ -19,7 +19,7 @@ from redrank.bounds import levenshtein_bound
 from redrank.cli import main
 from redrank.exact import QSqrt2
 from redrank.formats import graph6_decode, graph6_encode
-from redrank.graphs import Graph, rank
+from redrank.graphs import Graph, is_reduced, rank
 
 
 def run(capsys, *argv):
@@ -369,8 +369,28 @@ def _golden_graphs():
 GOLDEN_GRAPHS = _golden_graphs()
 
 
+def _golden_selection(command, g):
+    """Whether a graph command's golden set holds the graph: rho every
+    graph of order 2..10 (larger ones meet the subset cap), delta every
+    graph with a vertex 1, witness the reduced, non-complete graphs."""
+    if command == "rho":
+        return 2 <= g.n <= 10
+    if command == "delta":
+        return g.n >= 2
+    if command == "witness":
+        return is_reduced(g) and g.edge_count < g.n * (g.n - 1) // 2
+    return True
+
+
+# the graph6 stream that `conjecture --input -` reads in the golden set:
+# every named graph of order at most 10
+GOLDEN_STREAM = "".join(g6 + "\n" for g6 in GOLDEN_GRAPHS.values()
+                        if graph6_decode(g6).n <= 10)
+
+
 def _golden_invocations():
-    """(key, argv) pairs; a graph input is keyed by its name."""
+    """(key, argv, stdin) triples; a graph input is keyed by its name,
+    and stdin is the text fed to `--input -` or None."""
     for fmt in ("json", "text", "csv"):
         argvs = [["lemma5", "--from", "47", "--to", "3000", "--format", fmt],
                  ["lemma8", "--format", fmt]]
@@ -382,26 +402,44 @@ def _golden_invocations():
         for n in range(6, 41):
             argvs.append(["rankin", "--case", "acute", "--n", str(n),
                           "--format", fmt])
+        for r in range(2, 13):
+            argvs.append(["extremal", "--rank", str(r), "--format", fmt])
+        argvs += [["mineq", "--format", fmt],
+                  ["lemmas", "--max-order", "5", "--format", fmt],
+                  ["census", "--max-order", "6", "--format", fmt],
+                  ["conjecture", "--max-order", "6", "--format", fmt]]
         for argv in argvs:
-            yield " ".join(argv), argv
-        for command in ("rank", "reduce", "tau"):
+            yield " ".join(argv), argv, None
+        argv = ["conjecture", "--max-order", "10", "--input", "-",
+                "--format", fmt]
+        yield " ".join(argv), argv, GOLDEN_STREAM
+        for command in ("rank", "reduce", "tau", "rho", "delta", "witness"):
+            extra = ["--u", "0", "--v", "1"] if command == "delta" else []
             for name, g6 in GOLDEN_GRAPHS.items():
-                yield (f"{command} --graph6 {name} --format {fmt}",
-                       [command, "--graph6", g6, "--format", fmt])
+                if _golden_selection(command, graph6_decode(g6)):
+                    yield (" ".join([command, "--graph6", name, *extra,
+                                     "--format", fmt]),
+                           [command, "--graph6", g6, *extra, "--format", fmt],
+                           None)
 
 
 def test_golden_set_is_complete():
-    assert sorted(key for key, _ in _golden_invocations()) == sorted(GOLDEN)
+    assert sorted(key for key, _, _ in _golden_invocations()) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("command", ["lemma5", "lemma8", "bounds", "lev",
-                                     "rankin", "rank", "reduce", "tau"])
-def test_reports_match_golden(capsys, command):
+                                     "rankin", "rank", "reduce", "tau",
+                                     "rho", "delta", "witness", "extremal",
+                                     "mineq", "lemmas", "census",
+                                     "conjecture"])
+def test_reports_match_golden(capsys, monkeypatch, command):
     """Every report is byte-identical to the recorded one, in json, text
     and csv."""
-    for key, argv in _golden_invocations():
+    for key, argv, stdin in _golden_invocations():
         if argv[0] != command:
             continue
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, _ = run(capsys, *argv)
         data = out.encode()
         assert [code, len(data), hashlib.sha256(data).hexdigest()] == \

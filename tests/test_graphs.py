@@ -20,11 +20,10 @@ from redrank.graphs import (RHO_SUBSET_CAP, WITNESS_ORIENTATION_CAP,
                             _bareiss_rank, _certified_rank,
                             conjectured_max_order, duplication_classes,
                             duplication_witness,
-                            is_candidate_minimal_violation, is_reduced,
-                            min_removal_for_duplicates,
+                            is_reduced, min_removal_for_duplicates,
                             min_removal_for_rank_drop, neighborhood_symdiff,
-                            order_bound, proven_max_order, rank,
-                            rank_drop_report, rank_profile, reduce_graph)
+                            proven_max_order, rank, rank_drop_report,
+                            reduce_graph)
 
 PETERSEN = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                  (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -397,30 +396,15 @@ def test_max_order_values():
         [2, 3, 6, 8, 14, 18, 30, 38, 62]
     assert proven_max_order(2) == 30
     assert proven_max_order(6) == 126
+    assert proven_max_order(10) == 510
+    # C5 is reduced of rank 5: conjectured cap 8, proven cap 78
+    c5 = Graph.cycle(5)
+    assert (rank(c5), is_reduced(c5)) == (5, True)
+    assert (conjectured_max_order(5), proven_max_order(5)) == (8, 78)
+    assert not is_reduced(Graph.cycle(4))
     for r in range(2, 40):
         assert proven_max_order(r) == 8 * conjectured_max_order(r) + 14
     for r in range(4, 40):
         assert conjectured_max_order(r) == 2 * conjectured_max_order(r - 2) + 2
     with pytest.raises(ValueError):
         conjectured_max_order(1)
-
-
-def test_order_bound_variants():
-    assert order_bound(10) == 62
-    assert order_bound(10, "proven") == 510
-    with pytest.raises(ValueError):
-        order_bound(10, "hoped")
-
-
-def test_rank_profile():
-    p = rank_profile(Graph.cycle(5))
-    assert (p.order, p.rank, p.reduced) == (5, 5, True)
-    assert p.conjectured_max == 8
-    assert p.proven_max == 78
-    q = rank_profile(Graph.cycle(4))
-    assert not q.reduced
-
-
-def test_no_small_minimal_violation():
-    for g in enumerate_graphs(7):
-        assert not is_candidate_minimal_violation(g)

@@ -17,10 +17,8 @@ from redrank import poly
 from redrank.exact import COS_REFERENCE, QSqrt2
 from redrank.poly import (COSINE_DIGIT_CAP, LOCATE_CELL_CAP, CellCapError,
                           CosineDigitCapError, RationalPolynomial,
-                          SturmChain, adjacent_largest_zero, adjacent_poly,
-                          cmp_to_largest_root, compare_largest_roots,
-                          count_distinct_real_roots, gegenbauer,
-                          gegenbauer_values, largest_zero, locate_interval)
+                          SturmChain, adjacent_poly, cmp_to_largest_root,
+                          gegenbauer, gegenbauer_values, locate_interval)
 
 
 def test_polynomial_algebra():
@@ -31,7 +29,7 @@ def test_polynomial_algebra():
     assert (p + q)(Fraction(2)) == p(Fraction(2)) + q(Fraction(2))
     assert (p - p).degree == -1 and (p - p)(Fraction(5)) == 0
     assert RationalPolynomial.identity()(Fraction(7, 3)) == Fraction(7, 3)
-    assert RationalPolynomial.constant(5)(Fraction(99)) == 5
+    assert RationalPolynomial((5,))(Fraction(99)) == 5
     assert (2 * p)(Fraction(1)) == 2 * p(Fraction(1))
 
 
@@ -95,48 +93,43 @@ def test_adjacent_poly_normalization():
 
 def test_sturm_chain_counts():
     q = gegenbauer(8, 4)
-    assert count_distinct_real_roots(q, Fraction(-1), Fraction(1)) == 4
+    chain = SturmChain(q)
+    assert chain.count_roots_halfopen(Fraction(-1), Fraction(1)) == 4
     for n in (3, 6, 11):
         for k in range(1, 7):
             # all k roots are real, distinct, and inside (-1, 1)
-            assert count_distinct_real_roots(
-                gegenbauer(n, k), Fraction(-1), Fraction(1)) == k
-    chain = SturmChain(q)
+            assert SturmChain(gegenbauer(n, k)).count_roots_halfopen(
+                Fraction(-1), Fraction(1)) == k
     assert chain.polys[0].coeffs == q.coeffs
     assert chain.count_roots_halfopen(Fraction(0), Fraction(1)) == 2
 
 
-def test_largest_zero_brackets_a_sign_change():
-    q = gegenbauer(8, 4)
-    lo, hi = largest_zero(q, Fraction(1, 10 ** 12))
-    assert hi - lo <= Fraction(1, 10 ** 12)
-    assert Fraction(0) < lo < hi < Fraction(1)
-    # exactly one root at or above lo, none above hi
-    chain = SturmChain(q)
-    assert chain.count_roots_halfopen(lo - Fraction(1, 10 ** 13),
-                                      Fraction(1)) == 1
-    assert chain.count_roots_halfopen(hi, Fraction(1)) == 0
+def _mp_largest_root(p):
+    return max(r.real for r in mp.polyroots(
+        [mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]))
 
 
 def test_largest_zero_matches_mpmath():
+    # the exact comparison places mpmath's largest root within 1e-14
     mp.dps = 30
     for (n, k) in ((5, 2), (9, 3), (14, 4)):
-        lo, hi = largest_zero(gegenbauer(n, k), Fraction(1, 10 ** 15))
-        lam = mpf(n - 2) / 2
-        roots = mp.polyroots([mpf(c.numerator) / c.denominator
-                              for c in reversed(gegenbauer(n, k).coeffs)])
-        top = max(r.real for r in roots)
-        assert mpf(lo.numerator) / lo.denominator <= top + mpf(10) ** -14
-        assert mpf(hi.numerator) / hi.denominator >= top - mpf(10) ** -14
+        q = gegenbauer(n, k)
+        top = Fraction(mp.nstr(_mp_largest_root(q), 25))
+        assert cmp_to_largest_root(q, top - Fraction(1, 10 ** 14)) == -1
+        assert cmp_to_largest_root(q, top + Fraction(1, 10 ** 14)) == 1
 
 
 def test_interlacing_of_largest_roots():
+    # a rational strictly between the largest roots of Q_k and Q_{k+1},
+    # picked in floating point, is certified exactly on both sides
+    mp.dps = 30
     for n in (5, 10, 24):
         for k in range(1, 6):
-            assert compare_largest_roots(gegenbauer(n, k),
-                                         gegenbauer(n, k + 1)) == -1
-            assert compare_largest_roots(gegenbauer(n, k),
-                                         gegenbauer(n, k)) == 0
+            lo = _mp_largest_root(gegenbauer(n, k))
+            hi = _mp_largest_root(gegenbauer(n, k + 1))
+            mid = Fraction(mp.nstr((lo + hi) / 2, 25))
+            assert cmp_to_largest_root(gegenbauer(n, k), mid) == 1
+            assert cmp_to_largest_root(gegenbauer(n, k + 1), mid) == -1
 
 
 def test_cmp_to_largest_root():
@@ -149,13 +142,11 @@ def test_cmp_to_largest_root():
 
 
 def test_adjacent_largest_zero_interval():
-    lo, hi = adjacent_largest_zero(10, 3, "10")
-    assert lo <= hi
+    # the largest zero of Q_3^{1,0} for n = 10 sits at about 0.41166,
+    # just below s0
     p = adjacent_poly(10, 3, "10")
-    chain = SturmChain(p)
-    assert chain.count_roots_halfopen(hi, Fraction(1)) == 0
-    # the root sits at about 0.41166, just below s0
-    assert Fraction(41, 100) < lo <= hi < Fraction(42, 100)
+    assert cmp_to_largest_root(p, Fraction(41, 100)) == -1
+    assert cmp_to_largest_root(p, Fraction(42, 100)) == 1
 
 
 def test_locate_interval_frozen():
