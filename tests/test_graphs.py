@@ -396,15 +396,25 @@ def test_max_order_values():
         [2, 3, 6, 8, 14, 18, 30, 38, 62]
     assert proven_max_order(2) == 30
     assert proven_max_order(6) == 126
-    assert proven_max_order(10) == 510
-    # C5 is reduced of rank 5: conjectured cap 8, proven cap 78
-    c5 = Graph.cycle(5)
-    assert (rank(c5), is_reduced(c5)) == (5, True)
-    assert (conjectured_max_order(5), proven_max_order(5)) == (8, 78)
-    assert not is_reduced(Graph.cycle(4))
     for r in range(2, 40):
         assert proven_max_order(r) == 8 * conjectured_max_order(r) + 14
     for r in range(4, 40):
         assert conjectured_max_order(r) == 2 * conjectured_max_order(r - 2) + 2
     with pytest.raises(ValueError):
         conjectured_max_order(1)
+
+
+def test_order_bound_variants():
+    assert conjectured_max_order(10) == 62
+    assert proven_max_order(10) == 510
+    with pytest.raises(ValueError):
+        proven_max_order(1)
+
+
+def test_rank_profile():
+    # C5 is reduced of rank 5: conjectured cap 8, proven cap 78
+    c5 = Graph.cycle(5)
+    assert (c5.n, rank(c5), is_reduced(c5)) == (5, 5, True)
+    assert conjectured_max_order(rank(c5)) == 8
+    assert proven_max_order(rank(c5)) == 78
+    assert not is_reduced(Graph.cycle(4))
