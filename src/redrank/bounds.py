@@ -69,7 +69,6 @@ class AngleParams:
 
     n: int
     s: QSqrt2
-    two_sin_sq_half: QSqrt2
     sin_sq_alpha: QSqrt2
     tan_sq_alpha: QSqrt2
 
@@ -81,19 +80,7 @@ class AngleParams:
         if not (QSqrt2(0) < sv < QSqrt2(1)):
             raise ValueError("cos(phi) must lie strictly between 0 and 1")
         one_minus = QSqrt2(1) - sv
-        params = cls(n, sv, one_minus, one_minus, one_minus / sv)
-        params.validate()
-        return params
-
-    def validate(self) -> None:
-        if self.n < 2:
-            raise ValueError("dimension must be at least 2")
-        if self.sin_sq_alpha != self.two_sin_sq_half:
-            raise ValueError("sin^2(alpha) must equal 2 sin^2(phi/2)")
-        if self.tan_sq_alpha * (QSqrt2(1) - self.sin_sq_alpha) != self.sin_sq_alpha:
-            raise ValueError("tan^2(alpha) inconsistent with sin^2(alpha)")
-        if not (QSqrt2(0) < self.sin_sq_alpha < QSqrt2(1)):
-            raise ValueError("alpha must be strictly acute")
+        return cls(n, sv, one_minus, one_minus / sv)
 
 
 def reference_params(n: int) -> AngleParams:
@@ -135,30 +122,29 @@ class BoundReport:
     branch_used: Optional[str] = None
     notes: tuple[str, ...] = ()
 
-    def value_decimal(self, digits: int = 30) -> str:
-        return decimal_str(self.value, digits, rounding="up")
+    def value_decimal(self) -> str:
+        return decimal_str(self.value, 30, rounding="up")
 
-    def threshold_decimal(self, digits: int = 30) -> Optional[str]:
+    def threshold_decimal(self) -> Optional[str]:
         if self.threshold is None:
             return None
-        return decimal_str(self.threshold, digits, rounding="down")
+        return decimal_str(self.threshold, 30, rounding="down")
 
-    def to_json(self, digits: int = 30, include_exact: bool = False) -> dict:
+    def to_json(self) -> dict:
         out: dict = {
             "n": self.n,
             "method": self.method,
-            "value_decimal": self.value_decimal(digits),
-            "threshold_decimal": self.threshold_decimal(digits),
+            "value_decimal": self.value_decimal(),
+            "threshold_decimal": self.threshold_decimal(),
             "holds": self.holds,
             "k": self.k_used,
             "branch": self.branch_used,
         }
         if self.notes:
             out["notes"] = list(self.notes)
-        if include_exact:
-            out["value_exact"] = str(self.value)
-            if self.threshold is not None:
-                out["threshold_exact"] = str(self.threshold)
+        out["value_exact"] = str(self.value)
+        if self.threshold is not None:
+            out["threshold_exact"] = str(self.threshold)
         return out
 
 
@@ -233,8 +219,7 @@ def integral_bracket(n: int, params: AngleParams) -> IntegralBracket:
 
 
 def rankin_bound(n: int, case: str,
-                 params: Optional[AngleParams] = None,
-                 threshold: Optional[QSqrt2] = None) -> BoundReport:
+                 params: Optional[AngleParams] = None) -> BoundReport:
     """Code-size bounds by angle regime.
 
       * case "exactly_half_pi": the maximum is exactly 2n,
@@ -246,14 +231,10 @@ def rankin_bound(n: int, case: str,
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if case == "exactly_half_pi":
-        value = QSqrt2(2 * n)
-        return BoundReport(n, "rankin_half_pi", value, True, threshold,
-                           _holds_by_squares(4 * n * n, 0, 1, threshold) if threshold else None,
+        return BoundReport(n, "rankin_half_pi", QSqrt2(2 * n), True,
                            notes=("exact maximum, attained by the cross-polytope",))
     if case == "obtuse":
-        value = QSqrt2(n + 1)
-        return BoundReport(n, "rankin_obtuse", value, True, threshold,
-                           _holds_by_squares((n + 1) ** 2, 0, 1, threshold) if threshold else None)
+        return BoundReport(n, "rankin_obtuse", QSqrt2(n + 1), True)
     if case != "acute":
         raise ValueError(f"unknown case {case!r}")
     if params is None:
@@ -265,16 +246,9 @@ def rankin_bound(n: int, case: str,
     # value^2 = q^2 pi^e (n^2-1)^2 s / ((1-s)^(n-1) f1^2)
     pi_free = (QSqrt2(g.q * g.q * (n * n - 1) ** 2) * p.s
                / ((QSqrt2(1) - p.s) ** (n - 1) * f1 * f1))
-    root_hi = sqrt_enclosure(pi_free, 40)[1]
-    e = g.pi_half_power
-    if e % 2 != 0:
-        raise AssertionError("half-integer Gamma ratio should square to integer pi power")
-    value_up = root_hi * PI_HI ** (e // 2)
-    holds = None
-    if threshold is not None:
-        holds = _holds_by_squares(value_up.numerator ** 2, 0,
-                                  value_up.denominator ** 2, threshold)
-    return BoundReport(n, "rankin_integral", value_up, False, threshold, holds,
+    # pi_half_power is 0 or 2, so value^2 carries pi^0 or pi^1
+    value_up = sqrt_enclosure(pi_free, 40)[1] * PI_HI ** (g.pi_half_power // 2)
+    return BoundReport(n, "rankin_integral", value_up, False,
                        notes=("one-sided rounding of the integral bound",))
 
 
@@ -492,19 +466,6 @@ class CodeReport:
     cosine_cap: Fraction
     within_cap: bool
     obtuse_ok: Optional[bool]
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "normalization": f"1/sqrt({self.order})",
-            "vectors": [list(v) for v in self.vectors],
-            "max_inner_product": str(self.max_inner_product),
-            "max_pair": list(self.max_pair),
-            "min_rank_drop_removal": self.min_rank_drop_removal,
-            "cosine_cap": str(self.cosine_cap),
-            "within_cap": self.within_cap,
-            "obtuse_ok": self.obtuse_ok,
-        }
 
 
 def graph_to_code(g: Graph) -> CodeReport:

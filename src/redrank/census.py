@@ -10,6 +10,10 @@ certificate.  The certificate comes from a backtracking search over
 equitable vertex partitions with automorphism-orbit pruning; no
 external tooling is involved, so runs are reproducible anywhere.
 
+A call builds each level once, from the level before, and keeps
+nothing between calls: the module holds no graphs, only the previous
+level is kept while the next is built, and the last level streams.
+
 Orders up to ORDER_CAP = 10 are accepted; 8 is comfortable, 9 takes
 minutes, 10 is a stretch for patient hardware.  Larger orders are
 rejected outright rather than invited to run for days.
@@ -23,12 +27,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .bounds import graph_to_code
 from .formats import graph6_encode
 from .graphs import (Graph, conjectured_max_order, duplication_witness,
-                     is_reduced, min_removal_for_duplicates,
-                     min_removal_for_rank_drop, proven_max_order, rank,
-                     rank_drop_report)
+                     is_reduced, min_removal_for_duplicates, proven_max_order,
+                     rank, rank_drop_report)
 
 ORDER_CAP = 10
-_CACHED_LEVELS = 9  # orders whose representative lists are kept in memory
 
 
 class EnumerationCapError(ValueError):
@@ -165,25 +167,23 @@ def canonical_form(g: Graph) -> Graph:
 
 # ── isomorph-free enumeration ────────────────────────────────────
 
-_levels: dict[int, tuple[Graph, ...]] = {}
+
+def _check_order(order: int, name: str, what: str) -> None:
+    if order < 1:
+        raise ValueError(f"{name} must be positive")
+    if order > ORDER_CAP:
+        raise EnumerationCapError(
+            f"{what} capped at order {ORDER_CAP}, got {order}")
 
 
-def _level(order: int) -> tuple[Graph, ...]:
-    if order in _levels:
-        return _levels[order]
-    reps = tuple(_extend_level(order))
-    if order <= _CACHED_LEVELS:
-        _levels[order] = reps
-    return reps
-
-
-def _extend_level(order: int) -> Iterator[Graph]:
-    if order == 1:
-        yield Graph.empty(1)
-        return
+def _extend(parents: tuple[Graph, ...], order: int) -> Iterator[Graph]:
+    """Every class of order `order` once, canonically labeled, from the
+    classes of order k = `order` - 1: each parent gets a new vertex with
+    each of the 2^k possible neighborhoods, and a child whose certificate
+    this level has already seen is dropped."""
     k = order - 1
     seen: set[int] = set()
-    for g in _level(k):
+    for g in parents:
         base = g.rows
         for mask in range(1 << k):
             rows = tuple(base[i] | ((mask >> i & 1) << k) for i in range(k)
@@ -199,22 +199,27 @@ def _extend_level(order: int) -> Iterator[Graph]:
             yield candidate.relabeled(position)
 
 
-def enumerate_graphs(order: int, reduced_only: bool = False) -> Iterator[Graph]:
+def _grow(max_order: int) -> Iterator[Iterable[Graph]]:
+    """The levels of orders 1..max_order in turn, each built once from
+    the one before (order 1 from the empty graph).  Only the previous
+    level is kept; the last one streams."""
+    parents: tuple[Graph, ...] = (Graph.empty(0),)
+    for order in range(1, max_order):
+        parents = tuple(_extend(parents, order))
+        yield parents
+    yield _extend(parents, max_order)
+
+
+def enumerate_graphs(order: int) -> Iterator[Graph]:
     """One canonically labeled representative per isomorphism class on
-    `order` vertices, in a deterministic first-discovered order."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    if order > ORDER_CAP:
-        raise EnumerationCapError(
-            f"enumeration capped at order {ORDER_CAP}, got {order}")
-    source: Iterable[Graph]
-    if order <= _CACHED_LEVELS:
-        source = _level(order)
-    else:
-        source = _extend_level(order)
-    for g in source:
-        if not reduced_only or is_reduced(g):
-            yield g
+    `order` vertices, in a deterministic first-discovered order.
+
+    Each call builds the levels 1..order once, keeps nothing between
+    calls, and streams the last level."""
+    _check_order(order, "order", "enumeration")
+    for level in _grow(order):
+        pass
+    yield from level
 
 
 # ── conjecture census ────────────────────────────────────────────
@@ -294,25 +299,23 @@ def verify_conjecture(max_order: int,
     iterable (for example a parsed graph6 stream) can stand in, and is
     then binned by order and pushed through the identical checks.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be positive")
-    if max_order > ORDER_CAP:
-        raise EnumerationCapError(
-            f"census capped at order {ORDER_CAP}, got {max_order}")
-    bins: dict[int, list[Graph]] = {o: [] for o in range(1, max_order + 1)}
-    if graphs is not None:
+    _check_order(max_order, "max_order", "census")
+    levels: Iterable[Iterable[Graph]]
+    if graphs is None:
+        levels = _grow(max_order)
+    else:
+        bins: dict[int, list[Graph]] = {o: [] for o in range(1, max_order + 1)}
         for g in graphs:
             if g.n < 1 or g.n > max_order:
                 raise ValueError(
                     f"stream graph of order {g.n} outside 1..{max_order}")
             bins[g.n].append(g)
+        levels = bins.values()
 
     reports: list[CensusReport] = []
     aggregate: dict[int, int] = {}
     all_violations: list[str] = []
-    for order in range(1, max_order + 1):
-        pool: Iterable[Graph] = bins[order] if graphs is not None \
-            else enumerate_graphs(order)
+    for order, pool in enumerate(levels, start=1):
         total = 0
         reduced = 0
         ranks_here: dict[int, int] = {}
@@ -340,16 +343,12 @@ def verify_conjecture(max_order: int,
 
 def census_counts(max_order: int) -> list[tuple[int, int, int]]:
     """(order, total classes, reduced classes) rows for 1..max_order."""
-    if max_order < 1:
-        raise ValueError("max_order must be positive")
-    if max_order > ORDER_CAP:
-        raise EnumerationCapError(
-            f"census capped at order {ORDER_CAP}, got {max_order}")
+    _check_order(max_order, "max_order", "census")
     rows = []
-    for order in range(1, max_order + 1):
+    for order, level in enumerate(_grow(max_order), start=1):
         total = 0
         reduced = 0
-        for g in enumerate_graphs(order):
+        for g in level:
             total += 1
             if is_reduced(g):
                 reduced += 1
@@ -572,20 +571,20 @@ def lemma_suite(max_order: int) -> PropertySuiteReport:
         else:
             failures.append((graph6_encode(g), name))
 
-    for order in range(2, max_order + 1):
-        for g in enumerate_graphs(order, reduced_only=True):
+    for level in _grow(max_order):
+        for g in filter(is_reduced, level):
             processed += 1
             r = rank(g)
+            code = graph_to_code(g)  # its rank-drop search also gives rho
             record(g, "neighborhood_removal_rank_drop",
                    rank_drop_report(g).all_passed)
             record(g, "order_within_power_bound", g.n <= 2 ** r - 1)
             if not g.is_complete:
                 tau = min_removal_for_duplicates(g)
-                rho = min_removal_for_rank_drop(g)
-                record(g, "rank_drop_le_duplication", rho <= tau)
+                record(g, "rank_drop_le_duplication",
+                       code.min_rank_drop_removal <= tau)
                 record(g, "duplication_witness_consistent",
                        _witness_consistent(g, tau))
-            record(g, "embedding_inner_product_cap",
-                   graph_to_code(g).within_cap)
+            record(g, "embedding_inner_product_cap", code.within_cap)
     checks = tuple(SuiteCheck(name, run[name], passed[name]) for name in names)
     return PropertySuiteReport(max_order, processed, checks, tuple(failures))

@@ -114,6 +114,7 @@ def _parse_cosine(text: str) -> Union[QSqrt2, Fraction]:
 
 
 _Table = tuple[list[str], list[list[object]]]
+_Handler = Callable[[argparse.Namespace], int]
 
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict],
@@ -138,10 +139,6 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
             fh.write(body)
     else:
         sys.stdout.write(body)
-
-
-def _bound_json(report: BoundReport) -> dict:
-    return report.to_json(include_exact=True)
 
 
 def _bound_csv_row(report: BoundReport) -> list[object]:
@@ -267,7 +264,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise _UsageError("no bound applies below dimension 3")
     _emit(args,
           lambda: {"command": "bounds", "n": n, "cosine": "s0",
-                   "reports": [_bound_json(r) for r in reports]},
+                   "reports": [r.to_json() for r in reports]},
           lambda: [_bound_text(r) for r in reports],
           lambda: _bound_table(reports))
     return 0
@@ -276,7 +273,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_lev(args: argparse.Namespace) -> int:
     s = _parse_cosine(args.s)
     report = levenshtein_bound(args.n, s)
-    _emit(args, lambda: {"command": "lev", "s": args.s, **_bound_json(report)},
+    _emit(args, lambda: {"command": "lev", "s": args.s, **report.to_json()},
           lambda: [_bound_text(report)], lambda: _bound_table([report]))
     return 0
 
@@ -287,7 +284,7 @@ def _cmd_rankin(args: argparse.Namespace) -> int:
     params = reference_params(args.n) if case == "acute" else None
     report = rankin_bound(args.n, case, params)
     _emit(args,
-          lambda: {"command": "rankin", "case": args.case, **_bound_json(report)},
+          lambda: {"command": "rankin", "case": args.case, **report.to_json()},
           lambda: [_bound_text(report)], lambda: _bound_table([report]))
     return 0
 
@@ -302,7 +299,7 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
     all_hold = all(r.holds for r in reports if r.holds is not None)
     _emit(args,
           lambda: {"command": args.command,
-                   "reports": [_bound_json(r) for r in reports],
+                   "reports": [r.to_json() for r in reports],
                    "all_hold": all_hold},
           lambda: [_bound_text(r) for r in reports] + [f"all hold: {all_hold}"],
           lambda: _bound_table(reports))
@@ -399,79 +396,72 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for graphs, with certified spherical-code bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_cmd(name: str, helptext: str, default_format: str = "text"):
+    def graph_cmd(name: str, helptext: str, handler: _Handler,
+                  default_format: str = "text"):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         _add_graph_options(p)
         _add_io_options(p, default_format)
         return p
 
-    def plain_cmd(name: str, helptext: str, default_format: str = "json"):
+    def plain_cmd(name: str, helptext: str, handler: _Handler,
+                  default_format: str = "json"):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
         _add_io_options(p, default_format)
         return p
 
-    graph_cmd("rank", "exact adjacency-matrix rank over the rationals")
-    graph_cmd("reduce", "remove isolated and duplicated vertices")
-    graph_cmd("tau", "minimum removals creating a duplicated pair")
-    graph_cmd("rho", "minimum removals dropping the rank")
-    p = graph_cmd("delta", "neighborhood symmetric difference of a pair")
+    graph_cmd("rank", "exact adjacency-matrix rank over the rationals",
+              _cmd_scalar)
+    graph_cmd("reduce", "remove isolated and duplicated vertices", _cmd_reduce)
+    graph_cmd("tau", "minimum removals creating a duplicated pair",
+              _cmd_scalar)
+    graph_cmd("rho", "minimum removals dropping the rank", _cmd_scalar)
+    p = graph_cmd("delta", "neighborhood symmetric difference of a pair",
+                  _cmd_delta)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--v", type=int, required=True)
     graph_cmd("witness", "duplication witness with the two-sided split",
-              default_format="json")
+              _cmd_witness, default_format="json")
 
-    p = plain_cmd("bounds", "all applicable bounds at the reference cosine")
+    p = plain_cmd("bounds", "all applicable bounds at the reference cosine",
+                  _cmd_bounds)
     p.add_argument("--n", type=int, required=True, help="dimension")
-    p = plain_cmd("lev", "Levenshtein bound at a cosine")
+    p = plain_cmd("lev", "Levenshtein bound at a cosine", _cmd_lev)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", default="s0",
                    help="cosine: 's0' or a rational like -1/2 (default s0)")
-    p = plain_cmd("rankin", "Rankin bound by angle regime")
+    p = plain_cmd("rankin", "Rankin bound by angle regime", _cmd_rankin)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--case", choices=("half_pi", "obtuse", "acute"),
                    required=True)
-    p = plain_cmd("lemma5", "threshold sweep against 5*2^((n-4)/2)-2")
+    p = plain_cmd("lemma5", "threshold sweep against 5*2^((n-4)/2)-2",
+                  _cmd_lemma)
     p.add_argument("--from", dest="start", type=int, default=47)
     p.add_argument("--to", dest="end", type=int, default=118)
-    p = plain_cmd("lemma8", "threshold sweep against 5*2^((n+2)/2)-2")
+    p = plain_cmd("lemma8", "threshold sweep against 5*2^((n+2)/2)-2",
+                  _cmd_lemma)
     p.add_argument("--from", dest="start", type=int, default=3)
     p.add_argument("--to", dest="end", type=int, default=118)
 
-    p = plain_cmd("census", "isomorphism class counts per order")
+    p = plain_cmd("census", "isomorphism class counts per order", _cmd_census)
     p.add_argument("--max-order", type=int, required=True)
-    p = plain_cmd("conjecture", "verify order <= m(rank) over a census")
+    p = plain_cmd("conjecture", "verify order <= m(rank) over a census",
+                  _cmd_conjecture)
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--input", metavar="PATH", default=None,
                    help="verify an external graph6 stream instead of "
                         "the internal generator ('-' for stdin)")
     p = plain_cmd("extremal", "construct a reduced graph of rank r and "
-                              "the conjectured maximum order")
+                              "the conjectured maximum order", _cmd_extremal)
     p.add_argument("--rank", type=int, required=True)
-    p = plain_cmd("mineq", "exhaustive max-order inequality check")
+    p = plain_cmd("mineq", "exhaustive max-order inequality check",
+                  _cmd_mineq)
     p.add_argument("--r-max", type=int, default=60)
-    p = plain_cmd("lemmas", "per-graph property suite over a census")
+    p = plain_cmd("lemmas", "per-graph property suite over a census",
+                  _cmd_lemmas)
     p.add_argument("--max-order", type=int, default=7)
     return parser
-
-
-_HANDLERS = {
-    "rank": _cmd_scalar,
-    "reduce": _cmd_reduce,
-    "tau": _cmd_scalar,
-    "rho": _cmd_scalar,
-    "delta": _cmd_delta,
-    "witness": _cmd_witness,
-    "bounds": _cmd_bounds,
-    "lev": _cmd_lev,
-    "rankin": _cmd_rankin,
-    "lemma5": _cmd_lemma,
-    "lemma8": _cmd_lemma,
-    "census": _cmd_census,
-    "conjecture": _cmd_conjecture,
-    "extremal": _cmd_extremal,
-    "mineq": _cmd_mineq,
-    "lemmas": _cmd_lemmas,
-}
 
 
 def _join_cosine(argv: Sequence[str]) -> list[str]:
@@ -490,7 +480,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_cosine(sys.argv[1:] if argv is None else argv))
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (_UsageError, FormatError, EnumerationCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

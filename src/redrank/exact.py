@@ -18,6 +18,7 @@ for concurrent use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import factorial, floor, isqrt, lcm, log10
@@ -180,9 +181,6 @@ class QSqrt2:
     def __neg__(self) -> "QSqrt2":
         return QSqrt2(-self.a, -self.b)
 
-    def __abs__(self) -> "QSqrt2":
-        return -self if self.sign() < 0 else self
-
     def __pow__(self, k: int) -> "QSqrt2":
         if not isinstance(k, int):
             return NotImplemented
@@ -271,7 +269,6 @@ def _frac_str(x: Fraction) -> str:
     return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
-SQRT2 = QSqrt2(0, 1)
 # cos of the reference separation angle: sqrt(2) - 1
 COS_REFERENCE = QSqrt2(-1, 1)
 
@@ -397,59 +394,17 @@ def sqrt_enclosure(x: "QSqrt2 | Fraction | int", digits: int = 40) -> tuple[Frac
 # ── Gamma ratios at half-integer points ──────────────────────────
 
 
+@dataclass(frozen=True)
 class GammaRatio:
-    """A value q * pi^(e/2) with rational q and integer e.
+    """A value q * pi^(pi_half_power/2) with rational q.
 
-    Closed under multiplication and division; covers every ratio of Gamma
-    values at integer and half-integer arguments that the sphere bounds
-    need, since Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! sqrt(pi) /
-    (4^k k!).
+    Enough for every ratio of Gamma values at integer and half-integer
+    arguments that the sphere bounds need, since Gamma(k) = (k-1)! and
+    Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!).
     """
 
-    __slots__ = ("q", "pi_half_power")
-
-    def __init__(self, q: Rational, pi_half_power: int = 0) -> None:
-        object.__setattr__(self, "q", _as_fraction(q))
-        object.__setattr__(self, "pi_half_power", int(pi_half_power))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GammaRatio is immutable")
-
-    def __mul__(self, other: object) -> "GammaRatio":
-        if isinstance(other, GammaRatio):
-            return GammaRatio(self.q * other.q,
-                              self.pi_half_power + other.pi_half_power)
-        if isinstance(other, (int, Fraction)):
-            return GammaRatio(self.q * other, self.pi_half_power)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GammaRatio":
-        if isinstance(other, GammaRatio):
-            return GammaRatio(self.q / other.q,
-                              self.pi_half_power - other.pi_half_power)
-        if isinstance(other, (int, Fraction)):
-            return GammaRatio(self.q / other, self.pi_half_power)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GammaRatio):
-            return NotImplemented
-        if self.q == 0 and other.q == 0:
-            return True
-        return self.q == other.q and self.pi_half_power == other.pi_half_power
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.pi_half_power if self.q else 0))
-
-    def __repr__(self) -> str:
-        return f"GammaRatio({self.q!r}, {self.pi_half_power})"
-
-    def __str__(self) -> str:
-        if self.pi_half_power == 0:
-            return _frac_str(self.q)
-        return f"{_frac_str(self.q)}*pi^({self.pi_half_power}/2)"
+    q: Fraction
+    pi_half_power: int
 
 
 def gamma_half_ratio(n: int) -> GammaRatio:

@@ -19,6 +19,7 @@ where it makes sense, a 1-based column.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from .graphs import Graph
@@ -129,7 +130,12 @@ def parse_graph6(text: str) -> list[Graph]:
         stripped = raw.strip()
         if not stripped or stripped == ">>graph6<<":
             continue
-        out.append(graph6_decode(stripped, lineno))
+        try:
+            out.append(graph6_decode(stripped, lineno))
+        except FormatError as exc:
+            # the decoder counts columns in the stripped line
+            lead = len(raw) - len(raw.lstrip())
+            raise FormatError(exc.message, lineno, exc.column + lead) from None
     return out
 
 
@@ -137,25 +143,26 @@ def parse_graph6(text: str) -> list[Graph]:
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
+    """(line number, line without its comment) for each line with
+    content; the line keeps its leading blanks, so columns count from the
+    raw line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped
+        body = raw.split("#", 1)[0]
+        if body.strip():
+            yield lineno, body
 
 
-def _two_ints(stripped: str, lineno: int, what: str) -> tuple[int, int]:
-    parts = stripped.split()
-    if len(parts) != 2:
+def _two_ints(body: str, lineno: int, what: str) -> tuple[int, int]:
+    tokens = list(re.finditer(r"\S+", body))
+    if len(tokens) != 2:
         raise FormatError(f"{what} needs two integers", lineno, 1)
     values = []
-    col = 1
-    for part in parts:
+    for token in tokens:
         try:
-            values.append(int(part))
+            values.append(int(token.group()))
         except ValueError:
-            raise FormatError(f"{what}: {part!r} is not an integer",
-                              lineno, stripped.index(part) + 1) from None
-        col += len(part) + 1
+            raise FormatError(f"{what}: {token.group()!r} is not an integer",
+                              lineno, token.start() + 1) from None
     return values[0], values[1]
 
 
@@ -197,10 +204,8 @@ def serialize_edge_list(g: Graph) -> str:
 def sniff_format(text: str) -> str:
     """Best-effort input classification: 'edges' when the first content
     line is two integers (an edge-list header), else 'graph6'."""
-    for _, stripped in _content_lines(text):
-        if stripped == ">>graph6<<":
-            return "graph6"
-        parts = stripped.split()
+    for _, body in _content_lines(text):
+        parts = body.split()
         if len(parts) == 2:
             try:
                 int(parts[0]), int(parts[1])

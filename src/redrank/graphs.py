@@ -109,15 +109,6 @@ class Graph:
 
     # ── structure ────────────────────────────────────────────────
 
-    def neighbors(self, u: int) -> int:
-        return self.rows[u]
-
-    def neighbor_list(self, u: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rows[u]))
-
-    def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -490,10 +481,6 @@ class RankDropReport:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[RankDropCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
 
 
 def rank_drop_report(g: Graph) -> RankDropReport:

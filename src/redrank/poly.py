@@ -165,7 +165,7 @@ class RationalPolynomial:
         """Division that must be exact; a nonzero remainder is an error."""
         q, r = self.divmod(other)
         if not r.is_zero:
-            raise ValueError(f"inexact polynomial division, remainder {r}")
+            raise ValueError(f"inexact polynomial division, remainder {r!r}")
         return q
 
     def root_bound(self) -> Fraction:
@@ -178,28 +178,6 @@ class RationalPolynomial:
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({self.coeffs!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            cs = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            if i == 0:
-                term = cs
-            elif i == 1:
-                term = f"{cs}*t" if mag != 1 else "t"
-            else:
-                term = f"{cs}*t^{i}" if mag != 1 else f"t^{i}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 def _coerce_poly(x: object) -> "RationalPolynomial | None":

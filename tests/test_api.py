@@ -1,9 +1,12 @@
-"""The public API: the names `redrank` exports, pinned so that the
-export list cannot grow back unnoticed, and the names the benchmark's
-traced runs rebind, which must keep resolving."""
+"""The public API: the names `redrank` exports and the fields and
+parameters trimmed to what is used, pinned so that neither can grow back
+unnoticed, and the names the benchmark's traced runs rebind, which must
+keep resolving."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import redrank
@@ -37,6 +40,21 @@ def test_public_api_is_pinned():
     assert sorted(redrank.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(redrank, name), name
+
+
+def test_trimmed_members_are_pinned():
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert fields(redrank.AngleParams) == [
+        "n", "s", "sin_sq_alpha", "tan_sq_alpha"]
+    assert fields(redrank.GammaRatio) == ["q", "pi_half_power"]
+    assert params(redrank.rankin_bound) == ["n", "case", "params"]
+    assert params(redrank.BoundReport.to_json) == ["self"]
+    assert params(redrank.enumerate_graphs) == ["order"]
 
 
 def _child_tables():

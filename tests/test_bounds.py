@@ -28,8 +28,7 @@ def test_angle_params_identities():
     p = reference_params(9)
     assert p.n == 9
     assert p.s == COS_REFERENCE
-    assert p.two_sin_sq_half == QSqrt2(1) - p.s
-    assert p.sin_sq_alpha == p.two_sin_sq_half
+    assert p.sin_sq_alpha == QSqrt2(1) - p.s
     assert p.tan_sq_alpha * (QSqrt2(1) - p.sin_sq_alpha) == p.sin_sq_alpha
     assert p.tan_sq_alpha == QSqrt2(0, 1)    # sqrt2 at the reference cosine
     q = AngleParams.from_cos(5, Fraction(1, 2))
@@ -279,11 +278,14 @@ def test_integral_bracket_enclosures_nest():
 def test_bound_report_json_shape():
     r = levenshtein_bound(10, COS_REFERENCE, threshold_value(10, 2))
     blob = r.to_json()
-    assert set(blob) >= {"n", "method", "value_decimal", "threshold_decimal",
-                         "holds", "k", "branch"}
+    assert list(blob) == ["n", "method", "value_decimal", "threshold_decimal",
+                          "holds", "k", "branch", "value_exact",
+                          "threshold_exact"]
     assert blob["n"] == 10 and blob["holds"] is True
-    rich = r.to_json(include_exact=True)
-    assert rich["value_exact"] == "354640/1697 + 85800/1697*sqrt2"
+    assert blob["value_exact"] == "354640/1697 + 85800/1697*sqrt2"
+    assert blob["threshold_exact"] == str(threshold_value(10, 2))
+    blob = rankin_bound(8, "obtuse").to_json()
+    assert "threshold_exact" not in blob and blob["threshold_decimal"] is None
 
 
 def test_graph_to_code_oracles():
@@ -301,7 +303,7 @@ def test_graph_to_code_oracles():
 
 
 def test_graph_to_code_vectors_realize_inner_products():
-    for g in enumerate_graphs(6, reduced_only=True):
+    for g in filter(is_reduced, enumerate_graphs(6)):
         rep = graph_to_code(g)
         n = g.n
         vecs = rep.vectors

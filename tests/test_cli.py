@@ -193,7 +193,7 @@ def test_witness_refuses_searches_beyond_cap(capsys):
 def test_interrupt_exits_130(capsys, monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt
-    monkeypatch.setitem(cli._HANDLERS, "rank", interrupted)
+    monkeypatch.setattr(cli, "_cmd_scalar", interrupted)
     code, out, err = run(capsys, "rank", "--graph6", "C~")
     assert (code, out, err) == (130, "", "interrupted\n")
 

@@ -245,14 +245,6 @@ def test_gamma_half_ratio_matches_mpmath():
         assert abs(value - truth) <= truth * mpf(10) ** -50
 
 
-def test_gamma_ratio_algebra():
-    x = GammaRatio(Fraction(1, 4), 2)
-    y = GammaRatio(Fraction(2, 3), 0)
-    assert x * y == GammaRatio(Fraction(1, 6), 2)
-    assert (x / y) * y == x
-    assert x * Fraction(4) == GammaRatio(1, 2)
-
-
 def test_str_renders_integers_beyond_the_conversion_limit():
     # the interpreter refuses str() of integers over 4,300 digits by
     # default; exact renderings must not depend on that limit

@@ -121,6 +121,18 @@ def test_parse_graph6_stream():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("parse, text, line, column", [
+    (parse_edge_list, "+5 +\n", 1, 4),
+    (parse_edge_list, "   3 x\n", 1, 6),
+    (parse_edge_list, "2 1\n\t0  z\n", 2, 5),
+    (parse_graph6, "C~\n   C!\n", 2, 5),
+])
+def test_error_columns_count_from_the_raw_line(parse, text, line, column):
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_edge_list_parse_and_serialize():
     g = parse_edge_list("4 3\n0 1\n1 2\n2 3\n")
     assert g == Graph.path(4)

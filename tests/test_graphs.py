@@ -324,7 +324,7 @@ def test_duplication_witness_orientation_cap():
 
 
 def test_rho_at_most_tau_plus_structure():
-    for g in enumerate_graphs(6, reduced_only=True):
+    for g in filter(is_reduced, enumerate_graphs(6)):
         if g.is_complete:
             continue
         assert min_removal_for_rank_drop(g) <= min_removal_for_duplicates(g)
@@ -336,7 +336,7 @@ def test_rank_drop_report():
     assert rep.all_passed
     kinds = {c.kind for c in rep.checks}
     assert kinds == {"neighborhood", "adjacent", "nonadjacent"}
-    for g in enumerate_graphs(6, reduced_only=True):
+    for g in filter(is_reduced, enumerate_graphs(6)):
         assert rank_drop_report(g).all_passed
 
 
@@ -358,7 +358,7 @@ def test_duplication_witness_oracles():
 
 
 def test_duplication_witness_properties():
-    for g in enumerate_graphs(7, reduced_only=True):
+    for g in filter(is_reduced, enumerate_graphs(7)):
         if g.is_complete:
             continue
         w = duplication_witness(g)
