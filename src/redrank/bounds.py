@@ -203,15 +203,10 @@ class IntegralBracket:
         object.__setattr__(self, "lo_sq", base * f1 * f1)
         object.__setattr__(self, "hi_sq", base)
 
-    def contains(self, x: Fraction, strict: bool = True) -> bool:
-        """Whether the positive rational x lies in [lo, hi], decided
-        exactly by comparing squares."""
-        if x <= 0:
-            return False
-        xsq = QSqrt2(x * x)
-        if strict:
-            return self.lo_sq < xsq < self.hi_sq
-        return self.lo_sq <= xsq <= self.hi_sq
+    def contains(self, x: Fraction) -> bool:
+        """Whether the rational x lies strictly between lo and hi,
+        decided exactly by comparing squares."""
+        return x > 0 and self.lo_sq < QSqrt2(x * x) < self.hi_sq
 
 
 def integral_bracket(n: int, params: AngleParams) -> IntegralBracket:
@@ -239,14 +234,12 @@ def rankin_bound(n: int, case: str,
         raise ValueError(f"unknown case {case!r}")
     if params is None:
         raise ValueError("acute case needs AngleParams")
-    _check_guard(n, params)
+    lo_sq = IntegralBracket(n, params).lo_sq
     g = gamma_half_ratio(n)
-    p = params
-    f1 = QSqrt2(1) - 3 * p.tan_sq_alpha / (n + 3)
-    # value^2 = q^2 pi^e (n^2-1)^2 s / ((1-s)^(n-1) f1^2)
-    pi_free = (QSqrt2(g.q * g.q * (n * n - 1) ** 2) * p.s
-               / ((QSqrt2(1) - p.s) ** (n - 1) * f1 * f1))
-    # pi_half_power is 0 or 2, so value^2 carries pi^0 or pi^1
+    # value^2 = q^2 pi^e sin^2(alpha) tan^2(alpha) / lo^2, e = pi_half_power
+    pi_free = (QSqrt2(g.q * g.q) * params.sin_sq_alpha * params.tan_sq_alpha
+               / lo_sq)
+    # pi_half_power is 0 or 2, so the value carries pi^0 or pi^1
     value_up = sqrt_enclosure(pi_free, 40)[1] * PI_HI ** (g.pi_half_power // 2)
     return BoundReport(n, "rankin_integral", value_up, False,
                        notes=("one-sided rounding of the integral bound",))
@@ -485,16 +478,13 @@ def graph_to_code(g: Graph) -> CodeReport:
     vectors = tuple(
         tuple(1 if g.rows[u] >> v & 1 else -1 for v in range(n))
         for u in range(n))
-    best: Optional[tuple[Fraction, tuple[int, int]]] = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            differing = (g.rows[u] ^ g.rows[v]).bit_count()
-            inner = Fraction(n - 2 * differing, n)
-            if best is None or inner > best[0]:
-                best = (inner, (u, v))
-    assert best is not None
+    # the largest inner product (n - 2d)/n comes from the least d, ties
+    # going to the first pair in (u, v) order
+    d, u, v = min(((g.rows[u] ^ g.rows[v]).bit_count(), u, v)
+                  for u in range(n) for v in range(u + 1, n))
+    inner = Fraction(n - 2 * d, n)
     rho = min_removal_for_rank_drop(g)
     cap = Fraction(n - 2 * rho, n)
-    obtuse_ok = (best[0] <= 0) if 2 * rho >= n else None
-    return CodeReport(n, vectors, best[0], best[1], rho, cap,
-                      best[0] <= cap, obtuse_ok)
+    obtuse_ok = (inner <= 0) if 2 * rho >= n else None
+    return CodeReport(n, vectors, inner, (u, v), rho, cap, inner <= cap,
+                      obtuse_ok)

@@ -297,20 +297,23 @@ def verify_conjecture(max_order: int,
 
     By default the internal generator supplies the graphs; an external
     iterable (for example a parsed graph6 stream) can stand in, and is
-    then binned by order and pushed through the identical checks.
+    then binned by order and pushed through the identical checks.  A
+    stream graph isomorphic to an earlier one is counted once, as the
+    generator counts its class once.
     """
     _check_order(max_order, "max_order", "census")
     levels: Iterable[Iterable[Graph]]
     if graphs is None:
         levels = _grow(max_order)
     else:
-        bins: dict[int, list[Graph]] = {o: [] for o in range(1, max_order + 1)}
+        bins: dict[int, dict[int, Graph]] = {
+            o: {} for o in range(1, max_order + 1)}
         for g in graphs:
             if g.n < 1 or g.n > max_order:
                 raise ValueError(
                     f"stream graph of order {g.n} outside 1..{max_order}")
-            bins[g.n].append(g)
-        levels = bins.values()
+            bins[g.n].setdefault(canonical_cert(g), g)
+        levels = [b.values() for b in bins.values()]
 
     reports: list[CensusReport] = []
     aggregate: dict[int, int] = {}

@@ -91,26 +91,7 @@ class QSqrt2:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QSqrt2 is immutable")
 
-    # ── constructors ──────────────────────────────────────────────
-
-    @classmethod
-    def sqrt2(cls) -> "QSqrt2":
-        return cls(0, 1)
-
-    @classmethod
-    def from_rational(cls, x: Rational) -> "QSqrt2":
-        return cls(x, 0)
-
-    # ── predicates and coercion ──────────────────────────────────
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
+    # ── coercion ─────────────────────────────────────────────────
 
     def as_integers(self) -> tuple[int, int, int]:
         """Integers (A, B, D), D > 0 the least common denominator of the
@@ -195,9 +176,6 @@ class QSqrt2:
             k >>= 1
         return result
 
-    def conjugate(self) -> "QSqrt2":
-        return QSqrt2(self.a, -self.b)
-
     # ── ordering ─────────────────────────────────────────────────
 
     def sign(self) -> int:
@@ -224,10 +202,6 @@ class QSqrt2:
         return hash((self.a, self.b))
 
     # ── conversions ──────────────────────────────────────────────
-
-    def floor(self) -> int:
-        """Exact floor, via floor(B*sqrt2) computed with integer isqrt."""
-        return _floor_scaled(*self.as_integers(), 0)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * (2.0 ** 0.5)

@@ -5,10 +5,10 @@ or as '~' followed by three bytes carrying an 18-bit big-endian value
 for 63 <= n <= 258047.  The upper-triangle adjacency bits follow in
 column-major order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), packed
 big-endian into 6-bit groups, each emitted as byte value 63 + group;
-trailing pad bits are zero.  One graph per line.  Decoding is linear in
-the length of the input: the body is written out once as a bit string,
-and each row is read from one column slice plus one character of every
-later column.
+trailing pad bits are zero.  One graph per line.  Both directions are
+linear in the length of the body, which they write out once as a bit
+string: encoding joins the columns, and decoding reads each row from one
+column slice plus one character of every later column.
 
 Edge list: first line "n m", then m lines "u v" with 0-based vertex
 indices; blank lines and '#' comments are ignored anywhere.
@@ -61,21 +61,13 @@ def graph6_encode(g: Graph) -> str:
                 chr(_OFFSET + (n & 63))]
     else:
         raise ValueError(f"graph6 supports at most {_MAX_LONG} vertices")
-    out = head
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(_OFFSET + group))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr(_OFFSET + (group << (6 - filled))))
-    return "".join(out)
+    # column j is x_{0,j} .. x_{j-1,j}: bits 0..j-1 of row j, low bit first
+    rows = g.rows
+    bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                    for j in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    return "".join(head + [chr(_OFFSET + int(bits[at:at + 6], 2))
+                           for at in range(0, len(bits), 6)])
 
 
 def graph6_decode(text: str, line: int = 1) -> Graph:

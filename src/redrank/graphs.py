@@ -22,8 +22,8 @@ with identical neighborhoods.  For reduced graphs the module provides:
     neighborhood symmetric difference drops the rank by the expected
     amount,
   * duplication_witness: a largest induced subgraph with duplicated
-    vertices together with the two-sided split of the removed set (an
-    orientation search capped by WITNESS_ORIENTATION_CAP),
+    vertices together with the two-sided split of the removed set,
+    solved in one pass over it for any number of duplicated pairs,
   * the conjectured and proven order bounds for a given rank.
 
 Graphs are immutable; all functions are pure.
@@ -337,23 +337,23 @@ def is_reduced(g: Graph) -> bool:
 
 
 def reduce_graph(g: Graph) -> Graph:
-    """Delete isolated vertices and collapse each duplication class to
-    one representative until the graph is reduced.  Preserves rank."""
-    current = g
-    while True:
-        drop: set[int] = set()
-        seen: dict[int, int] = {}
-        for v in range(current.n):
-            row = current.rows[v]
-            if row == 0:
-                drop.add(v)
-            elif row in seen:
-                drop.add(v)
-            else:
-                seen[row] = v
-        if not drop:
-            return current
-        current = current.without(drop)
+    """Delete isolated vertices and keep the first vertex of each
+    duplication class; the result is reduced and has g's rank, and is g
+    itself when g is reduced.
+
+    One pass suffices.  A kept vertex keeps a neighbour, because the kept
+    twin of a deleted neighbour is adjacent to it too.  Two kept vertices
+    that differed on a deleted twin also differ on its kept twin, or on
+    each other."""
+    seen: set[int] = set()
+    keep = []
+    for v, row in enumerate(g.rows):
+        if row and row not in seen:
+            seen.add(row)
+            keep.append(v)
+    if len(keep) == g.n:
+        return g
+    return g.induced_on(keep)
 
 
 def neighborhood_symdiff(g: Graph, u: int, v: int) -> tuple[int, ...]:
@@ -397,15 +397,13 @@ def min_removal_for_duplicates(g: Graph) -> int:
     return _min_symdiff_pair(g)[2]
 
 
-# Exhaustive searches are refused before they start when they could go
-# past these caps.  min_removal_for_rank_drop ranks what is left of each
-# vertex subset it tries, by Bareiss elimination whenever the mod-p
-# certificate fails, at a cost that grows with the cube of the order n;
-# so its subsets count as subsets of an order-20 graph, each weighing
-# (n/20)^3 past order 20.  duplication_witness tries up to 2^k
-# orientations of k duplicated pairs.
+# The rank-drop search is refused before it starts when it could go past
+# this cap.  min_removal_for_rank_drop ranks what is left of each vertex
+# subset it tries, by Bareiss elimination whenever the mod-p certificate
+# fails, at a cost that grows with the cube of the order n; so its
+# subsets count as subsets of an order-20 graph, each weighing (n/20)^3
+# past order 20.
 RHO_SUBSET_CAP = 10_000
-WITNESS_ORIENTATION_CAP = 1 << 16
 
 
 class SearchCapError(ValueError):
@@ -543,9 +541,7 @@ class DuplicationWitness:
 
 
 def duplication_witness(g: Graph) -> DuplicationWitness:
-    """Witness for a reduced, non-complete graph; see DuplicationWitness.
-    A split search past WITNESS_ORIENTATION_CAP orientations is refused
-    with SearchCapError."""
+    """Witness for a reduced, non-complete graph; see DuplicationWitness."""
     _require_reduced_noncomplete(g, "duplication_witness")
     u, v, _size = _min_symdiff_pair(g)
     removed = neighborhood_symdiff(g, u, v)
@@ -569,42 +565,33 @@ def duplication_witness(g: Graph) -> DuplicationWitness:
 
 def _two_sided_split(g: Graph, removed: tuple[int, ...],
                      classes: list[tuple[int, ...]]):
-    """Search the 2^k orientations of k duplication pairs for one under
-    which every removed vertex is adjacent either to all first members
-    and no second member (T1) or the other way around (T2).  Returns
-    the first orientation found in flip-bit order, so the result is
-    deterministic.  More than WITNESS_ORIENTATION_CAP orientations are
-    refused with SearchCapError before the search starts."""
+    """Orient the k duplication pairs so that every removed vertex is
+    adjacent either to all first members and no second member (T1) or
+    the other way around (T2).
+
+    The first removed vertex fixes the orientation up to turning every
+    pair around: its neighbour goes first, and a pair in which it sees
+    both members or neither admits no orientation.  Turning every pair
+    around swaps T1 and T2, so of the two answers the one that keeps the
+    last pair as listed is returned.  Each removed vertex is then checked
+    once against that orientation."""
     if not classes or any(len(c) != 2 for c in classes):
         return None, None, None, False
-    k = len(classes)
-    if 1 << k > WITNESS_ORIENTATION_CAP:
-        raise SearchCapError(
-            f"witness would try 2^{k} orientations, more than "
-            f"{WITNESS_ORIENTATION_CAP} (WITNESS_ORIENTATION_CAP); refused")
-    for flips in range(1 << k):
-        oriented = tuple(
-            (c[1], c[0]) if flips >> i & 1 else (c[0], c[1])
-            for i, c in enumerate(classes))
-        t1: list[int] = []
-        t2: list[int] = []
-        consistent = True
-        for w in removed:
-            row = g.rows[w]
-            to_first = all(row >> f & 1 and not row >> s & 1
-                           for f, s in oriented)
-            to_second = all(row >> s & 1 and not row >> f & 1
-                            for f, s in oriented)
-            if to_first:
-                t1.append(w)
-            elif to_second:
-                t2.append(w)
-            else:
-                consistent = False
-                break
-        if consistent:
-            return oriented, tuple(t1), tuple(t2), True
-    return None, None, None, False
+    if not removed:
+        return tuple(classes), (), (), True
+    row = g.rows[removed[0]]
+    if any(row >> a & 1 == row >> b & 1 for a, b in classes):
+        return None, None, None, False
+    oriented = [(a, b) if row >> a & 1 else (b, a) for a, b in classes]
+    if oriented[-1] != classes[-1]:
+        oriented = [(b, a) for a, b in oriented]
+    first = sum(1 << a for a, _ in oriented)
+    second = sum(1 << b for _, b in oriented)
+    t1 = tuple(w for w in removed if g.rows[w] & (first | second) == first)
+    t2 = tuple(w for w in removed if g.rows[w] & (first | second) == second)
+    if len(t1) + len(t2) < len(removed):
+        return None, None, None, False
+    return tuple(oriented), t1, t2, True
 
 
 # ── order bounds ─────────────────────────────────────────────────

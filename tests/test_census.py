@@ -130,6 +130,18 @@ def test_verify_conjecture_external_stream_matches_internal():
     assert json.dumps(internal.to_json()) == json.dumps(external.to_json())
 
 
+def test_verify_conjecture_counts_isomorphic_stream_graphs_once():
+    k2, p2 = Graph.complete(2), Graph.path(2)
+    summary = verify_conjecture(2, graphs=iter([k2, p2, Graph.empty(1)]))
+    by_order = {r.order: r for r in summary.reports}
+    assert (by_order[2].total_graphs, by_order[2].reduced_graphs) == (1, 1)
+    assert by_order[1].total_graphs == 1
+    # a relabeled copy is the same class too
+    p4, relabeled = Graph.path(4), Graph.path(4).relabeled([2, 0, 3, 1])
+    summary = verify_conjecture(4, graphs=iter([p4, relabeled]))
+    assert [r.total_graphs for r in summary.reports] == [0, 0, 0, 1]
+
+
 def test_verify_conjecture_json_layout():
     summary = verify_conjecture(3)
     assert summary.holds

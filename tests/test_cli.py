@@ -178,16 +178,25 @@ def test_rho_refuses_searches_beyond_cap(capsys):
         assert "RHO_SUBSET_CAP" in err
 
 
-def test_witness_refuses_searches_beyond_cap(capsys):
-    # 17 twin pairs over C_17 told apart only by vertex 34: 2^17 orientations
-    k = 17
-    edges = [(x, y) for i in range(k) for x in (i, k + i)
-             for y in ((i + 1) % k, k + (i + 1) % k)]
-    g = Graph.from_edges(2 * k + 1, edges + [(2 * k, i) for i in range(k)])
-    code, out, err = run(capsys, "witness", "--graph6", graph6_encode(g))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "WITNESS_ORIENTATION_CAP" in err
+def test_witness_answers_any_number_of_pairs(capsys):
+    # k twin pairs over C_k; vertex 2k sees the first member of each pair,
+    # and without the split vertex 2k + 1 sees the first members of all
+    # pairs but the last, where it sees the second
+    for k in (17, 40):
+        edges = [(x, y) for i in range(k) for x in (i, k + i)
+                 for y in ((i + 1) % k, k + (i + 1) % k)]
+        edges += [(2 * k, i) for i in range(k)]
+        for split in (True, False):
+            extra = [] if split else (
+                [(2 * k + 1, i) for i in range(k - 1)] + [(2 * k + 1, 2 * k - 1)])
+            g = Graph.from_edges(2 * k + 1 + (not split), edges + extra)
+            code, out, err = run(capsys, "witness", "--graph6", graph6_encode(g))
+            assert code == 0 and err == ""
+            blob = json.loads(out)
+            assert len(blob["classes"]) == k
+            assert blob["split_ok"] == split
+            if split:
+                assert blob["t1"] == [2 * k] and blob["t2"] == []
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):

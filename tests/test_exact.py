@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from redrank.exact import (COS_REFERENCE, PI_HI, PI_LO, GammaRatio, QSqrt2,
-                           decimal_str, gamma_half_ratio, sign_sqrt2,
-                           sqrt_enclosure)
+                           _floor_scaled, decimal_str, gamma_half_ratio,
+                           sign_sqrt2, sqrt_enclosure)
 
 
 def _to_mpf(x, dps=100):
@@ -40,12 +40,13 @@ def _random_values(count, seed, span=999, denom=99):
 def test_construction_and_accessors():
     x = QSqrt2(Fraction(1, 2), 3)
     assert x.a == Fraction(1, 2) and x.b == 3
-    assert QSqrt2.sqrt2() == QSqrt2(0, 1)
-    assert QSqrt2.from_rational(Fraction(7, 3)).is_rational
-    assert not QSqrt2.sqrt2().is_rational
-    assert QSqrt2(Fraction(7, 3)).as_fraction() == Fraction(7, 3)
-    with pytest.raises(ValueError):
-        QSqrt2(0, 1).as_fraction()
+    assert x.as_integers() == (1, 6, 2)
+    assert QSqrt2(Fraction(7, 3)) == QSqrt2(Fraction(7, 3), 0)
+    assert QSqrt2(Fraction(7, 3)).as_integers() == (7, 0, 3)
+    assert QSqrt2(Fraction(1, 4), Fraction(-5, 6)).as_integers() == (3, -10, 12)
+    assert QSqrt2(0, 1).as_integers() == (0, 1, 1)
+    with pytest.raises(TypeError):
+        QSqrt2(0.5)
 
 
 def test_field_laws_on_seeded_randoms():
@@ -59,7 +60,7 @@ def test_field_laws_on_seeded_randoms():
         if x != QSqrt2(0):
             assert x * (1 / x) == QSqrt2(1)
             assert (y / x) * x == y
-    assert QSqrt2.sqrt2() * QSqrt2.sqrt2() == QSqrt2(2)
+    assert QSqrt2(0, 1) * QSqrt2(0, 1) == QSqrt2(2)
 
 
 def test_mixed_operand_coercion():
@@ -75,9 +76,9 @@ def test_mixed_operand_coercion():
 
 def test_conjugate_and_norm():
     for x in _random_values(40, seed=7):
-        norm = x * x.conjugate()
-        assert norm.is_rational
-        assert norm.as_fraction() == x.a * x.a - 2 * x.b * x.b
+        norm = x * QSqrt2(x.a, -x.b)
+        assert norm.b == 0
+        assert norm == QSqrt2(x.a * x.a - 2 * x.b * x.b)
 
 
 def test_power():
@@ -130,13 +131,17 @@ def test_ordering_total_and_consistent():
 
 
 def test_floor():
-    assert QSqrt2(0, 1).floor() == 1
-    assert QSqrt2(0, -1).floor() == -2
-    assert QSqrt2(3).floor() == 3
-    assert QSqrt2(Fraction(-7, 2)).floor() == -4
+    # the floor routine behind decimal_str and sqrt_enclosure, at k = 0
+    def floor(x):
+        return _floor_scaled(*x.as_integers(), 0)
+
+    assert floor(QSqrt2(0, 1)) == 1
+    assert floor(QSqrt2(0, -1)) == -2
+    assert floor(QSqrt2(3)) == 3
+    assert floor(QSqrt2(Fraction(-7, 2))) == -4
     mp.dps = 100
     for x in _random_values(300, seed=4242):
-        assert x.floor() == int(mp.floor(_to_mpf(x)))
+        assert floor(x) == int(mp.floor(_to_mpf(x)))
 
 
 def test_float_conversion():

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from redrank.census import enumerate_graphs
 from redrank.formats import graph6_decode
-from redrank.graphs import (RHO_SUBSET_CAP, WITNESS_ORIENTATION_CAP,
-                            DuplicationWitness, Graph, SearchCapError,
+from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
+                            SearchCapError,
                             _bareiss_rank, _certified_rank,
                             conjectured_max_order, duplication_classes,
                             duplication_witness,
@@ -206,16 +206,52 @@ def test_is_reduced():
     assert not is_reduced(Graph.from_edges(1, []))
 
 
+def _twin_blowup(rng: random.Random, k: int, extra: int) -> Graph:
+    """A random graph on k base vertices with every vertex of the result
+    a twin of one of them, labels shuffled."""
+    base = _random_graph(rng, k)
+    owner = list(range(k)) + [rng.randrange(k) for _ in range(extra)]
+    rng.shuffle(owner)
+    n = len(owner)
+    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                if base.has_edge(owner[a], owner[b])])
+
+
+def _reduce_to_fixpoint(g: Graph) -> Graph:
+    """Reference reduction: delete every isolated vertex and every later
+    twin, and repeat until a pass deletes nothing."""
+    while True:
+        seen = set()
+        drop = set()
+        for v, row in enumerate(g.rows):
+            if row == 0 or row in seen:
+                drop.add(v)
+            seen.add(row)
+        if not drop:
+            return g
+        g = g.without(drop)
+
+
 def test_reduce_graph():
     red = reduce_graph(Graph.cycle(4))
     assert red.n == 2 and red.edge_count == 1
-    assert reduce_graph(red) == red
+    assert reduce_graph(red) is red
+    assert reduce_graph(PETERSEN) is PETERSEN
     rng = random.Random(848484)
     for _ in range(80):
         g = _random_graph(rng, rng.randint(1, 10))
         r = reduce_graph(g)
         assert is_reduced(r) or r.n == 0
         assert rank(r) == rank(g)
+
+
+def test_reduce_graph_matches_fixpoint_loop():
+    rng = random.Random(5150)
+    for _ in range(200):
+        g = _twin_blowup(rng, rng.randint(1, 9), rng.randint(0, 12))
+        if rng.random() < 0.5:   # some isolated vertices too
+            g = Graph.from_edges(g.n + 2, g.edges())
+        assert reduce_graph(g) == _reduce_to_fixpoint(g)
 
 
 def test_neighborhood_symdiff():
@@ -312,15 +348,82 @@ def _twin_pairs_on_cycle(k: int, split: bool) -> Graph:
     return Graph.from_edges(2 * k + (1 if split else 2), edges)
 
 
-def test_duplication_witness_orientation_cap():
-    assert WITNESS_ORIENTATION_CAP == 2 ** 16
-    w = duplication_witness(_twin_pairs_on_cycle(16, split=False))
-    assert len(w.classes) == 16 and not w.split_ok
-    w = duplication_witness(_twin_pairs_on_cycle(16, split=True))
-    assert len(w.classes) == 16 and w.split_ok and w.t1 == (32,)
-    for split in (True, False):
-        with pytest.raises(SearchCapError, match="WITNESS_ORIENTATION_CAP"):
-            duplication_witness(_twin_pairs_on_cycle(17, split))
+def _split_by_search(g: Graph, w: DuplicationWitness):
+    """Reference split: the first of all 2^k orientations of the k pairs,
+    by flip mask, under which every removed vertex sees exactly the first
+    members (T1) or exactly the second members (T2)."""
+    classes = w.classes
+    if not classes or any(len(c) != 2 for c in classes):
+        return None, None, None, False
+    for flips in range(1 << len(classes)):
+        oriented = tuple((c[1], c[0]) if flips >> i & 1 else c
+                         for i, c in enumerate(classes))
+        t1, t2 = [], []
+        for x in w.removed:
+            firsts = [g.has_edge(x, f) for f, _ in oriented]
+            seconds = [g.has_edge(x, s) for _, s in oriented]
+            if all(firsts) and not any(seconds):
+                t1.append(x)
+            elif all(seconds) and not any(firsts):
+                t2.append(x)
+            else:
+                break
+        else:
+            return oriented, tuple(t1), tuple(t2), True
+    return None, None, None, False
+
+
+def _assert_split_matches_search(g: Graph) -> DuplicationWitness:
+    w = duplication_witness(g)
+    assert (w.oriented, w.t1, w.t2, w.split_ok) == _split_by_search(g, w)
+    return w
+
+
+def _split_blowup(rng: random.Random, m: int, t: int) -> Graph:
+    """A random graph on m vertices with each vertex doubled into a twin
+    pair (i, m + i), and t extra vertices that see one member of every
+    pair: the members one shared orientation picks, turned around at
+    random, or with probability 1/4 members picked at random.  Labels are
+    shuffled."""
+    base = _random_graph(rng, m)
+    edges = [(x, y) for u, v in base.edges()
+             for x in (u, m + u) for y in (v, m + v)]
+    pick = [rng.randrange(2) for _ in range(m)]
+    for e in range(2 * m, 2 * m + t):
+        turn = rng.randrange(2)
+        mixed = rng.random() < 0.25
+        for i in range(m):
+            side = rng.randrange(2) if mixed else pick[i] ^ turn
+            edges.append((e, i + side * m))
+        edges += [(e, f) for f in range(e + 1, 2 * m + t) if rng.random() < 0.5]
+    perm = list(range(2 * m + t))
+    rng.shuffle(perm)
+    return Graph.from_edges(2 * m + t, edges).relabeled(perm)
+
+
+def test_duplication_witness_split_matches_search():
+    for k in (3, 5, 6, 7, 8, 9, 10):   # C_4 has twins, so k = 4 is not reduced
+        for split in (True, False):
+            w = _assert_split_matches_search(_twin_pairs_on_cycle(k, split))
+            assert len(w.classes) == k and w.split_ok == split
+    rng = random.Random(7007)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        g = _split_blowup(rng, rng.randint(2, 7), rng.randint(1, 4))
+        if not is_reduced(g) or g.is_complete:
+            continue
+        w = _assert_split_matches_search(g)
+        if len(w.classes) >= 2:
+            outcomes[w.split_ok] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_duplication_witness_answers_any_number_of_pairs():
+    for k in (17, 40):
+        w = duplication_witness(_twin_pairs_on_cycle(k, split=False))
+        assert len(w.classes) == k and not w.split_ok
+        w = duplication_witness(_twin_pairs_on_cycle(k, split=True))
+        assert len(w.classes) == k and w.split_ok and w.t1 == (2 * k,)
 
 
 def test_rho_at_most_tau_plus_structure():
