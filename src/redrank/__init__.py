@@ -32,8 +32,7 @@ from .graphs import (DuplicationWitness, Graph, RankDropReport,
                      min_removal_for_duplicates, min_removal_for_rank_drop,
                      neighborhood_symdiff, proven_max_order, rank,
                      rank_drop_report, reduce_graph)
-from .poly import (RationalPolynomial, SturmChain, adjacent_poly, gegenbauer,
-                   locate_interval)
+from .poly import adjacent_poly, gegenbauer, locate_interval
 
 __version__ = "0.1.0"
 
@@ -44,8 +43,8 @@ __all__ = [
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
     "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
-    "PropertySuiteReport", "QSqrt2", "RankDropReport",
-    "RationalPolynomial", "SturmChain", "SuiteCheck", "TailCertificate",
+    "PropertySuiteReport", "QSqrt2", "RankDropReport", "SuiteCheck",
+    "TailCertificate",
     "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",

@@ -39,7 +39,7 @@ from typing import Optional, Union
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
                     gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
 from .graphs import Graph, is_reduced, min_removal_for_rank_drop
-from .poly import RationalPolynomial, gegenbauer_values, locate_interval
+from .poly import gegenbauer_values, locate_interval
 
 CosineLike = Union[int, Fraction, QSqrt2]
 
@@ -426,14 +426,12 @@ def tail_ratio_certificate(n_lo: int = LEVENSHTEIN_CEILING,
     boundary = closed_form_sweep(n_lo, n_lo, offset)[0]
     ratio_all = all(ratio_ok(n) for n in range(n_lo, n_hi + 1))
 
-    # r(n) > r(n+1) cross-multiplies to 2n^2 + 4n + 3 > 0; verify the
-    # expansion symbolically and its positivity by coefficient signs
-    t = RationalPolynomial.identity()
-    lhs = (2 * t + 1) * (t * t + 2 * t)
-    rhs = (2 * t + 3) * (t * t - 1)
-    diff = lhs - rhs
-    symbolic = (diff == RationalPolynomial((3, 4, 2))
-                and all(c > 0 for c in diff.coeffs))
+    # r(n) - 1 = (2n+1)/(n^2-1), so r(n) > r(n+1) cross-multiplies to
+    # (2n+1)(n^2+2n) - (2n+3)(n^2-1) = 2n^2 + 4n + 3, which is positive
+    # for n >= 0.  Both sides of that identity are polynomials of degree
+    # at most 3, so their agreement at the four points n = 0..3 proves it.
+    symbolic = all((2 * m + 1) * (m * m + 2 * m) - (2 * m + 3) * (m * m - 1)
+                   == 2 * m * m + 4 * m + 3 for m in range(4))
 
     # U(n_lo) - 2 >= 0 and U(n_lo) >= 1/(2 - sqrt2): ample at any real n
     u_floor = threshold_value(n_lo, offset) + 2 - QSqrt2(1) / QSqrt2(2, -1)

@@ -309,13 +309,18 @@ def _cmd_lemma(args: argparse.Namespace) -> int:
 # ── enumeration commands ─────────────────────────────────────────
 
 
+def _order_line(order: int, total: int, reduced: int) -> str:
+    plural = "s" * (total != 1)
+    return f"order {order}: {total} graph{plural}, {reduced} reduced"
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     rows = census_counts(args.max_order)
     _emit(args,
           lambda: {"command": "census",
                    "rows": [{"order": o, "total_graphs": t, "reduced_graphs": r}
                             for o, t, r in rows]},
-          lambda: [f"order {o}: {t} graphs, {r} reduced" for o, t, r in rows],
+          lambda: [_order_line(*row) for row in rows],
           lambda: (["order", "total_graphs", "reduced_graphs"],
                    [list(row) for row in rows]))
     return 0
@@ -333,8 +338,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         for rep in summary.reports:
             ranks = ", ".join(f"rank {r} -> order {o}"
                               for r, o in rep.per_rank_max_order) or "-"
-            out.append(f"order {rep.order}: {rep.total_graphs} graphs, "
-                       f"{rep.reduced_graphs} reduced, {ranks}")
+            out.append(_order_line(rep.order, rep.total_graphs,
+                                   rep.reduced_graphs) + f", {ranks}")
         out.append(f"violations: {len(summary.violations)}")
         out.append(f"covered ranks: "
                    f"{' '.join(map(str, summary.covered_ranks)) or '-'}")

@@ -1,5 +1,8 @@
-"""Dense univariate polynomials over Q, Sturm-chain root counting, and the
-Gegenbauer ladder used by the sphere-code bounds.
+"""The Gegenbauer ladder used by the sphere-code bounds, and the cell of the
+Levenshtein partition that holds a cosine.
+
+A polynomial is a tuple of Fraction coefficients, lowest degree first,
+with no trailing zero; () is the zero polynomial.
 
 The Gegenbauer polynomials Q_k for dimension n are normalized so that
 Q_k(1) = 1 and satisfy
@@ -7,7 +10,7 @@ Q_k(1) = 1 and satisfy
     Q_0 = 1,  Q_1 = t,
     Q_{k+1} = ((2k + n - 2) t Q_k - k Q_{k-1}) / (k + n - 2).
 
-The adjacent families are derived from them by exact polynomial division:
+The adjacent families are derived from them by one exact division each:
 
     Q_k^{1,0} = (n-1) (Q_k - Q_{k+1}) / ((2k + n - 1) (1 - t)),
     Q_k^{1,1} = (n-1) (Q_k - Q_{k+2}) / ((2k + n) (1 - t^2)),
@@ -23,8 +26,8 @@ interlacing of the largest zeros (Levenshtein, "Universal bounds for codes
 and designs", Handbook of Coding Theory, 1998, section 5) makes that the
 cell.  The cell is then certified without the theorem: its upper end by the
 intermediate value theorem, its lower end by Descartes' rule of signs on
-the Taylor coefficients at s, with a Sturm count as the fallback when the
-rule proves nothing.  No floating point is used anywhere.
+the Taylor coefficients at s, with a Sturm count (cmp_to_largest_root)
+where the rule proves nothing.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -38,216 +41,77 @@ from typing import Iterable, Iterator, Union
 from .exact import QSqrt2, sign_sqrt2
 
 Scalar = Union[int, Fraction, QSqrt2]
+Poly = tuple[Fraction, ...]
 
 
-class RationalPolynomial:
-    """A dense polynomial with Fraction coefficients, lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalPolynomial is immutable")
-
-    @classmethod
-    def identity(cls) -> "RationalPolynomial":
-        """The polynomial t."""
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    # ── ring operations ──────────────────────────────────────────
-
-    def __add__(self, other: object) -> "RationalPolynomial":
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "RationalPolynomial":
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "RationalPolynomial":
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: object) -> "RationalPolynomial":
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(o.coeffs):
-                out[i + j] += ci * cj
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def scaled(self, c: Union[int, Fraction]) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(Fraction(c) * x for x in self.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        o = _coerce_poly(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    # ── evaluation and calculus ──────────────────────────────────
-
-    def __call__(self, x: Scalar) -> Scalar:
-        """Horner evaluation; exact for Fraction and QSqrt2 arguments."""
-        acc: Scalar = Fraction(0) if not isinstance(x, QSqrt2) else QSqrt2(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def divmod(self, other: "RationalPolynomial") -> tuple["RationalPolynomial", "RationalPolynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            c = rem[i] / lead
-            q[i - d] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] -= c * oc
-        return RationalPolynomial(q), RationalPolynomial(rem)
-
-    def exact_div(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        """Division that must be exact; a nonzero remainder is an error."""
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError(f"inexact polynomial division, remainder {r!r}")
-        return q
-
-    def root_bound(self) -> Fraction:
-        """A Cauchy bound B with every real root in (-B, B]."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.leading)
-        biggest = max(abs(c) for c in self.coeffs[:-1]) if self.degree else Fraction(0)
-        return 1 + biggest / lead
-
-    def __repr__(self) -> str:
-        return f"RationalPolynomial({self.coeffs!r})"
+def _evaluate(p: Poly, x: Scalar) -> Scalar:
+    """p(x) by Horner's rule; exact for Fraction and QSqrt2 arguments."""
+    acc: Scalar = QSqrt2(0) if isinstance(x, QSqrt2) else Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
-def _coerce_poly(x: object) -> "RationalPolynomial | None":
-    if isinstance(x, RationalPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalPolynomial((x,))
-    return None
+# ── Sturm sequences ──────────────────────────────────────────────
 
 
-# ── Sturm chains ─────────────────────────────────────────────────
+def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by the nonzero b."""
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    d = len(b) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        q[i - d] = c = Fraction(r[i], b[-1])
+        if c:
+            for j, bc in enumerate(b):
+                r[i - d + j] -= c * bc
+    while r and r[-1] == 0:
+        r.pop()
+    return tuple(q), tuple(r)
 
 
-def _sign_of(x: Scalar) -> int:
-    if isinstance(x, QSqrt2):
-        return x.sign()
-    return (x > 0) - (x < 0)
+def _sturm(p: Poly) -> list[Poly]:
+    """The Sturm sequence p, p', -rem(p, p'), ... of the square-free part
+    of the nonzero p.  On p itself, a multiple root at s would make every
+    term vanish there and hide the roots above s."""
+    if not p:
+        raise ValueError("Sturm sequence of the zero polynomial")
+    chain = [p]
+    q = tuple(i * c for i, c in enumerate(p) if i)
+    while q:
+        chain.append(q)
+        q = tuple(-c for c in _divmod(chain[-2], q)[1])
+    if len(chain[-1]) > 1:  # the gcd of p and p' is not constant
+        return _sturm(_divmod(p, chain[-1])[0])
+    return chain
 
 
-class SturmChain:
-    """The Sturm sequence p, p', -rem(...), ... of a polynomial.
-
-    For a < b the difference in sign-variation counts gives the number of
-    distinct real roots in the half-open interval (a, b].  Zero values are
-    skipped when counting variations, which makes the half-open convention
-    work even when an endpoint is a root.
-    """
-
-    __slots__ = ("polys",)
-
-    def __init__(self, p: RationalPolynomial) -> None:
-        if p.is_zero:
-            raise ValueError("Sturm chain of the zero polynomial")
-        chain = [p]
-        if p.degree >= 1:
-            chain.append(p.derivative())
-            while chain[-1].degree >= 1:
-                rem = chain[-2].divmod(chain[-1])[1]
-                if rem.is_zero:
-                    break
-                chain.append(-rem)
-        object.__setattr__(self, "polys", tuple(chain))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SturmChain is immutable")
-
-    def variations_at(self, x: Scalar) -> int:
-        signs = [s for s in (_sign_of(p(x)) for p in self.polys) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    def count_roots_halfopen(self, a: Scalar, b: Scalar) -> int:
-        """Distinct real roots in (a, b]."""
-        return self.variations_at(a) - self.variations_at(b)
-
-    def count_roots_above(self, a: Scalar) -> int:
-        """Distinct real roots strictly greater than a."""
-        bound = self.polys[0].root_bound()
-        return self.count_roots_halfopen(a, bound)
+def _variations(values: Iterable[Scalar]) -> int:
+    """Sign changes along the values, zeros skipped."""
+    signs = [g for g in (QSqrt2._coerce(v).sign() for v in values) if g]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cmp_to_largest_root(p: RationalPolynomial, s: Scalar) -> int:
+def _roots_above(chain: list[Poly], s: Scalar) -> int:
+    """Distinct real roots above s of the polynomial whose Sturm sequence
+    is chain: the sign variations at s less those at +infinity, where each
+    term has the sign of its leading coefficient."""
+    return (_variations(_evaluate(q, s) for q in chain)
+            - _variations(q[-1] for q in chain))
+
+
+def cmp_to_largest_root(p: Poly, s: Scalar) -> int:
     """-1, 0, or +1 as s is below, equal to, or above the largest real
-    root of p.  Exact: uses a Sturm count above s and a sign evaluation."""
-    chain = SturmChain(p)
-    if chain.count_roots_above(s) >= 1:
+    root of p.  Exact: uses a Sturm count above s and a sign evaluation.
+    Raises ValueError when p has no real root, that is when the sequence
+    has as many variations at -infinity as at +infinity."""
+    chain = _sturm(p)
+    if _roots_above(chain, s) >= 1:
         return -1
-    if _sign_of(p(s)) == 0:
+    if _evaluate(p, s) == 0:
         return 0
-    bound = p.root_bound()
-    if chain.count_roots_halfopen(-bound, bound) == 0:
+    if (_variations(q[-1] * (-1) ** (len(q) - 1) for q in chain)
+            == _variations(q[-1] for q in chain)):
         raise ValueError("polynomial has no real root")
     return 1
 
@@ -256,7 +120,7 @@ def cmp_to_largest_root(p: RationalPolynomial, s: Scalar) -> int:
 
 
 @lru_cache(maxsize=None)
-def gegenbauer(n: int, k: int) -> RationalPolynomial:
+def gegenbauer(n: int, k: int) -> Poly:
     """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1.
 
     Built from the explicit coefficients of C_k^lambda, lambda = (n-2)/2
@@ -276,7 +140,7 @@ def gegenbauer(n: int, k: int) -> RationalPolynomial:
     for m in range(k // 2):
         c = c * -((k - 2 * m) * (k - 2 * m - 1)) / (2 * (m + 1) * (2 * k - 2 * m + n - 4))
         coeffs[k - 2 * m - 2] = c
-    return RationalPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def _integer_form(s: Scalar) -> tuple[int, int, int]:
@@ -308,7 +172,7 @@ def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int
 
 def gegenbauer_values(n: int, s: Scalar, first: int, last: int) -> list[QSqrt2]:
     """Q_first(s), ..., Q_last(s) for dimension n, by the three-term
-    recurrence in exact arithmetic; equal to gegenbauer(n, j)(s)."""
+    recurrence in exact arithmetic; equal to gegenbauer(n, j) at s."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     return [QSqrt2(Fraction(x, w), Fraction(y, w)) for x, y, w in
@@ -316,24 +180,31 @@ def gegenbauer_values(n: int, s: Scalar, first: int, last: int) -> list[QSqrt2]:
 
 
 @lru_cache(maxsize=None)
-def adjacent_poly(n: int, k: int, kind: str) -> RationalPolynomial:
+def adjacent_poly(n: int, k: int, kind: str) -> Poly:
     """Adjacent Gegenbauer polynomial Q_k^{1,0} (kind "10") or Q_k^{1,1}
-    (kind "11") for dimension n, obtained by exact division."""
+    (kind "11") for dimension n, obtained by exact division.
+
+    With j = 1 or 2, P = Q_k - Q_{k+j} = (1 - t^j) q coefficientwise reads
+    p_i = q_i - q_{i-j}, solved for q from the top down; the j lowest
+    equations, q_i = p_i, are left over and must hold.  Then q is scaled
+    by (n-1)/(2k+n-2+j)."""
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    if kind == "10":
-        if k < 1:
-            raise ValueError('kind "10" needs k >= 1')
-        num = (gegenbauer(n, k) - gegenbauer(n, k + 1)).scaled(n - 1)
-        den = RationalPolynomial((1, -1)).scaled(2 * k + n - 1)  # (2k+n-1)(1-t)
-        return num.exact_div(den)
-    if kind == "11":
-        if k < 0:
-            raise ValueError('kind "11" needs k >= 0')
-        num = (gegenbauer(n, k) - gegenbauer(n, k + 2)).scaled(n - 1)
-        den = RationalPolynomial((1, 0, -1)).scaled(2 * k + n)  # (2k+n)(1-t^2)
-        return num.exact_div(den)
-    raise ValueError(f'kind must be "10" or "11", got {kind!r}')
+    if kind not in ("10", "11"):
+        raise ValueError(f'kind must be "10" or "11", got {kind!r}')
+    j = 1 if kind == "10" else 2
+    if k < 2 - j:
+        raise ValueError(f'kind "{kind}" needs k >= {2 - j}')
+    p = [-c for c in gegenbauer(n, k + j)]
+    for i, c in enumerate(gegenbauer(n, k)):
+        p[i] += c
+    q = [Fraction(0)] * len(p)
+    for i in range(len(p) - 1, j - 1, -1):
+        q[i - j] = q[i] - p[i]
+    if q[:j] != p[:j]:
+        raise ValueError(f"inexact division: n = {n}, k = {k}, kind {kind}")
+    scale = Fraction(n - 1, 2 * k + n - 2 + j)
+    return tuple(scale * c for c in q[:k + 1])
 
 
 # ── locating s among the adjacent zeros ──────────────────────────
@@ -366,7 +237,7 @@ def _check_digits(s: Scalar) -> None:
             f"{COSINE_DIGIT_CAP} digits (COSINE_DIGIT_CAP); refused")
 
 
-def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
+def _no_zero_above(p: Poly, s: Scalar) -> bool:
     """Whether Descartes' rule of signs proves that p has no zero above s.
 
     The rule is applied to the Taylor coefficients of p(s + t): with no
@@ -376,9 +247,9 @@ def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
     by the positive b^(d-j).  False only means that the rule proves
     nothing."""
     a, c, b = _integer_form(s)
-    den = lcm(*(x.denominator for x in p.coeffs))
-    d = p.degree
-    u = [int(x * den) * b ** (d - i) for i, x in enumerate(p.coeffs)]
+    den = lcm(*(x.denominator for x in p))
+    d = len(p) - 1
+    u = [int(x * den) * b ** (d - i) for i, x in enumerate(p)]
     w = [0] * (d + 1)
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
@@ -388,7 +259,7 @@ def _no_zero_above(p: RationalPolynomial, s: Scalar) -> bool:
     return all(g == signs[0] for g in signs)
 
 
-def _at_or_above_largest_zero(p: RationalPolynomial, s: Scalar) -> bool:
+def _at_or_above_largest_zero(p: Poly, s: Scalar) -> bool:
     """Whether s is at or above every real zero of p: by Descartes' rule
     when it applies, by a Sturm count when it does not."""
     return _no_zero_above(p, s) or cmp_to_largest_root(p, s) >= 0

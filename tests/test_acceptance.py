@@ -23,7 +23,7 @@ from redrank.census import (EnumerationCapError, ORDER_CAP,
                             construct_extremal, enumerate_graphs, lemma_suite,
                             verify_conjecture)
 from redrank.exact import QSqrt2
-from redrank.graphs import (Graph, conjectured_max_order, is_reduced,
+from redrank.graphs import (conjectured_max_order, is_reduced,
                             proven_max_order, rank)
 
 

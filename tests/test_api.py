@@ -18,8 +18,8 @@ PUBLIC = [
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
     "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
-    "PropertySuiteReport", "QSqrt2", "RankDropReport",
-    "RationalPolynomial", "SturmChain", "SuiteCheck", "TailCertificate",
+    "PropertySuiteReport", "QSqrt2", "RankDropReport", "SuiteCheck",
+    "TailCertificate",
     "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf, binomial, cos, gegenbauer as mp_gegenbauer
+from mpmath import mp, mpf, binomial, gegenbauer as mp_gegenbauer
 
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, LevDenominatorZero,
@@ -20,7 +20,7 @@ from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
 from redrank.exact import COS_REFERENCE, QSqrt2, sqrt_enclosure
-from redrank.graphs import Graph, is_reduced, min_removal_for_rank_drop, rank
+from redrank.graphs import Graph, is_reduced, min_removal_for_rank_drop
 from redrank.census import enumerate_graphs
 
 
