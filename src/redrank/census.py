@@ -3,10 +3,13 @@ verifications built on it: the order-vs-rank census, the max-order
 arithmetic inequalities, extremal-graph construction, and the
 per-graph property suite.
 
-Enumeration grows graphs one vertex at a time: every representative of
-order k is extended by a new vertex with each of the 2^k possible
-neighborhoods, and the results are deduplicated by an exact canonical
-certificate.  The certificate comes from a backtracking search over
+Enumeration grows graphs one vertex at a time by canonical
+augmentation (McKay 1998): a representative P of order k gets a new
+vertex k with one neighborhood per orbit of P's known automorphisms,
+and the child C is kept only when C - w*, for w* the last vertex of
+C's canonical order, is isomorphic to P.  So every class grows from
+one parent class, and repeats are caught in a set that lives for one
+parent.  Canonical orders come from a backtracking search over
 equitable vertex partitions with automorphism-orbit pruning; no
 external tooling is involved, so runs are reproducible anywhere.
 
@@ -14,8 +17,8 @@ A call builds each level once, from the level before, and keeps
 nothing between calls: the module holds no graphs, only the previous
 level is kept while the next is built, and the last level streams.
 
-Orders up to ORDER_CAP = 10 are accepted; 8 is comfortable, 9 takes
-minutes, 10 is a stretch for patient hardware.  Larger orders are
+Orders up to ORDER_CAP = 10 are accepted; 8 takes seconds, 9 about a
+minute, 10 is a stretch for patient hardware.  Larger orders are
 rejected outright rather than invited to run for days.
 """
 
@@ -72,38 +75,48 @@ def _refine(rows: Sequence[int], cells: tuple[tuple[int, ...], ...],
     return cells
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _orbit_leaders(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
+    """For each point of range(size), the least point of its orbit under
+    the group the permutations `perms` generate (each the sequence of
+    images of range(size)), found by breadth-first search."""
+    leader = [-1] * size
+    for start in range(size):
+        if leader[start] < 0:
+            leader[start] = start
+            frontier = [start]
+            for x in frontier:
+                for p in perms:
+                    y = p[x]
+                    if leader[y] < 0:
+                        leader[y] = start
+                        frontier.append(y)
+    return leader
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
-def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
+def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...],
+                                          list[tuple[int, ...]]]:
     """The canonical certificate (upper-triangle bits of the relabeled
-    adjacency matrix as an integer, minimized over leaf labelings) and
-    the vertex order realizing it.
+    adjacency matrix as an integer, minimized over leaf labelings), the
+    vertex order realizing it, and the automorphisms the search found.
 
     The search individualizes vertices of the first non-singleton cell;
     a vertex is skipped when an already-known automorphism fixing the
-    individualized prefix pointwise maps an earlier sibling to it.
+    individualized prefix pointwise maps an earlier sibling to it.  Two
+    leaves with equal certificates give an automorphism, kept as the
+    sequence of images; they need not generate the whole group.
+
+    The first refinement splits the unit partition by degree, sub-cells
+    ascending, and every later split stays inside a cell, so the order
+    lists the vertices by ascending degree: its last vertex has maximum
+    degree.
     """
     n, rows = g.n, g.rows
+    generators: list[tuple[int, ...]] = []
     if n <= 1:
-        return 0, tuple(range(n))
+        return 0, tuple(range(n)), generators
     pairs = n * (n - 1) // 2
     best_cert: Optional[int] = None
     best_order: tuple[int, ...] = ()
-    generators: list[tuple[int, ...]] = []
 
     def leaf(cells: tuple[tuple[int, ...], ...]) -> None:
         nonlocal best_cert, best_order
@@ -129,17 +142,17 @@ def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
             return
         cell = cells[target]
         tried: list[int] = []
+        known = 0  # generators the orbits below were computed from
+        leader = range(n)
         for v in cell:
             if tried:
-                relevant = [p for p in generators
-                            if all(p[x] == x for x in prefix)]
-                if relevant:
-                    uf = _UnionFind(n)
-                    for p in relevant:
-                        for x in range(n):
-                            uf.union(x, p[x])
-                    if any(uf.find(v) == uf.find(t) for t in tried):
-                        continue
+                if len(generators) != known:
+                    known = len(generators)
+                    leader = _orbit_leaders(n, [
+                        p for p in generators
+                        if all(p[x] == x for x in prefix)])
+                if any(leader[v] == leader[t] for t in tried):
+                    continue
             tried.append(v)
             split = (cells[:target] + ((v,), tuple(u for u in cell if u != v))
                      + cells[target + 1:])
@@ -147,7 +160,7 @@ def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...]]:
 
     descend(_refine(rows, (tuple(range(n)),)), ())
     assert best_cert is not None and best_cert < (1 << pairs)
-    return best_cert, best_order
+    return best_cert, best_order, generators
 
 
 def canonical_cert(g: Graph) -> int:
@@ -158,7 +171,7 @@ def canonical_cert(g: Graph) -> int:
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    _, order = _canonical_order(g)
+    _, order, _ = _canonical_order(g)
     position = [0] * g.n
     for pos, v in enumerate(order):
         position[v] = pos
@@ -176,38 +189,103 @@ def _check_order(order: int, name: str, what: str) -> None:
             f"{what} capped at order {ORDER_CAP}, got {order}")
 
 
-def _extend(parents: tuple[Graph, ...], order: int) -> Iterator[Graph]:
+# A class as the next level grows from it: canonical form, certificate,
+# and automorphisms found by its canonization, in canonical labels.
+_Class = tuple[Graph, int, list[tuple[int, ...]]]
+
+
+def _accepts(child: Graph, last: int, parent_cert: int,
+             parent_degrees: list[int]) -> bool:
+    """Whether the child minus `last`, its canonical last vertex, is
+    isomorphic to the parent, the child minus its new vertex n - 1
+    (`parent_degrees` is the parent's sorted degree sequence)."""
+    if last == child.n - 1:
+        return True
+    rest = child.without((last,))
+    return (sorted(row.bit_count() for row in rest.rows) == parent_degrees
+            and canonical_cert(rest) == parent_cert)
+
+
+def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
     """Every class of order `order` once, canonically labeled, from the
-    classes of order k = `order` - 1: each parent gets a new vertex with
-    each of the 2^k possible neighborhoods, and a child whose certificate
-    this level has already seen is dropped."""
+    classes of order k = `order` - 1, by canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+    A parent P gets a new vertex k with one neighborhood (a mask) per
+    orbit of its found automorphisms on masks.  The child C is kept iff
+    C - w* is isomorphic to P = C - k, where w* is the last vertex of
+    C's canonical order; a set that lives for one parent drops repeats.
+
+    Why each class comes out exactly once:
+
+    * Any canonical order of C maps to any other by an isomorphism, so
+      the class of C - w* does not depend on the labeling: C is kept
+      from one parent class only.  From that class it is kept at least
+      once, by the child that puts k where some labeling has w*.
+    * Masks in one orbit of an automorphism of P give isomorphic
+      children with k in corresponding places, so skipping all but the
+      least mask of an orbit drops no class.  Every found generator is a
+      genuine automorphism: its two leaves had equal certificates.
+    * The canonical order lists vertices by ascending degree (see
+      `_canonical_order`), so w* has maximum degree.  C - w* and C - k
+      are isomorphic only if k has that degree too and C - w* has P's
+      degree sequence, so children failing either check are dropped
+      without losing a class, the first before any canonization.
+    * Within the one parent, isomorphic children can still come from
+      masks in different orbits (the found generators need not give
+      all of Aut(P), and C can have pseudo-similar vertices), hence the
+      per-parent set.
+
+    Representatives are canonical forms, so each level is the same set
+    of graphs whichever parent produced a class; only the order of
+    generation depends on the method.
+    """
     k = order - 1
-    seen: set[int] = set()
-    for g in parents:
+    for g, cert, generators in parents:
         base = g.rows
+        degrees = [row.bit_count() for row in base]
+        top = max(degrees, default=0)
+        at_top = sum(1 << i for i, d in enumerate(degrees) if d == top)
+        degrees.sort()
+        images = []
+        for p in generators:
+            image = [0] * (1 << k)
+            for mask in range(1, 1 << k):
+                low = mask & -mask
+                image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
+            images.append(image)
+        leader = _orbit_leaders(1 << k, images)
+        kept: set[int] = set()
         for mask in range(1 << k):
+            d = mask.bit_count()
+            if (leader[mask] != mask or d < top
+                    or d == top and mask & at_top):
+                continue
             rows = tuple(base[i] | ((mask >> i & 1) << k) for i in range(k)
                          ) + (mask,)
-            candidate = Graph._raw(order, rows)
-            cert, label_order = _canonical_order(candidate)
-            if cert in seen:
+            child = Graph._raw(order, rows)
+            child_cert, label_order, found = _canonical_order(child)
+            if (child_cert in kept
+                    or not _accepts(child, label_order[-1], cert, degrees)):
                 continue
-            seen.add(cert)
+            kept.add(child_cert)
             position = [0] * order
             for pos, v in enumerate(label_order):
                 position[v] = pos
-            yield candidate.relabeled(position)
+            yield (child.relabeled(position), child_cert,
+                   [tuple(position[p[v]] for v in label_order)
+                    for p in found])
 
 
 def _grow(max_order: int) -> Iterator[Iterable[Graph]]:
     """The levels of orders 1..max_order in turn, each built once from
     the one before (order 1 from the empty graph).  Only the previous
     level is kept; the last one streams."""
-    parents: tuple[Graph, ...] = (Graph.empty(0),)
+    parents: tuple[_Class, ...] = ((Graph.empty(0), 0, []),)
     for order in range(1, max_order):
         parents = tuple(_extend(parents, order))
-        yield parents
-    yield _extend(parents, max_order)
+        yield tuple(g for g, _, _ in parents)
+    yield (g for g, _, _ in _extend(parents, max_order))
 
 
 def enumerate_graphs(order: int) -> Iterator[Graph]:

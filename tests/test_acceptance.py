@@ -26,6 +26,9 @@ from redrank.exact import QSqrt2
 from redrank.graphs import (conjectured_max_order, is_reduced,
                             proven_max_order, rank)
 
+# Graphs on 1..9 unlabeled vertices (OEIS A000088).
+A000088 = [1, 2, 4, 11, 34, 156, 1044, 12346, 274668]
+
 
 def _report(num: int, label: str, ok: bool, elapsed: float = None,
             budget: float = None) -> None:
@@ -72,6 +75,7 @@ def test_criterion_4_census_to_order_8():
     elapsed = time.monotonic() - start
     maxima = dict(summary.per_rank_max_order)
     ok = (summary.holds
+          and [r.total_graphs for r in summary.reports] == A000088[:8]
           and summary.violations == ()
           and maxima.get(4) == 6
           and all(maxima[r] <= conjectured_max_order(r)
@@ -87,6 +91,7 @@ def test_criterion_4_extension_census_to_order_9():
     summary = verify_conjecture(9)
     elapsed = time.monotonic() - start
     ok = (summary.holds and summary.violations == ()
+          and [r.total_graphs for r in summary.reports] == A000088
           and elapsed < 1800)
     _report(4, "census extension through order 9", ok, elapsed, 1800)
 

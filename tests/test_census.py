@@ -7,6 +7,7 @@ vertices (1, 2, 4, 11, 34, 156, 1044, ...), with a brute-force orbit
 count as an independent check at small orders.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -14,11 +15,12 @@ import random
 import pytest
 
 from redrank.census import (ORDER_CAP, CensusReport, EnumerationCapError,
-                            ExtremalConstructionError, canonical_cert,
+                            ExtremalConstructionError, _accepts,
+                            _canonical_order, _extend, canonical_cert,
                             canonical_form, census_counts, construct_extremal,
                             enumerate_graphs, lemma_suite, verify_conjecture,
                             verify_m_inequalities)
-from redrank.formats import graph6_encode
+from redrank.formats import graph6_decode, graph6_encode
 from redrank.graphs import (Graph, conjectured_max_order, is_reduced, rank)
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
@@ -70,6 +72,71 @@ def test_enumeration_is_deterministic():
     second = [graph6_encode(g) for g in enumerate_graphs(6)]
     assert first == second
     assert len(first) == 156
+
+
+# SHA-256 of the sorted graph6 strings of enumerate_graphs(order), one
+# per line, as the certificate-set enumeration produced them before
+# canonical augmentation replaced it.
+LEVEL_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    5: "6d6f843705782883a8ce87faa164796dcdcbc3f2d033fe2e34a8d782c2c6b82a",
+    6: "f523cfda15e9d535ce349a3d80bef200e2f85e497064153b7efef1dfd7616d44",
+    7: "c3e3c59074a3b2fedbf558a511a4656757b5e8d26e8462f390997ca682ed3be9",
+}
+
+
+def test_levels_are_the_same_sets_of_canonical_forms():
+    for order, digest in LEVEL_DIGESTS.items():
+        level = sorted(graph6_encode(g) for g in enumerate_graphs(order))
+        assert hashlib.sha256("\n".join(level).encode()).hexdigest() \
+            == digest, order
+
+
+def test_canonical_order_ends_at_a_maximum_degree_vertex():
+    rng = random.Random(424242)
+    for order in range(1, 7):
+        for g in enumerate_graphs(order):
+            top = max(row.bit_count() for row in g.rows)
+            for _ in range(3):
+                perm = list(range(order))
+                rng.shuffle(perm)
+                h = g.relabeled(perm)
+                last = _canonical_order(h)[1][-1]
+                assert h.rows[last].bit_count() == top
+
+
+@pytest.mark.parametrize("parent6, mask, accepted", [
+    ("F?StG", 57, True),
+    ("F@?GW", 52, False),
+])
+def test_augmentation_compares_parents_when_new_vertex_is_not_last(
+        parent6, mask, accepted):
+    """Order-8 children C whose canonical last vertex w* is not the new
+    vertex 7 but has its degree, and whose C - w* has the parent's
+    degree sequence: the certificate of C - w* decides, and the class
+    of C grows from the class of C - w* only."""
+    parent = graph6_decode(parent6)
+    child = Graph._raw(8, tuple(
+        row | (mask >> i & 1) << 7 for i, row in enumerate(parent.rows)
+    ) + (mask,))
+    last = _canonical_order(child)[1][-1]
+    assert last != 7
+    assert child.rows[last].bit_count() == mask.bit_count()
+    rest = child.without((last,))
+    degrees = sorted(row.bit_count() for row in parent.rows)
+    assert sorted(row.bit_count() for row in rest.rows) == degrees
+    assert _accepts(child, last, canonical_cert(parent), degrees) is accepted
+    assert (canonical_cert(rest) == canonical_cert(parent)) is accepted
+
+    def grown(g):
+        return {c for c, _, _ in _extend(
+            [(canonical_form(g), canonical_cert(g), [])], 8)}
+
+    assert (canonical_form(child) in grown(parent)) is accepted
+    assert canonical_form(child) in grown(rest)
 
 
 def test_enumeration_yields_distinct_classes():
