@@ -1,14 +1,19 @@
 """Graphs, adjacency rank over Q, and the reducedness invariants.
 
 A graph is a tuple of neighbor bitmasks.  Rank of the 0/1 adjacency
-matrix is the exact rank over Q (equivalently over R).  It is first
-sought by Gaussian elimination modulo the prime p = 32749, with each
-row packed into one Python integer of 48-bit lanes.  A matrix that is
-nonsingular mod p has a determinant that p does not divide, hence a
-nonzero one, so its rank is n; through order 9 Hadamard's inequality
-keeps every minor below p, so the rank mod p is the rank.  Any other
-matrix (singular, or with p dividing its determinant) falls back to
-fraction-free Bareiss elimination on Python integers.
+matrix is the exact rank over Q (equivalently over R), found in up to
+three steps.  Gaussian elimination modulo the prime p = 32749 comes
+first, with each row packed into one Python integer of 48-bit lanes.
+A matrix that is nonsingular mod p has a determinant that p does not
+divide, hence a nonzero one, so its rank is n; through order 9
+Hadamard's inequality keeps every minor below p, so the rank mod p is
+the rank.  A singular matrix whose rank mod p, r_p, is at most n/3 (a
+twin blow-up, say) then gets a span certificate: an integer
+Gauss-Jordan pass on its r_p pivot rows, packed in lanes wide enough
+for every minor, proves that they span every row, so the rank is r_p.
+Any other matrix (of higher rank mod p, or where p divides a minor the
+certificate needs) falls back to fraction-free Bareiss elimination on
+Python integers.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -227,16 +232,28 @@ _EXACT_ORDER = 9
 _LANE = 48
 _LANE_MASK = (1 << _LANE) - 1
 _FOLD_EVERY = 64
-# byte b -> eight 48-bit lanes in hex, lane 0 last, lane i = bit i of b
-_BYTE_LANES = tuple("".join("0" * 11 + bit for bit in format(b, "08b"))
-                    for b in range(256))
+# A singular matrix of order n > 9 gets the span certificate when its
+# rank mod p is at most n / _SPAN_SHARE.  The certificate costs about
+# r^2 operations on packed rows whose lanes grow with r, Bareiss about
+# r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), order-150 twin
+# blow-ups of rank 12 / 30 / 50 / 60 / 75 / 100 took 8 / 16 / 48 / 81 /
+# 159 / 364 ms by the mod-p pass and certificate, 20 / 48 / 86 / 95 /
+# 124 / 134 ms by Bareiss alone; G(n, 1/2) plus a twin, 1.7 / 26 / 236
+# / 1758 ms against 0.9 / 9 / 61 / 381 ms for n = 30 / 60 / 100 / 150.
+_SPAN_SHARE = 3
+
+
+def _pack(row: int, width: int) -> int:
+    """The 0/1 row bitmask as one integer with entry v in lane v of
+    `width` bits (a multiple of 4): in hex, each bit padded to a lane."""
+    return int(("0" * (width // 4 - 1)).join(format(row, "b")), 16)
 
 
 @lru_cache(maxsize=64)
 def _lane_masks(n: int) -> tuple[int, int, int]:
     """For n lanes: the low 15 bits of each lane, the next 33, and 3p in
     each lane."""
-    ones = int("0" + ("0" * 11 + "1") * n, 16)
+    ones = _pack((1 << n) - 1, _LANE)
     return ones * ((1 << 15) - 1), ones * ((1 << 33) - 1), ones * 3 * _P
 
 
@@ -255,9 +272,9 @@ def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
 
     A matrix that is nonsingular mod p has det A != 0 (mod p), so det A
     != 0 and its rank is n.  For n <= _EXACT_ORDER every minor is below
-    p in absolute value, so the rank mod p is the rank.  A matrix of
-    larger order that is singular mod p gets None: it is singular, or p
-    divides det A.
+    p in absolute value, so the rank mod p is the rank.  A larger matrix
+    that is singular mod p gets r_p, its rank mod p, when r_p <= n /
+    _SPAN_SHARE and _span_certified proves it; else None.
 
     Each row is one integer with entry v in lane v (bits 48v..48v+47).
     The elimination keeps the current column in lane 0: a row y becomes
@@ -268,31 +285,80 @@ def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
     2^38 < 2^48 for 64 steps; the lanes are folded every 64 steps.
     """
     lo, hi, three_p = _lane_masks(n)
-    width = (n + 7) // 8
-    live = []
-    for row in rows:
-        lanes = [_BYTE_LANES[b] for b in row.to_bytes(width, "big")]
-        live.append(int("".join(lanes), 16))
-    found = 0
+    live = [_pack(row, _LANE) for row in rows]
+    sources = list(rows)  # the 0/1 row each live row came from
+    pivots = []  # (0/1 row, column) of each pivot
     for step in range(n):
+        if step > len(pivots) and _SPAN_SHARE * len(pivots) > n > _EXACT_ORDER:
+            return None  # singular mod p, and r_p is past the cutoff
         if step and step % _FOLD_EVERY == 0:
             live = [_fold(y, lo, hi) for y in live]
         for at, y in enumerate(live):
             if (y & _LANE_MASK) % _P:
                 break
         else:
-            if n > _EXACT_ORDER:
-                return None
             live = [y >> _LANE for y in live]
             three_p >>= _LANE
             continue
         pivot = live.pop(at)
+        pivots.append((sources.pop(at), step))
         inv = pow(pivot & _LANE_MASK, -1, _P)
         neg = (three_p - _fold(pivot, lo, hi)) >> _LANE
         three_p >>= _LANE
         live = [(y >> _LANE) + (y & _LANE_MASK) * inv % _P * neg for y in live]
-        found += 1
-    return found
+    found = len(pivots)
+    if found == n or n <= _EXACT_ORDER:
+        return found
+    if _SPAN_SHARE * found <= n and _span_certified(rows, pivots):
+        return found
+    return None
+
+
+def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
+    """Whether the pivot rows B of the 0/1 matrix A, given with their
+    pivot columns C, span every row of A over Q, where M = A[B, C] is
+    nonsingular mod p.  Then rank A = r = |B|: det M != 0 gives >= r.
+
+    A fraction-free Gauss-Jordan pass over the integer rows A[B, :],
+    pivoting on c_0, c_1, ... in order, turns row k into Z_k, where Z =
+    d M^-1 A[B, :] and d = det M: Z_k has d in column c_k and 0 in the
+    other columns of C.  Its pivots are the leading minors of M, nonzero
+    mod p, so no row exchange is needed.  A row x lies in the span of
+    A[B, :] iff d x is the sum of the Z_k with x[c_k] = 1 (the
+    coefficients must be x[C] M^-1).  If p divides a minor, some row
+    fails and the answer is False.
+
+    Rows are packed in `width`-bit lanes, and a step sets z_i to the
+    integer (pv*z_i - h*z_k) // prev: that is prev times the packed new
+    row whatever carries pass between lanes, so the division is exact.
+    Each stored entry is, up to sign, a minor of A[B, :] (Cramer's
+    rule), so at most H = sqrt(prod of the degrees of B) in absolute
+    value by Hadamard's inequality, and a lane of the final sums is at
+    most r H.  With 2^(width-2) > (r+1) H every lane lies in
+    [-2^(width-1), 2^(width-1)), so a lane reads back exactly (a
+    rounding shift drops the lanes below it and a 2^(width-1) offset
+    makes it non-negative) and equal packed integers have equal lanes.
+    """
+    r = len(pivots)
+    degrees = prod(row.bit_count() for row, _ in pivots)
+    width = (((r + 1) * (isqrt(degrees) + 1)).bit_length() + 5) // 4 * 4
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    z = [_pack(row, width) for row, _ in pivots]
+    prev = 1
+    for k, (_, c) in enumerate(pivots):
+        shift = width * c
+        offset = (half << shift) + (1 << shift >> 1)
+        zk = z[k]
+        pv = ((zk + offset) >> shift & mask) - half
+        for i, y in enumerate(z):
+            if i != k:
+                h = ((y + offset) >> shift & mask) - half
+                z[i] = (pv * y - h * zk) // prev
+        prev = pv
+    spans = [(1 << c, zk) for (_, c), zk in zip(pivots, z)]
+    return all(prev * _pack(x, width) == sum(zk for bit, zk in spans if x & bit)
+               for x in set(rows))
 
 
 def rank(g: Graph) -> int:
@@ -301,9 +367,12 @@ def rank(g: Graph) -> int:
     Gaussian elimination modulo the prime p = 32749 runs first.  If A is
     nonsingular mod p then det A is not divisible by p, so det A != 0
     and the rank is n exactly; for n <= 9 Hadamard's inequality keeps
-    every minor below p, so the rank mod p is exact as well.  Otherwise
-    (A is singular, or p divides det A) the rank comes from
-    fraction-free Bareiss elimination on integers.
+    every minor below p, so the rank mod p is exact as well.  A singular
+    A whose rank mod p, r_p, is at most n/3 then gets the span
+    certificate: an integer Gauss-Jordan pass on the r_p pivot rows
+    proves that they span every row, so the rank is r_p.  Otherwise (a
+    higher r_p, or p dividing a minor that decides the rank) the rank
+    comes from fraction-free Bareiss elimination on integers.
     """
     found = _certified_rank(g.rows, g.n)
     if found is not None:

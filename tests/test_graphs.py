@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redrank.census import enumerate_graphs
+from redrank import graphs
+from redrank.census import construct_extremal, enumerate_graphs
 from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
@@ -72,6 +73,16 @@ def _random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < density]
     return Graph.from_edges(n, edges)
+
+
+def _twin_blowup(rng: random.Random, base: Graph, n: int) -> Graph:
+    """An order-n graph with every vertex a twin of a vertex of base and
+    every base vertex used, labels shuffled."""
+    owner = list(range(base.n)) + [rng.randrange(base.n)
+                                   for _ in range(n - base.n)]
+    rng.shuffle(owner)
+    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                if base.has_edge(owner[a], owner[b])])
 
 
 def test_graph_construction_and_accessors():
@@ -147,15 +158,37 @@ def test_rank_matches_bareiss_on_small_graphs(n, density, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 14), st.integers(0, 150), st.integers(0, 2**32))
 def test_rank_matches_bareiss_on_twin_blowups(k, extra, seed):
-    # every vertex a twin of one of k base vertices, labels shuffled
     rng = random.Random(seed)
     base = _random_graph(rng, k)
-    owner = list(range(k)) + [rng.randrange(k) for _ in range(extra)]
-    rng.shuffle(owner)
-    n = len(owner)
-    g = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
-                             if base.has_edge(owner[a], owner[b])])
+    g = _twin_blowup(rng, base, k + extra)
     assert rank(g) == _bareiss(g) == _bareiss(base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 50), st.floats(0.3, 0.9), st.integers(64, 200),
+       st.integers(0, 2**32))
+def test_rank_matches_bareiss_on_dense_twin_blowups(k, density, n, seed):
+    # the rank mod p lands on both sides of the span certificate's
+    # cutoff n/3, with dense rows that need wide lanes
+    rng = random.Random(seed)
+    base = _random_graph(rng, k, density)
+    g = _twin_blowup(rng, base, n)
+    assert rank(g) == _bareiss(g) == _bareiss(base)
+
+
+@pytest.mark.parametrize("r", range(4, 13))
+def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
+    # shaped like the benchmark stream's blow-ups; orders past 64 and 128
+    # cross the periodic lane folds
+    def refuse(matrix):
+        raise AssertionError("Bareiss ran")
+
+    base = construct_extremal(r)  # which checks its own rank
+    monkeypatch.setattr(graphs, "_bareiss_rank", refuse)
+    rng = random.Random(r)
+    for n in sorted({max(base.n, 3 * r), 70, 130, 150}):
+        if n >= base.n:
+            assert rank(_twin_blowup(rng, base, n)) == r
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 64, 65, 129, 200])
@@ -178,6 +211,16 @@ def test_rank_falls_back_when_p_divides_the_determinant():
     assert g.n == 30
     assert _certified_rank(g.rows, g.n) is None
     assert rank(g) == _bareiss(g) == _gauss_rank(g) == 30
+
+
+def test_span_certificate_refuses_when_p_divides_a_minor():
+    # blown up to order 95 its rank mod p, 29, is within the cutoff n/3,
+    # so the span certificate is tried; a row outside the span of the 29
+    # pivot rows makes it refuse, and Bareiss finds the rank
+    g = _twin_blowup(random.Random(95), graph6_decode(DET_DIVISIBLE_BY_P), 95)
+    assert _modp_rank(g, 32749) == 29 and 3 * 29 <= g.n
+    assert _certified_rank(g.rows, g.n) is None
+    assert rank(g) == _bareiss(g) == 30
 
 
 def test_rank_invariant_under_relabeling():
@@ -204,17 +247,6 @@ def test_is_reduced():
     assert not is_reduced(Graph.cycle(4))
     assert not is_reduced(Graph.from_edges(3, [(0, 1)]))  # isolated vertex
     assert not is_reduced(Graph.from_edges(1, []))
-
-
-def _twin_blowup(rng: random.Random, k: int, extra: int) -> Graph:
-    """A random graph on k base vertices with every vertex of the result
-    a twin of one of them, labels shuffled."""
-    base = _random_graph(rng, k)
-    owner = list(range(k)) + [rng.randrange(k) for _ in range(extra)]
-    rng.shuffle(owner)
-    n = len(owner)
-    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
-                                if base.has_edge(owner[a], owner[b])])
 
 
 def _reduce_to_fixpoint(g: Graph) -> Graph:
@@ -248,7 +280,8 @@ def test_reduce_graph():
 def test_reduce_graph_matches_fixpoint_loop():
     rng = random.Random(5150)
     for _ in range(200):
-        g = _twin_blowup(rng, rng.randint(1, 9), rng.randint(0, 12))
+        k, extra = rng.randint(1, 9), rng.randint(0, 12)
+        g = _twin_blowup(rng, _random_graph(rng, k), k + extra)
         if rng.random() < 0.5:   # some isolated vertices too
             g = Graph.from_edges(g.n + 2, g.edges())
         assert reduce_graph(g) == _reduce_to_fixpoint(g)
