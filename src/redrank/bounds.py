@@ -89,14 +89,12 @@ def reference_params(n: int) -> AngleParams:
     return AngleParams.from_cos(n, COS_REFERENCE)
 
 
-def _check_guard(n: int, params: AngleParams) -> None:
-    """Refuse n unless n > max(6 tan^2(alpha) - 3, 5), the range of the
-    integral bracket and of the closed form.  The condition only grows
-    easier with n, so it holds on a whole range once it holds at the
-    start."""
-    if params.n != n:
-        raise ValueError(
-            f"params built for dimension {params.n}, used with n = {n}")
+def _check_guard(params: AngleParams) -> None:
+    """Refuse n = params.n unless n > max(6 tan^2(alpha) - 3, 5), the
+    range of the integral bracket and of the closed form.  The condition
+    only grows easier with n, so it holds on a whole range once it holds
+    at the start."""
+    n = params.n
     if not (n > 5 and QSqrt2(n) > 6 * params.tan_sq_alpha - 3):
         raise ValueError(
             f"bracket and closed form need n > max(6 tan^2(alpha) - 3, 5); n = {n}")
@@ -142,7 +140,7 @@ class BoundReport:
         }
         if self.notes:
             out["notes"] = list(self.notes)
-        out["value_exact"] = str(self.value)
+        out["value_exact"] = str(QSqrt2._coerce(self.value))
         if self.threshold is not None:
             out["threshold_exact"] = str(self.threshold)
         return out
@@ -190,14 +188,14 @@ class IntegralBracket:
     endpoints are exact in Q(sqrt2).
     """
 
-    n: int
     params: AngleParams
     lo_sq: QSqrt2 = field(init=False)
     hi_sq: QSqrt2 = field(init=False)
 
     def __post_init__(self) -> None:
-        n, p = self.n, self.params
-        _check_guard(n, p)
+        p = self.params
+        n = p.n
+        _check_guard(p)
         base = (p.sin_sq_alpha ** (n + 1)) / (QSqrt2((n * n - 1) ** 2) * p.s * p.s)
         f1 = QSqrt2(1) - 3 * p.tan_sq_alpha / (n + 3)
         object.__setattr__(self, "lo_sq", base * f1 * f1)
@@ -209,19 +207,19 @@ class IntegralBracket:
         return x > 0 and self.lo_sq < QSqrt2(x * x) < self.hi_sq
 
 
-def integral_bracket(n: int, params: AngleParams) -> IntegralBracket:
-    return IntegralBracket(n, params)
+def integral_bracket(params: AngleParams) -> IntegralBracket:
+    return IntegralBracket(params)
 
 
-def rankin_bound(n: int, case: str,
-                 params: Optional[AngleParams] = None) -> BoundReport:
+def rankin_bound(n: int, case: str) -> BoundReport:
     """Code-size bounds by angle regime.
 
       * case "exactly_half_pi": the maximum is exactly 2n,
       * case "obtuse": at most n + 1 points pairwise at an obtuse angle,
-      * case "acute": sqrt(pi) Gamma((n-1)/2) sin(alpha) tan(alpha) /
-        (2 Gamma(n/2) I) with I replaced by the certified lower bracket
-        endpoint, reported as a one-sided rational upper value.
+      * case "acute": at s0, sqrt(pi) Gamma((n-1)/2) sin(alpha)
+        tan(alpha) / (2 Gamma(n/2) I) with I replaced by the certified
+        lower bracket endpoint, reported as a one-sided rational upper
+        value.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -232,9 +230,8 @@ def rankin_bound(n: int, case: str,
         return BoundReport(n, "rankin_obtuse", QSqrt2(n + 1), True)
     if case != "acute":
         raise ValueError(f"unknown case {case!r}")
-    if params is None:
-        raise ValueError("acute case needs AngleParams")
-    lo_sq = IntegralBracket(n, params).lo_sq
+    params = reference_params(n)
+    lo_sq = IntegralBracket(params).lo_sq
     g = gamma_half_ratio(n)
     # value^2 = q^2 pi^e sin^2(alpha) tan^2(alpha) / lo^2, e = pi_half_power
     pi_free = (QSqrt2(g.q * g.q) * params.sin_sq_alpha * params.tan_sq_alpha
@@ -335,7 +332,7 @@ def closed_form_sweep(n_lo: int, n_hi: int,
     and each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
     for the threshold T, exact for every n; only odd n builds the square
     as a QSqrt2."""
-    _check_guard(n_lo, reference_params(n_lo))
+    _check_guard(reference_params(n_lo))
     if n_hi < n_lo:
         raise ValueError("empty range")
     # (2 + sqrt2)^n = A + B sqrt2; (1 + 1/sqrt2)^n = (A + B sqrt2)/2^n

@@ -330,11 +330,17 @@ class CensusReport:
 class ConjectureSummary:
     """Census rows for orders 1..max_order plus the aggregate verdict.
 
-    covered_ranks lists the ranks r with conjectured_max_order(r) + 1 <=
-    max_order, the ranks whose cap the census passes by at least one
-    order.  It is not a certificate that the cap holds for r: a violation
-    of rank r need not have order conjectured_max_order(r) + 1, because
-    deleting a vertex of a reduced graph need not leave a reduced graph.
+    covered_ranks lists the ranks r with m(r) + 1 <= max_order, m =
+    conjectured_max_order.  When the internal census holds, the cap holds
+    for each such r at every order.  A reduced graph G of rank r has a
+    nonsingular principal r x r submatrix, on a vertex set B, and every
+    row of G is fixed by its B-columns (A = A[:,B] A[B,B]^-1 A[B,:]).
+    Deleting a vertex outside B keeps the rank r, as A[B,B] stays, and
+    keeps G reduced: two equal or zero rows left would be equal or zero
+    on B, so already in G.  A violation of order N > m(r) >= r thus
+    shrinks to one of order m(r) + 1, which the census would have met.
+    For an external stream (verify_conjecture's graphs) the list is
+    arithmetic only: the stream need not hold every graph of that order.
     """
 
     max_order: int

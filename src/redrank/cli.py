@@ -25,8 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (BoundReport, LevDenominatorZero, closed_form_sweep,
-                     levenshtein_bound, rankin_bound, reference_params,
-                     verify_code_lemma)
+                     levenshtein_bound, rankin_bound, verify_code_lemma)
 from .census import (EnumerationCapError, ExtremalConstructionError,
                      census_counts, construct_extremal, lemma_suite,
                      verify_conjecture, verify_m_inequalities)
@@ -36,6 +35,7 @@ from .formats import (FormatError, graph6_decode, graph6_encode,
 from .graphs import (Graph, duplication_witness, min_removal_for_duplicates,
                      min_removal_for_rank_drop, neighborhood_symdiff, rank,
                      reduce_graph)
+from .poly import CellCertificateError
 
 SCHEMA = 1
 
@@ -259,7 +259,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         reports.append(levenshtein_bound(n, COS_REFERENCE))
     if n >= 6:
         reports.append(closed_form_sweep(n, n, None)[0])
-        reports.append(rankin_bound(n, "acute", reference_params(n)))
+        reports.append(rankin_bound(n, "acute"))
     if not reports:
         raise _UsageError("no bound applies below dimension 3")
     _emit(args,
@@ -281,8 +281,7 @@ def _cmd_lev(args: argparse.Namespace) -> int:
 def _cmd_rankin(args: argparse.Namespace) -> int:
     case = {"half_pi": "exactly_half_pi", "obtuse": "obtuse",
             "acute": "acute"}[args.case]
-    params = reference_params(args.n) if case == "acute" else None
-    report = rankin_bound(args.n, case, params)
+    report = rankin_bound(args.n, case)
     _emit(args,
           lambda: {"command": "rankin", "case": args.case, **report.to_json()},
           lambda: [_bound_text(report)], lambda: _bound_table([report]))
@@ -489,7 +488,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_UsageError, FormatError, EnumerationCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExtremalConstructionError, LevDenominatorZero) as exc:
+    except (ExtremalConstructionError, LevDenominatorZero,
+            CellCertificateError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -21,13 +21,19 @@ cells on which the Levenshtein-style bound switches branch.
 locate_interval finds the cell of s without building a polynomial per k.
 It runs the recurrence on the values Q_j(s) in exact integer arithmetic,
 reads the sign of each adjacent polynomial at s off Q_j(s) - Q_{j+1}(s) and
-Q_j(s) - Q_{j+2}(s), and takes the first k with Q_k^{1,1}(s) < 0; the
-interlacing of the largest zeros (Levenshtein, "Universal bounds for codes
-and designs", Handbook of Coding Theory, 1998, section 5) makes that the
-cell.  The cell is then certified without the theorem: its upper end by the
-intermediate value theorem, its lower end by Descartes' rule of signs on
-the Taylor coefficients at s, with a Sturm count (cmp_to_largest_root)
-where the rule proves nothing.  No floating point is used anywhere.
+Q_j(s) - Q_{j+2}(s), and takes the first k with Q_k^{1,1}(s) < 0.  The
+cell is certified before it is returned, with no theorem assumed: its
+upper end by the intermediate value theorem, its lower end by Descartes'
+rule of signs on the Taylor coefficients at s.  Where the rule proves
+nothing, s is refused with CellCertificateError.  Two theorems show that
+this never happens.  The adjacent polynomials are Jacobi polynomials, so
+their zeros are real and simple in (-1, 1) (Szego, "Orthogonal
+Polynomials", Thm 3.3.1), and p(s + t) = c * prod(t + s - t_i) has
+coefficients of one sign once every zero t_i is at or below s.  The
+largest zeros interlace, t_{k-1}^{1,1} < t_k^{1,0} < t_k^{1,1}
+(Levenshtein, "Universal bounds for codes and designs", Handbook of
+Coding Theory, 1998, section 5), which makes the scan's k the cell of s.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -36,84 +42,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 from .exact import QSqrt2, sign_sqrt2
 
 Scalar = Union[int, Fraction, QSqrt2]
 Poly = tuple[Fraction, ...]
-
-
-def _evaluate(p: Poly, x: Scalar) -> Scalar:
-    """p(x) by Horner's rule; exact for Fraction and QSqrt2 arguments."""
-    acc: Scalar = QSqrt2(0) if isinstance(x, QSqrt2) else Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-# ── Sturm sequences ──────────────────────────────────────────────
-
-
-def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of a by the nonzero b."""
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    d = len(b) - 1
-    for i in range(len(r) - 1, d - 1, -1):
-        q[i - d] = c = Fraction(r[i], b[-1])
-        if c:
-            for j, bc in enumerate(b):
-                r[i - d + j] -= c * bc
-    while r and r[-1] == 0:
-        r.pop()
-    return tuple(q), tuple(r)
-
-
-def _sturm(p: Poly) -> list[Poly]:
-    """The Sturm sequence p, p', -rem(p, p'), ... of the square-free part
-    of the nonzero p.  On p itself, a multiple root at s would make every
-    term vanish there and hide the roots above s."""
-    if not p:
-        raise ValueError("Sturm sequence of the zero polynomial")
-    chain = [p]
-    q = tuple(i * c for i, c in enumerate(p) if i)
-    while q:
-        chain.append(q)
-        q = tuple(-c for c in _divmod(chain[-2], q)[1])
-    if len(chain[-1]) > 1:  # the gcd of p and p' is not constant
-        return _sturm(_divmod(p, chain[-1])[0])
-    return chain
-
-
-def _variations(values: Iterable[Scalar]) -> int:
-    """Sign changes along the values, zeros skipped."""
-    signs = [g for g in (QSqrt2._coerce(v).sign() for v in values) if g]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _roots_above(chain: list[Poly], s: Scalar) -> int:
-    """Distinct real roots above s of the polynomial whose Sturm sequence
-    is chain: the sign variations at s less those at +infinity, where each
-    term has the sign of its leading coefficient."""
-    return (_variations(_evaluate(q, s) for q in chain)
-            - _variations(q[-1] for q in chain))
-
-
-def cmp_to_largest_root(p: Poly, s: Scalar) -> int:
-    """-1, 0, or +1 as s is below, equal to, or above the largest real
-    root of p.  Exact: uses a Sturm count above s and a sign evaluation.
-    Raises ValueError when p has no real root, that is when the sequence
-    has as many variations at -infinity as at +infinity."""
-    chain = _sturm(p)
-    if _roots_above(chain, s) >= 1:
-        return -1
-    if _evaluate(p, s) == 0:
-        return 0
-    if (_variations(q[-1] * (-1) ** (len(q) - 1) for q in chain)
-            == _variations(q[-1] for q in chain)):
-        raise ValueError("polynomial has no real root")
-    return 1
 
 
 # ── Gegenbauer ladder ────────────────────────────────────────────
@@ -237,6 +171,11 @@ def _check_digits(s: Scalar) -> None:
             f"{COSINE_DIGIT_CAP} digits (COSINE_DIGIT_CAP); refused")
 
 
+class CellCertificateError(ArithmeticError):
+    """Descartes' rule proved nothing at a lower end of the proposed cell;
+    by the theorems in the module docstring this never happens."""
+
+
 def _no_zero_above(p: Poly, s: Scalar) -> bool:
     """Whether Descartes' rule of signs proves that p has no zero above s.
 
@@ -259,10 +198,13 @@ def _no_zero_above(p: Poly, s: Scalar) -> bool:
     return all(g == signs[0] for g in signs)
 
 
-def _at_or_above_largest_zero(p: Poly, s: Scalar) -> bool:
-    """Whether s is at or above every real zero of p: by Descartes' rule
-    when it applies, by a Sturm count when it does not."""
-    return _no_zero_above(p, s) or cmp_to_largest_root(p, s) >= 0
+def _certify_at_or_above(n: int, j: int, kind: str, s: Scalar) -> None:
+    """Raise CellCertificateError unless Descartes' rule puts s at or above
+    every zero of Q_j^{kind}."""
+    if not _no_zero_above(adjacent_poly(n, j, kind), s):
+        raise CellCertificateError(
+            f"Descartes' rule does not place s at or above the largest zero "
+            f"of Q_{j}^{{{kind[0]},{kind[1]}}} at n = {n}; refused")
 
 
 def _scan(n: int, s: Scalar) -> tuple[int, bool]:
@@ -299,24 +241,17 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     t_k^{1,0} <= s < t_k^{1,1}, with t_0^{1,1} = -1.  Membership at the
     left endpoint is closed, and s = -1 is cell (1, "A").
 
-    A scan over values proposes the cell: k is the first index with
-    Q_k^{1,1}(s) < 0, and the branch is A when Q_k^{1,0}(s) < 0.  The
-    largest zeros interlace, t_{k-1}^{1,1} < t_k^{1,0} < t_k^{1,1}
-    (Levenshtein, "Universal bounds for codes and designs", Handbook of
-    Coding Theory, 1998, section 5), which makes the proposal right; the
-    code does not rely on it and certifies each end of the cell:
-
-      * s < t_k^{1,1}, and s < t_k^{1,0} on branch A, by the intermediate
-        value theorem: the polynomial is negative at s and 1 at t = 1;
-      * t_{k-1}^{1,1} <= s, and t_k^{1,0} <= s on branch B, by Descartes'
-        rule on the Taylor coefficients at s, or by a Sturm count where
-        the rule proves nothing.
-
-    Should the lower end fail, k steps left until it holds, and the
-    branch is then decided by Descartes' rule or a Sturm count alone.
-    Cells beyond LOCATE_CELL_CAP raise CellCapError; a numerator or
-    denominator of s longer than COSINE_DIGIT_CAP digits raises
-    CosineDigitCapError before the scan.
+    _scan proposes k and the branch.  The ends s < t_k^{1,1}, and
+    s < t_k^{1,0} on branch A, hold by the intermediate value theorem:
+    the polynomial is negative at s and 1 at t = 1.  The ends
+    t_{k-1}^{1,1} <= s, and t_k^{1,0} <= s on branch B, are certified by
+    Descartes' rule; where it proves nothing, CellCertificateError is
+    raised and no other cell is tried.  Real simple zeros (Szego, Thm
+    3.3.1) and interlacing largest zeros (Levenshtein, Handbook of Coding
+    Theory, 1998, section 5) keep that refusal from firing.  Cells beyond
+    LOCATE_CELL_CAP raise CellCapError; a numerator or denominator of s
+    longer than COSINE_DIGIT_CAP digits raises CosineDigitCapError
+    before the scan.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -327,10 +262,9 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     if sv == -1:
         return 1, "A"
     k, below_10 = _scan(n, sv)
-    while k > 1 and not _at_or_above_largest_zero(adjacent_poly(n, k - 1, "11"), sv):
-        # s < t_{k-1}^{1,1}: the cell lies further left
-        k, below_10 = k - 1, False
-    if (below_10
-            or not _at_or_above_largest_zero(adjacent_poly(n, k, "10"), sv)):
+    if k > 1:
+        _certify_at_or_above(n, k - 1, "11", sv)
+    if below_10:
         return k, "A"
+    _certify_at_or_above(n, k, "10", sv)
     return k, "B"

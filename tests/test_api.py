@@ -52,7 +52,9 @@ def test_trimmed_members_are_pinned():
     assert fields(redrank.AngleParams) == [
         "n", "s", "sin_sq_alpha", "tan_sq_alpha"]
     assert fields(redrank.GammaRatio) == ["q", "pi_half_power"]
-    assert params(redrank.rankin_bound) == ["n", "case", "params"]
+    assert params(redrank.rankin_bound) == ["n", "case"]
+    assert params(redrank.integral_bracket) == ["params"]
+    assert fields(redrank.IntegralBracket) == ["params", "lo_sq", "hi_sq"]
     assert params(redrank.BoundReport.to_json) == ["self"]
     assert params(redrank.enumerate_graphs) == ["order"]
 

@@ -46,13 +46,6 @@ def test_angle_params_validation():
         AngleParams.from_cos(5, Fraction(1))
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        integral_bracket(10, reference_params(9))
-    with pytest.raises(ValueError):
-        rankin_bound(10, "acute", reference_params(9))
-
-
 def test_threshold_values():
     assert threshold_value(10, -4) == QSqrt2(38)
     assert threshold_value(3, 2) == QSqrt2(-2, 20)
@@ -223,10 +216,10 @@ def test_rankin_exact_cases():
 
 
 def test_rankin_acute_frozen():
-    r = rankin_bound(8, "acute", reference_params(8))
+    r = rankin_bound(8, "acute")
     assert not r.value_is_exact
     assert r.value_decimal() == "210.596274625157336928278899616"
-    r10 = rankin_bound(10, "acute", reference_params(10))
+    r10 = rankin_bound(10, "acute")
     assert r10.value_decimal() == "450.784091055418816849100529828"
 
 
@@ -234,7 +227,7 @@ def test_rankin_acute_is_true_upper():
     # certified value covers a direct 40-digit float evaluation
     mp.dps = 40
     for n in (8, 11, 14):
-        r = rankin_bound(n, "acute", reference_params(n))
+        r = rankin_bound(n, "acute")
         s = mp.sqrt(2) - 1
         alpha = mp.acos(mp.sqrt(s))
         I = mp.quad(lambda t: mp.sin(t) ** (n - 2) * (mp.cos(t) - mp.cos(alpha)),
@@ -246,17 +239,17 @@ def test_rankin_acute_is_true_upper():
 
 def test_integral_bracket_ratio_and_guard():
     for n in range(6, 41):
-        br = integral_bracket(n, reference_params(n))
+        br = integral_bracket(reference_params(n))
         assert br.hi_sq < br.lo_sq * 4    # hi / lo < 2
         assert br.lo_sq < br.hi_sq
     with pytest.raises(ValueError):
-        integral_bracket(5, reference_params(5))
+        integral_bracket(reference_params(5))
 
 
 def test_integral_bracket_quadrature_containment():
     mp.dps = 40
     for n in (6, 7, 10, 15, 40):
-        br = integral_bracket(n, reference_params(n))
+        br = integral_bracket(reference_params(n))
         alpha = mp.acos(mp.sqrt(mp.sqrt(2) - 1))
         I = mp.quad(lambda t: mp.sin(t) ** (n - 2) * (mp.cos(t) - mp.cos(alpha)),
                     [0, alpha])
@@ -267,7 +260,7 @@ def test_integral_bracket_quadrature_containment():
 
 
 def test_integral_bracket_enclosures_nest():
-    br = integral_bracket(9, reference_params(9))
+    br = integral_bracket(reference_params(9))
     lo_lo, lo_hi = sqrt_enclosure(br.lo_sq, 30)
     hi_lo, hi_hi = sqrt_enclosure(br.hi_sq, 30)
     assert lo_lo <= lo_hi <= hi_lo <= hi_hi

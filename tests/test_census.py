@@ -190,6 +190,24 @@ def test_verify_conjecture_holds_to_six():
     assert by_order[6].reduced_graphs == 66
 
 
+def test_deleting_outside_a_nonsingular_principal_set_keeps_rank_and_reducedness():
+    # the argument behind covered_ranks, over every reduced graph of
+    # orders 3..7
+    checked = 0
+    for order in range(3, 8):
+        for g in enumerate_graphs(order):
+            if not is_reduced(g):
+                continue
+            r = rank(g)
+            basis = next(b for b in itertools.combinations(range(order), r)
+                         if rank(g.induced_on(b)) == r)
+            for w in set(range(order)) - set(basis):
+                h = g.without([w])
+                assert rank(h) == r and is_reduced(h), (graph6_encode(g), w)
+                checked += 1
+    assert checked == 189
+
+
 def test_verify_conjecture_external_stream_matches_internal():
     graphs = [g for order in range(1, 6) for g in enumerate_graphs(order)]
     internal = verify_conjecture(5)

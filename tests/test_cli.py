@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from redrank import cli
+from redrank import cli, poly
 from redrank.bounds import levenshtein_bound
 from redrank.cli import main
 from redrank.exact import QSqrt2
@@ -166,6 +166,20 @@ def test_lev_refuses_cells_beyond_cap(capsys):
     assert "LOCATE_CELL_CAP" in err
 
 
+def test_lev_refuses_an_uncertified_cell(capsys, monkeypatch):
+    # a cell whose lower end Descartes' rule cannot certify is a
+    # verification failure, and so is a scan that proposes a wrong cell
+    scan = poly._scan
+    for name, fake in (("_no_zero_above", lambda p, s: False),
+                       ("_scan", lambda n, s: (scan(n, s)[0] + 3, False))):
+        monkeypatch.setattr(poly, name, fake)
+        code, out, err = run(capsys, "lev", "--n", "10", "--s", "s0")
+        monkeypatch.undo()
+        assert code == 1 and out == ""
+        assert err.startswith("verification failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_rho_refuses_searches_beyond_cap(capsys):
     # K_{10,10} is not reduced, so rho could try 2^20 - 2 subsets
     k1010 = Graph.from_edges(20, [(i, j) for i in range(10)
@@ -215,6 +229,17 @@ def test_rankin_cases(capsys):
     assert json.loads(out)["value_decimal"].startswith("9.000")
     code, out, _ = run(capsys, "rankin", "--n", "8", "--case", "acute")
     assert json.loads(out)["method"] == "rankin_integral"
+
+
+def test_rankin_renders_values_beyond_the_digit_limit(capsys):
+    # the acute value at n = 40000 has more than 4300 digits, the
+    # interpreter's default limit for int-to-str conversion
+    code, out, err = run(capsys, "rankin", "--n", "40000", "--case", "acute")
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["value_decimal"].endswith("e+4651")
+    numerator, denominator = blob["value_exact"].split("/")
+    assert len(numerator) - len(denominator) in (4651, 4652)
 
 
 def test_lemma5_short_window_all_hold(capsys):

@@ -1,14 +1,18 @@
-"""Normalized Gegenbauer ladder, adjacent variants, and exact root
-location via Sturm chains.
+"""Normalized Gegenbauer ladder, adjacent variants, and the certified
+cell of locate_interval.
 
-Values are cross-checked against mpmath's gegenbauer at float
-precision and against frozen exact literals.
+Values are cross-checked against mpmath's gegenbauer and polyroots and
+against frozen exact literals.  The premises behind locate_interval's
+certificates (real simple zeros, interlacing largest zeros) are re-checked
+with mpmath, and each cell it returns is checked against the largest zeros
+that mpmath finds at the cell's ends.
 """
 
 import random
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import pytest
 from mpmath import mp, mpf
@@ -16,20 +20,14 @@ from mpmath import mp, mpf
 from redrank import poly
 from redrank.exact import COS_REFERENCE, QSqrt2
 from redrank.poly import (COSINE_DIGIT_CAP, LOCATE_CELL_CAP, CellCapError,
-                          CosineDigitCapError, _evaluate, _roots_above,
-                          _sturm, adjacent_poly, cmp_to_largest_root,
-                          gegenbauer, gegenbauer_values, locate_interval)
+                          CellCertificateError, CosineDigitCapError,
+                          adjacent_poly, gegenbauer, gegenbauer_values,
+                          locate_interval)
 
 
-def test_evaluate_fraction_qsqrt2_and_zero():
-    p = (Fraction(1), Fraction(-2), Fraction(3))  # 3t^2 - 2t + 1
-    assert _evaluate(p, Fraction(2, 3)) == Fraction(1)
-    assert _evaluate(p, 0) == 1
-    # at 1 + sqrt2: 3(3 + 2sqrt2) - 2(1 + sqrt2) + 1 = 8 + 4sqrt2
-    assert _evaluate(p, QSqrt2(1, 1)) == QSqrt2(8, 4)
-    assert _evaluate((), Fraction(5)) == 0
-    assert isinstance(_evaluate((), QSqrt2(0, 1)), QSqrt2)
-    assert _evaluate((Fraction(7),), QSqrt2(3, -2)) == QSqrt2(7)
+def horner(p, x):
+    """p(x) exactly for Fraction and QSqrt2 x; p lowest degree first."""
+    return reduce(lambda acc, c: acc * x + c, reversed(p), 0 * x)
 
 
 def test_gegenbauer_frozen_coefficients():
@@ -45,9 +43,9 @@ def test_gegenbauer_normalization_and_parity():
         for k in range(0, 9):
             q = gegenbauer(n, k)
             assert len(q) == k + 1
-            assert _evaluate(q, Fraction(1)) == 1
+            assert horner(q, Fraction(1)) == 1
             t = Fraction(3, 7)
-            assert _evaluate(q, -t) == (-1) ** k * _evaluate(q, t)
+            assert horner(q, -t) == (-1) ** k * horner(q, t)
 
 
 def test_gegenbauer_matches_mpmath():
@@ -61,7 +59,7 @@ def test_gegenbauer_matches_mpmath():
             for _ in range(3):
                 t = Fraction(rng.randint(-99, 99), 100)
                 want = mp.gegenbauer(k, lam, mpf(t.numerator) / t.denominator) / norm
-                got = _evaluate(q, t)
+                got = horner(q, t)
                 assert abs(mpf(got.numerator) / got.denominator - want) < mpf(10) ** -20
 
 
@@ -78,114 +76,125 @@ def test_adjacent_poly_normalization():
     for n in (3, 5, 10, 24):
         for k in (1, 2, 3, 4):
             for kind in ("10", "11"):
-                assert _evaluate(adjacent_poly(n, k, kind), Fraction(1)) == 1
+                assert horner(adjacent_poly(n, k, kind), Fraction(1)) == 1
 
 
-def test_sturm_chain_counts():
-    q = gegenbauer(8, 4)
-    chain = _sturm(q)
-    assert _roots_above(chain, Fraction(-1)) == 4
-    for n in (3, 6, 11):
-        for k in range(1, 7):
-            # all k roots are real, distinct, and inside (-1, 1]
-            chain_k = _sturm(gegenbauer(n, k))
-            assert _roots_above(chain_k, Fraction(-1)) == k
-            assert _roots_above(chain_k, Fraction(1)) == 0
-    assert chain[0] == q
-    assert _roots_above(chain, Fraction(0)) == 2
+def mp_value(s):
+    """The rational or Q(sqrt2) s as an mpf at the working precision."""
+    v = QSqrt2._coerce(s)
+    return (mpf(v.a.numerator) / v.a.denominator
+            + mpf(v.b.numerator) / v.b.denominator * mp.sqrt(2))
 
 
-def _mp_largest_root(p):
-    return max(r.real for r in mp.polyroots(
-        [mpf(c.numerator) / c.denominator for c in reversed(p)]))
+def mp_roots(p):
+    return mp.polyroots([mpf(c.numerator) / c.denominator for c in reversed(p)],
+                        maxsteps=200, extraprec=200)
+
+
+@lru_cache(maxsize=None)
+def largest_zero(n, k, kind):
+    """The largest zero of adjacent_poly(n, k, kind) by mpmath's polyroots
+    at 60 digits.  The roots start from the Gauss-Jacobi nodes of the
+    weight (1-t)^((n-1)/2) (1+t)^((n-1)/2) (kind "11") or
+    (1+t)^((n-3)/2) (kind "10"); that only saves iterations."""
+    beta = mpf(n - 1 if kind == "11" else n - 3) / 2
+    with mp.workdps(20):
+        nodes = mp.gauss_quadrature(k, "jacobi", mpf(n - 1) / 2, beta)[0]
+    with mp.workdps(60):
+        coeffs = [mpf(c.numerator) / c.denominator
+                  for c in reversed(adjacent_poly(n, k, kind))]
+        return max(r.real for r in mp.polyroots(
+            coeffs, maxsteps=200, extraprec=200, roots_init=list(nodes)))
+
+
+def test_adjacent_zeros_are_real_simple_and_interlace():
+    # the two premises that keep locate_interval from ever refusing
+    with mp.workdps(60):
+        for n in (3, 6, 11, 24):
+            for k in range(1, 9):
+                for kind in ("10", "11"):
+                    roots = mp_roots(adjacent_poly(n, k, kind))
+                    assert len(roots) == k
+                    assert all(abs(r.imag) < mpf(10) ** -40 and -1 < r.real < 1
+                               for r in roots), (n, k, kind)
+                    real = sorted(r.real for r in roots)
+                    assert all(y - x > mpf(10) ** -6
+                               for x, y in zip(real, real[1:])), (n, k, kind)
+                lower = largest_zero(n, k - 1, "11") if k > 1 else -1
+                assert lower < largest_zero(n, k, "10") < largest_zero(n, k, "11")
 
 
 def test_largest_zero_matches_mpmath():
-    # the exact comparison places mpmath's largest root within 1e-14
-    mp.dps = 30
+    # a sign below and Descartes' rule above place mpmath's largest root
+    # within 1e-14
+    eps = Fraction(1, 10 ** 14)
     for (n, k) in ((5, 2), (9, 3), (14, 4)):
         q = gegenbauer(n, k)
-        top = Fraction(mp.nstr(_mp_largest_root(q), 25))
-        assert cmp_to_largest_root(q, top - Fraction(1, 10 ** 14)) == -1
-        assert cmp_to_largest_root(q, top + Fraction(1, 10 ** 14)) == 1
+        with mp.workdps(50):
+            top = Fraction(mp.nstr(max(r.real for r in mp_roots(q)), 40))
+        assert horner(q, top - eps) < 0  # and Q_k(1) = 1: a zero above
+        assert poly._no_zero_above(q, top + eps)
 
 
 def test_interlacing_of_largest_roots():
     # a rational strictly between the largest roots of Q_k and Q_{k+1},
     # picked in floating point, is certified exactly on both sides
-    mp.dps = 30
     for n in (5, 10, 24):
         for k in range(1, 6):
-            lo = _mp_largest_root(gegenbauer(n, k))
-            hi = _mp_largest_root(gegenbauer(n, k + 1))
-            mid = Fraction(mp.nstr((lo + hi) / 2, 25))
-            assert cmp_to_largest_root(gegenbauer(n, k), mid) == 1
-            assert cmp_to_largest_root(gegenbauer(n, k + 1), mid) == -1
+            with mp.workdps(30):
+                lo = max(r.real for r in mp_roots(gegenbauer(n, k)))
+                hi = max(r.real for r in mp_roots(gegenbauer(n, k + 1)))
+                mid = Fraction(mp.nstr((lo + hi) / 2, 25))
+            assert poly._no_zero_above(gegenbauer(n, k), mid)
+            assert horner(gegenbauer(n, k + 1), mid) < 0
 
 
-def test_cmp_to_largest_root():
-    # s0 lies above the largest root of the (1,0) adjacent polynomial
-    # at n = 10, k = 3, and below the one at k = 4
-    assert cmp_to_largest_root(adjacent_poly(10, 3, "10"), COS_REFERENCE) == 1
-    assert cmp_to_largest_root(adjacent_poly(10, 4, "10"), COS_REFERENCE) == -1
-    # exact hit: Q_2 for n = 4 vanishes at 1/2
-    assert cmp_to_largest_root(gegenbauer(4, 2), Fraction(1, 2)) == 0
-
-
-def test_cmp_to_largest_root_repeated_and_exact_roots():
+def test_no_zero_above_at_repeated_and_exact_roots():
     # (t - 1)^2 (t - 2): the double root at 1 does not hide the root at 2
     p = (Fraction(-2), Fraction(5), Fraction(-4), Fraction(1))
-    assert [cmp_to_largest_root(p, Fraction(s, 2)) for s in (1, 2, 3, 4, 5)] \
-        == [-1, -1, -1, 0, 1]
+    assert [poly._no_zero_above(p, Fraction(s, 2)) for s in (1, 2, 3, 4, 5)] \
+        == [False, False, False, True, True]
     # (t - 1)^2: a double largest root
     sq = (Fraction(1), Fraction(-2), Fraction(1))
-    assert [cmp_to_largest_root(sq, Fraction(s, 2)) for s in (1, 2, 3)] \
-        == [-1, 0, 1]
+    assert [poly._no_zero_above(sq, Fraction(s, 2)) for s in (1, 2, 3)] \
+        == [False, True, True]
     # t^2 + 2t - 1 has its largest root exactly at s0 = sqrt2 - 1
     r = (Fraction(-1), Fraction(2), Fraction(1))
     eps = Fraction(1, 10 ** 12)
-    assert cmp_to_largest_root(r, COS_REFERENCE) == 0
-    assert cmp_to_largest_root(r, COS_REFERENCE - eps) == -1
-    assert cmp_to_largest_root(r, COS_REFERENCE + eps) == 1
-    assert cmp_to_largest_root(r, Fraction(-3)) == -1
+    assert poly._no_zero_above(r, COS_REFERENCE)
+    assert not poly._no_zero_above(r, COS_REFERENCE - eps)
+    assert poly._no_zero_above(r, COS_REFERENCE + eps)
+    assert not poly._no_zero_above(r, Fraction(-3))
 
 
-def test_cmp_to_largest_root_refuses_no_real_root():
-    for p, s in (((Fraction(1), Fraction(0), Fraction(1)), Fraction(0)),
-                 ((Fraction(1), Fraction(0), Fraction(1)), COS_REFERENCE),
-                 ((Fraction(5),), Fraction(1, 3))):
-        with pytest.raises(ValueError, match="no real root"):
-            cmp_to_largest_root(p, s)
-
-
-def test_cmp_to_largest_root_matches_mpmath_roots():
-    # seeded integer polynomials with simple roots, at rationals 1e-3 or
-    # more away from every real root
-    mp.dps = 30
+def test_no_zero_above_is_sound_against_mpmath_roots():
+    # seeded integer polynomials at rational and Q(sqrt2) points 1e-3 or
+    # more away from the real part of every root: with a real root above s
+    # the rule must prove nothing, and with every root's real part below s
+    # (a Hurwitz-stable shift, whose coefficients share one sign) it must
+    # prove it
     rng = random.Random(1201)
-    checked = 0
-    while checked < 150:
+    checked = {True: 0, False: 0}
+    while min(checked.values()) < 60:
         coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(2, 7))]
         if coeffs[-1] == 0:
             continue
-        roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
-                             extraprec=60)
-        if any(abs(a - b) < 1e-6 for i, a in enumerate(roots)
-               for b in roots[i + 1:]):
-            continue
-        real = [r.real for r in roots if abs(r.imag) < 1e-12]
         s = Fraction(rng.randint(-500, 500), 100)
-        sv = mpf(s.numerator) / s.denominator
-        if any(abs(sv - r) < 1e-3 for r in real):
+        if rng.random() < 0.5:
+            s = QSqrt2(s, Fraction(rng.randint(-3, 3), 2))
+        with mp.workdps(30):
+            roots = mp.polyroots(list(reversed(coeffs)), maxsteps=200,
+                                 extraprec=60)
+            sv = mp_value(s)
+            if any(abs(sv - r.real) < 1e-3 for r in roots):
+                continue
+            above = any(abs(r.imag) < 1e-12 and r.real > sv for r in roots)
+            stable = all(r.real < sv for r in roots)
+        if not above and not stable:
             continue
         p = tuple(Fraction(c) for c in coeffs)
-        if not real:
-            with pytest.raises(ValueError):
-                cmp_to_largest_root(p, s)
-        else:
-            want = -1 if sv < max(real) else 1
-            assert cmp_to_largest_root(p, s) == want, (coeffs, s)
-        checked += 1
+        assert poly._no_zero_above(p, s) is stable, (coeffs, s)
+        checked[stable] += 1
 
 
 def test_adjacent_poly_refuses_inexact_division(monkeypatch):
@@ -204,15 +213,15 @@ def test_adjacent_poly_refuses_inexact_division(monkeypatch):
     finally:
         monkeypatch.undo()
         adjacent_poly.cache_clear()
-    assert _evaluate(adjacent_poly(10, 2, "10"), Fraction(1)) == 1
+    assert horner(adjacent_poly(10, 2, "10"), Fraction(1)) == 1
 
 
 def test_adjacent_largest_zero_interval():
     # the largest zero of Q_3^{1,0} for n = 10 sits at about 0.41166,
     # just below s0
     p = adjacent_poly(10, 3, "10")
-    assert cmp_to_largest_root(p, Fraction(41, 100)) == -1
-    assert cmp_to_largest_root(p, Fraction(42, 100)) == 1
+    assert horner(p, Fraction(41, 100)) < 0
+    assert poly._no_zero_above(p, Fraction(42, 100))
 
 
 def test_locate_interval_frozen():
@@ -253,30 +262,33 @@ def test_gegenbauer_cold_call_needs_no_recursion():
         q = gegenbauer(3, 600)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(q) == 601 and _evaluate(q, Fraction(1)) == 1
+    assert len(q) == 601 and horner(q, Fraction(1)) == 1
 
 
 def test_gegenbauer_values_match_polynomials():
     for n in (3, 8, 24):
         for s in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), COS_REFERENCE):
             got = gegenbauer_values(n, s, 0, 12)
-            assert got == [_evaluate(gegenbauer(n, j), QSqrt2._coerce(s))
+            assert got == [horner(gegenbauer(n, j), QSqrt2._coerce(s))
                            for j in range(13)]
             assert gegenbauer_values(n, s, 4, 6) == got[4:7]
 
 
-# ── locate_interval against an independent linear Sturm scan ─────
+# ── locate_interval against mpmath's zeros ─────────────────────────
 
 
-def reference_cell(n, s):
-    """The first k with s below the largest zero of Q_k^{1,1}, and the
-    branch from Q_k^{1,0}, both by Sturm counts."""
-    for k in range(1, 200):
-        if cmp_to_largest_root(adjacent_poly(n, k, "11"), s) < 0:
-            if cmp_to_largest_root(adjacent_poly(n, k, "10"), s) < 0:
-                return k, "A"
-            return k, "B"
-    raise AssertionError("reference scan ran past k = 200")
+def at_or_above_largest_zero(n, k, kind, s):
+    """Whether s is at or above mpmath's largest zero of Q_k^{kind}, with
+    t_0^{1,1} = -1.  Within 1e-30 of the zero, s must be an exact zero,
+    and it then counts as at or above it."""
+    if k == 0:
+        return True
+    with mp.workdps(60):
+        gap = mp_value(s) - largest_zero(n, k, kind)
+        if abs(gap) < mpf(10) ** -30:
+            assert horner(adjacent_poly(n, k, kind), QSqrt2._coerce(s)) == 0
+            return True
+        return gap > 0
 
 
 def equivalence_points():
@@ -291,23 +303,46 @@ def equivalence_points():
     return points
 
 
-def test_locate_interval_matches_sturm_scan():
+def test_locate_interval_matches_mpmath_zeros():
+    # the largest zeros increase with k (the interlacing premise), so the
+    # cells partition [-1, 1), and s lies in (k, branch) exactly when
+    # t_{k-1}^{1,1} <= s < t_k^{1,1} and, on branch A only, s < t_k^{1,0}
     for n, s in equivalence_points():
-        assert locate_interval(n, s) == reference_cell(n, s), (n, s)
+        k, branch = locate_interval(n, s)
+        assert at_or_above_largest_zero(n, k - 1, "11", s), (n, s)
+        assert not at_or_above_largest_zero(n, k, "11", s), (n, s)
+        assert at_or_above_largest_zero(n, k, "10", s) == (branch == "B"), (n, s)
 
 
-def test_locate_interval_sturm_fallback_is_exact(monkeypatch):
-    points = equivalence_points()[::4]
-    want = [locate_interval(n, s) for n, s in points]
-    # Descartes' rule proving nothing leaves every lower end to Sturm counts
+def test_locate_interval_refuses_an_uncertified_cell(monkeypatch):
+    points = [(n, s) for n, s in equivalence_points()[::4] if s != -1]
+    cells = [locate_interval(n, s) for n, s in points]
+    assert any(cell != (1, "A") for cell in cells)
+    # Descartes' rule proving nothing refuses every cell with an end to
+    # certify by the rule; (1, "A") has none
     monkeypatch.setattr(poly, "_no_zero_above", lambda p, s: False)
-    assert [locate_interval(n, s) for n, s in points] == want
+    for (n, s), cell in zip(points, cells):
+        if cell == (1, "A"):
+            assert locate_interval(n, s) == cell
+        else:
+            with pytest.raises(CellCertificateError):
+                locate_interval(n, s)
     monkeypatch.undo()
-    # a scan that proposes a cell too far right fails its lower end and
-    # walks back
+    # a scan that proposes a cell three to the right fails its lower end
     scan = poly._scan
     monkeypatch.setattr(poly, "_scan", lambda n, s: (scan(n, s)[0] + 3, False))
-    assert [locate_interval(n, s) for n, s in points] == want
+    for n, s in points:
+        with pytest.raises(CellCertificateError):
+            locate_interval(n, s)
+    # one that proposes branch B in an A cell fails its branch-B end
+    monkeypatch.setattr(poly, "_scan", lambda n, s: (scan(n, s)[0], False))
+    assert {cell[1] for cell in cells} == {"A", "B"}
+    for (n, s), cell in zip(points, cells):
+        if cell[1] == "B":
+            assert locate_interval(n, s) == cell
+        else:
+            with pytest.raises(CellCertificateError):
+                locate_interval(n, s)
 
 
 def test_locate_interval_large_k_frozen():
@@ -347,6 +382,6 @@ def test_descartes_reports_not_proved_when_a_zero_lies_above():
     assert not poly._no_zero_above(p, Fraction(49, 100))
     assert poly._no_zero_above(p, Fraction(1, 2))
     assert poly._no_zero_above(p, Fraction(3, 5))
-    # t_3^{1,0} < s0 < t_4^{1,0} at n = 10 (see test_cmp_to_largest_root)
+    # t_3^{1,0} < s0 < t_4^{1,0} at n = 10
     assert poly._no_zero_above(adjacent_poly(10, 3, "10"), COS_REFERENCE)
     assert not poly._no_zero_above(adjacent_poly(10, 4, "10"), COS_REFERENCE)
