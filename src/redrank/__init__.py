@@ -11,10 +11,9 @@ All core arithmetic is exact; floating point never decides a verdict.
 from .bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                      AngleParams, BoundReport, CodeReport, IntegralBracket,
                      LevDenominatorZero, TailCertificate, closed_form_sweep,
-                     graph_to_code, integral_bracket,
-                     levenshtein_bound, rankin_bound, reference_params,
-                     tail_ratio_certificate, threshold_value,
-                     verify_code_lemma)
+                     graph_to_code, levenshtein_bound, rankin_bound,
+                     reference_params, tail_ratio_certificate,
+                     threshold_value, verify_code_lemma)
 from .census import (ORDER_CAP, CensusReport, ConjectureSummary,
                      EnumerationCapError, ExtremalConstructionError,
                      InequalityReport, PropertySuiteReport, SuiteCheck,
@@ -49,7 +48,7 @@ __all__ = [
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",
     "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
-    "graph6_encode", "graph_to_code", "integral_bracket", "is_reduced",
+    "graph6_encode", "graph_to_code", "is_reduced",
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",

@@ -44,6 +44,10 @@ from .poly import gegenbauer_values, locate_interval
 CosineLike = Union[int, Fraction, QSqrt2]
 
 
+class DimensionCapError(ValueError):
+    """A dimension beyond RANKIN_DIMENSION_CAP or LEMMA_DIMENSION_CAP."""
+
+
 class LevDenominatorZero(ArithmeticError):
     """The Levenshtein bound formula hit a zero denominator at s."""
 
@@ -207,8 +211,10 @@ class IntegralBracket:
         return x > 0 and self.lo_sq < QSqrt2(x * x) < self.hi_sq
 
 
-def integral_bracket(params: AngleParams) -> IntegralBracket:
-    return IntegralBracket(params)
+# Largest dimension of the acute Rankin bound: its work grows about as
+# n^1.8 (n = 100,000 takes 2.4 s, 300,000 takes 17.7 s), so a larger n
+# is refused before any work.
+RANKIN_DIMENSION_CAP = 100_000
 
 
 def rankin_bound(n: int, case: str) -> BoundReport:
@@ -219,7 +225,7 @@ def rankin_bound(n: int, case: str) -> BoundReport:
       * case "acute": at s0, sqrt(pi) Gamma((n-1)/2) sin(alpha)
         tan(alpha) / (2 Gamma(n/2) I) with I replaced by the certified
         lower bracket endpoint, reported as a one-sided rational upper
-        value.
+        value, for n up to RANKIN_DIMENSION_CAP.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -230,6 +236,10 @@ def rankin_bound(n: int, case: str) -> BoundReport:
         return BoundReport(n, "rankin_obtuse", QSqrt2(n + 1), True)
     if case != "acute":
         raise ValueError(f"unknown case {case!r}")
+    if n > RANKIN_DIMENSION_CAP:
+        raise DimensionCapError(
+            f"acute Rankin bound capped at dimension {RANKIN_DIMENSION_CAP} "
+            f"(RANKIN_DIMENSION_CAP), got {n}")
     params = reference_params(n)
     lo_sq = IntegralBracket(params).lo_sq
     g = gamma_half_ratio(n)
@@ -288,6 +298,11 @@ def levenshtein_bound(n: int, s: CosineLike,
 
 LEVENSHTEIN_CEILING = 118
 
+# Largest dimension verify_code_lemma sweeps to: the sweep grows faster
+# than n^2 (to 10^4 takes 5.8 s, to 2 * 10^4 33 s), and
+# tail_ratio_certificate carries the verdict past any window.
+LEMMA_DIMENSION_CAP = 10_000
+
 
 def verify_code_lemma(n_lo: int, n_hi: int,
                       exponent_offset: int) -> list[BoundReport]:
@@ -295,13 +310,18 @@ def verify_code_lemma(n_lo: int, n_hi: int,
     dimension in [n_lo, n_hi]: the Levenshtein bound up to n = 118, the
     closed form beyond.  exponent_offset is -4 (the census-driving
     inequality) or +2 (the variant that holds from n = 3; n = 2 is left
-    unverified)."""
+    unverified).  n_hi is at most LEMMA_DIMENSION_CAP."""
     if exponent_offset not in (-4, 2):
         raise ValueError("exponent offset must be -4 or +2")
     if n_lo < 3:
         raise ValueError("sweep starts at n >= 3 (n = 2 is unverified)")
     if n_hi < n_lo:
         raise ValueError("empty range")
+    if n_hi > LEMMA_DIMENSION_CAP:
+        raise DimensionCapError(
+            f"threshold sweep capped at dimension {LEMMA_DIMENSION_CAP} "
+            f"(LEMMA_DIMENSION_CAP), got {n_hi}; tail_ratio_certificate "
+            f"covers every larger dimension")
     reports: list[BoundReport] = []
     for n in range(n_lo, min(n_hi, LEVENSHTEIN_CEILING) + 1):
         reports.append(levenshtein_bound(n, COS_REFERENCE,

@@ -11,15 +11,17 @@ C's canonical order, is isomorphic to P.  So every class grows from
 one parent class, and repeats are caught in a set that lives for one
 parent.  Canonical orders come from a backtracking search over
 equitable vertex partitions with automorphism-orbit pruning; no
-external tooling is involved, so runs are reproducible anywhere.
+external tooling is involved, so runs are reproducible anywhere.  A
+child whose degree sequence rules it out is dropped before its search,
+from the first equitable refinement, which the search then starts from.
 
 A call builds each level once, from the level before, and keeps
 nothing between calls: the module holds no graphs, only the previous
 level is kept while the next is built, and the last level streams.
 
-Orders up to ORDER_CAP = 10 are accepted; 8 takes seconds, 9 about a
-minute, 10 is a stretch for patient hardware.  Larger orders are
-rejected outright rather than invited to run for days.
+Orders up to ORDER_CAP = 10 are accepted; on a 2-vCPU Xeon 8 takes
+about 2 s and 9 about 40 s, and 10 is a stretch for patient hardware.
+Larger orders are rejected outright rather than invited to run for days.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def _refine(rows: Sequence[int], cells: tuple[tuple[int, ...], ...],
             ) -> tuple[tuple[int, ...], ...]:
     """Equitable refinement: split cells by neighbor counts into every
     other cell until stable.  Sub-cells are ordered by count, which
-    depends only on the partition, never on vertex labels."""
+    depends only on the partition, never on vertex labels.  A discrete
+    partition cannot split, so it is returned at once."""
     changed = True
-    while changed:
+    while changed and len(cells) < len(rows):
         changed = False
         for splitter in cells:
             mask = 0
@@ -93,8 +96,9 @@ def _orbit_leaders(size: int, perms: Sequence[Sequence[int]]) -> list[int]:
     return leader
 
 
-def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...],
-                                          list[tuple[int, ...]]]:
+def _canonical_order(g: Graph,
+                     cells: Optional[tuple[tuple[int, ...], ...]] = None,
+                     ) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
     """The canonical certificate (upper-triangle bits of the relabeled
     adjacency matrix as an integer, minimized over leaf labelings), the
     vertex order realizing it, and the automorphisms the search found.
@@ -105,10 +109,15 @@ def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...],
     leaves with equal certificates give an automorphism, kept as the
     sequence of images; they need not generate the whole group.
 
-    The first refinement splits the unit partition by degree, sub-cells
-    ascending, and every later split stays inside a cell, so the order
-    lists the vertices by ascending degree: its last vertex has maximum
-    degree.
+    The search starts from the first refinement, `_refine` of the unit
+    partition, passed in as `cells` by a caller that needs it too.  Every
+    later split, by refinement or by individualization, replaces a cell
+    by sub-cells in the cell's own place, and an individualized vertex
+    goes ahead of the rest of its cell.  So every leaf order lists the
+    cells of the first refinement in turn, and the last vertex of the
+    canonical order lies in its last cell.  The first refinement splits
+    by degree, sub-cells ascending, so that cell holds vertices of
+    maximum degree only.
     """
     n, rows = g.n, g.rows
     generators: list[tuple[int, ...]] = []
@@ -158,7 +167,7 @@ def _canonical_order(g: Graph) -> tuple[int, tuple[int, ...],
                      + cells[target + 1:])
             descend(_refine(rows, split), prefix + (v,))
 
-    descend(_refine(rows, (tuple(range(n)),)), ())
+    descend(cells or _refine(rows, (tuple(range(n)),)), ())
     assert best_cert is not None and best_cert < (1 << pairs)
     return best_cert, best_order, generators
 
@@ -194,16 +203,28 @@ def _check_order(order: int, name: str, what: str) -> None:
 _Class = tuple[Graph, int, list[tuple[int, ...]]]
 
 
-def _accepts(child: Graph, last: int, parent_cert: int,
-             parent_degrees: list[int]) -> bool:
+def _degree_rules_out(rows: Sequence[int],
+                      cells: tuple[tuple[int, ...], ...],
+                      parent_degrees: list[int]) -> bool:
+    """Whether a child is rejected by degrees before its search: its new
+    vertex n - 1 lies outside the last cell of `cells`, the child's first
+    refinement, and the child minus a vertex of that cell has another
+    sorted degree sequence than the parent's `parent_degrees`."""
+    last = cells[-1]
+    if len(rows) - 1 in last:
+        return False
+    w = last[0]
+    keep = ~(1 << w)
+    return sorted((row & keep).bit_count() for v, row in enumerate(rows)
+                  if v != w) != parent_degrees
+
+
+def _accepts(child: Graph, last: int, parent_cert: int) -> bool:
     """Whether the child minus `last`, its canonical last vertex, is
-    isomorphic to the parent, the child minus its new vertex n - 1
-    (`parent_degrees` is the parent's sorted degree sequence)."""
-    if last == child.n - 1:
-        return True
-    rest = child.without((last,))
-    return (sorted(row.bit_count() for row in rest.rows) == parent_degrees
-            and canonical_cert(rest) == parent_cert)
+    isomorphic to the parent, the child minus its new vertex n - 1.  The
+    caller has ruled out unequal degree sequences (see `_extend`)."""
+    return (last == child.n - 1
+            or canonical_cert(child.without((last,))) == parent_cert)
 
 
 def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
@@ -226,11 +247,22 @@ def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
       children with k in corresponding places, so skipping all but the
       least mask of an orbit drops no class.  Every found generator is a
       genuine automorphism: its two leaves had equal certificates.
-    * The canonical order lists vertices by ascending degree (see
-      `_canonical_order`), so w* has maximum degree.  C - w* and C - k
-      are isomorphic only if k has that degree too and C - w* has P's
-      degree sequence, so children failing either check are dropped
-      without losing a class, the first before any canonization.
+    * C - w* and C - k are isomorphic only if they have the same
+      sorted degree sequence, and a child failing that is dropped
+      without losing a class.  It is decided before any search, from
+      R(C), the first refinement of C's unit partition, which the
+      search then starts from.  w* lies in the last cell X of R(C) (see
+      `_canonical_order`), and X holds vertices of maximum degree only.
+      Equal degree sequences need equal edge counts, so k needs that
+      maximum degree too, which the mask alone decides.  R(C) is
+      equitable and refines the degrees: every w in X has, in each cell
+      Y, the same number of neighbours, all of Y's one degree.  Deleting
+      any w in X therefore lowers the same multiset of degrees by one,
+      and C - w has one degree sequence for all w in X, w* among them.
+      If k is outside X, that sequence must be P's, so the child is
+      dropped when C - w for some w in X has another.  If k is in X, C -
+      w* has the degree sequence of C - k = P.  Either way only the
+      certificates of C - w* and P are left to compare.
     * Within the one parent, isomorphic children can still come from
       masks in different orbits (the found generators need not give
       all of Aut(P), and C can have pseudo-similar vertices), hence the
@@ -263,10 +295,13 @@ def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
                 continue
             rows = tuple(base[i] | ((mask >> i & 1) << k) for i in range(k)
                          ) + (mask,)
+            cells = _refine(rows, (tuple(range(order)),))
+            if _degree_rules_out(rows, cells, degrees):
+                continue
             child = Graph._raw(order, rows)
-            child_cert, label_order, found = _canonical_order(child)
+            child_cert, label_order, found = _canonical_order(child, cells)
             if (child_cert in kept
-                    or not _accepts(child, label_order[-1], cert, degrees)):
+                    or not _accepts(child, label_order[-1], cert)):
                 continue
             kept.add(child_cert)
             position = [0] * order

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from redrank.bounds import (AngleParams, closed_form_sweep, integral_bracket,
+from redrank.bounds import (AngleParams, IntegralBracket, closed_form_sweep,
                             levenshtein_bound, tail_ratio_certificate,
                             verify_code_lemma)
 from redrank.census import (EnumerationCapError, ORDER_CAP,
@@ -140,7 +140,7 @@ def test_criterion_8_bracket_contains_quadrature():
         n = rng.randint(6, 60)
         floor_millis = 6000 // (n + 9) + 1
         s = Fraction(rng.randint(floor_millis + 1, 990), 1000)
-        br = integral_bracket(AngleParams.from_cos(n, s))
+        br = IntegralBracket(AngleParams.from_cos(n, s))
         alpha = mp.acos(mp.sqrt(mp.mpf(s.numerator) / s.denominator))
         I = mp.quad(lambda t: mp.sin(t) ** (n - 2)
                     * (mp.cos(t) - mp.cos(alpha)), [0, alpha])

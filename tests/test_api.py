@@ -24,7 +24,7 @@ PUBLIC = [
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",
     "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
-    "graph6_encode", "graph_to_code", "integral_bracket", "is_reduced",
+    "graph6_encode", "graph_to_code", "is_reduced",
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
@@ -53,7 +53,7 @@ def test_trimmed_members_are_pinned():
         "n", "s", "sin_sq_alpha", "tan_sq_alpha"]
     assert fields(redrank.GammaRatio) == ["q", "pi_half_power"]
     assert params(redrank.rankin_bound) == ["n", "case"]
-    assert params(redrank.integral_bracket) == ["params"]
+    assert params(redrank.IntegralBracket) == ["params"]
     assert fields(redrank.IntegralBracket) == ["params", "lo_sq", "hi_sq"]
     assert params(redrank.BoundReport.to_json) == ["self"]
     assert params(redrank.enumerate_graphs) == ["order"]

@@ -13,9 +13,9 @@ import pytest
 from mpmath import mp, mpf, binomial, gegenbauer as mp_gegenbauer
 
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
-                            AngleParams, LevDenominatorZero,
+                            AngleParams, DimensionCapError, IntegralBracket,
+                            LevDenominatorZero,
                             closed_form_sweep, graph_to_code,
-                            integral_bracket,
                             levenshtein_bound, rankin_bound,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
@@ -176,6 +176,8 @@ def test_verify_code_lemma_contract():
         verify_code_lemma(2, 10, -4)
     with pytest.raises(ValueError):
         verify_code_lemma(3, 10, 0)
+    with pytest.raises(DimensionCapError, match="LEMMA_DIMENSION_CAP"):
+        verify_code_lemma(3, 10001, -4)
 
 
 def test_verify_code_lemma_switches_method_above_ceiling():
@@ -213,6 +215,10 @@ def test_rankin_exact_cases():
     assert r.value == Fraction(9) and r.value_is_exact
     with pytest.raises(ValueError):
         rankin_bound(8, "reflex")
+    # the cap binds the acute case only
+    assert rankin_bound(10 ** 6, "obtuse").value == Fraction(10 ** 6 + 1)
+    with pytest.raises(DimensionCapError, match="RANKIN_DIMENSION_CAP"):
+        rankin_bound(100_001, "acute")
 
 
 def test_rankin_acute_frozen():
@@ -239,17 +245,17 @@ def test_rankin_acute_is_true_upper():
 
 def test_integral_bracket_ratio_and_guard():
     for n in range(6, 41):
-        br = integral_bracket(reference_params(n))
+        br = IntegralBracket(reference_params(n))
         assert br.hi_sq < br.lo_sq * 4    # hi / lo < 2
         assert br.lo_sq < br.hi_sq
     with pytest.raises(ValueError):
-        integral_bracket(reference_params(5))
+        IntegralBracket(reference_params(5))
 
 
 def test_integral_bracket_quadrature_containment():
     mp.dps = 40
     for n in (6, 7, 10, 15, 40):
-        br = integral_bracket(reference_params(n))
+        br = IntegralBracket(reference_params(n))
         alpha = mp.acos(mp.sqrt(mp.sqrt(2) - 1))
         I = mp.quad(lambda t: mp.sin(t) ** (n - 2) * (mp.cos(t) - mp.cos(alpha)),
                     [0, alpha])
@@ -260,7 +266,7 @@ def test_integral_bracket_quadrature_containment():
 
 
 def test_integral_bracket_enclosures_nest():
-    br = integral_bracket(reference_params(9))
+    br = IntegralBracket(reference_params(9))
     lo_lo, lo_hi = sqrt_enclosure(br.lo_sq, 30)
     hi_lo, hi_hi = sqrt_enclosure(br.hi_sq, 30)
     assert lo_lo <= lo_hi <= hi_lo <= hi_hi

@@ -14,9 +14,11 @@ import random
 
 import pytest
 
+from redrank import census
 from redrank.census import (ORDER_CAP, CensusReport, EnumerationCapError,
                             ExtremalConstructionError, _accepts,
-                            _canonical_order, _extend, canonical_cert,
+                            _canonical_order, _degree_rules_out, _extend,
+                            _refine, canonical_cert,
                             canonical_form, census_counts, construct_extremal,
                             enumerate_graphs, lemma_suite, verify_conjecture,
                             verify_m_inequalities)
@@ -106,6 +108,112 @@ def test_canonical_order_ends_at_a_maximum_degree_vertex():
                 h = g.relabeled(perm)
                 last = _canonical_order(h)[1][-1]
                 assert h.rows[last].bit_count() == top
+                assert last in _refine(h.rows, (tuple(range(order)),))[-1]
+
+
+def _refine_by_rescan(rows, cells):
+    """Reference equitable refinement: split every cell by neighbour
+    counts into the first splitter that splits anything, sub-cells by
+    ascending count, and rescan from the first splitter until none does."""
+    while True:
+        for splitter in cells:
+            refined = []
+            for cell in cells:
+                count = {v: sum(rows[v] >> u & 1 for u in splitter)
+                         for v in cell}
+                for c in sorted(set(count.values())):
+                    refined.append(tuple(v for v in cell if count[v] == c))
+            if len(refined) > len(cells):
+                cells = tuple(refined)
+                break
+        else:
+            return cells
+
+
+def test_refine_matches_a_full_rescan():
+    rng = random.Random(31337)
+    for n in range(1, 11):
+        for trial in range(60):
+            g = _random_graph(rng, n)
+            order = list(range(n))
+            rng.shuffle(order)
+            if trial % 4 == 0:
+                cuts = list(range(1, n))  # discrete
+            else:
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+            cells = tuple(tuple(order[a:b]) for a, b in
+                          zip([0] + cuts, cuts + [n]))
+            got = _refine(g.rows, cells)
+            assert got == _refine_by_rescan(g.rows, cells), (n, trial)
+            for x in got:  # equitable: one count per cell into every cell
+                for y in got:
+                    assert len({(g.rows[v] & sum(1 << u for u in y))
+                                .bit_count() for v in x}) == 1
+
+
+def _children(max_order):
+    """(parent, parent certificate, sorted parent degrees, child rows)
+    for every mask on every class below max_order that the O(1) filter
+    of _extend lets through: the new vertex k has maximum degree."""
+    for k in range(max_order):
+        for parent in enumerate_graphs(k) if k else [Graph.empty(0)]:
+            degrees = sorted(row.bit_count() for row in parent.rows)
+            cert = canonical_cert(parent)
+            for mask in range(1 << k):
+                rows = tuple(row | (mask >> i & 1) << k
+                             for i, row in enumerate(parent.rows)) + (mask,)
+                if mask.bit_count() == max(r.bit_count() for r in rows):
+                    yield parent, cert, degrees, rows
+
+
+def test_degree_rule_drops_exactly_the_children_accepts_rejects_by_degree():
+    """Before the search, a child is dropped iff its canonical last
+    vertex w* is not the new vertex k and C - w* has other degrees than
+    the parent, as read off the search; every drop is a rejection, and a
+    kept child with w* != k has the parent's degree sequence, so that
+    `_accepts` need only compare certificates."""
+    dropped = kept = 0
+    for parent, cert, degrees, rows in _children(7):
+        k = len(rows) - 1
+        child = Graph._raw(k + 1, rows)
+        cells = _refine(rows, (tuple(range(k + 1)),))
+        last = _canonical_order(child)[1][-1]
+        assert last in cells[-1]
+        by_degree = last != k and sorted(
+            row.bit_count() for row in child.without((last,)).rows) != degrees
+        assert _degree_rules_out(rows, cells, degrees) is by_degree
+        if by_degree:
+            dropped += 1
+            assert not _accepts(child, last, cert)
+        else:
+            kept += 1
+            assert k in cells[-1] or sorted(
+                row.bit_count()
+                for row in child.without((cells[-1][0],)).rows) == degrees
+    assert dropped > 0 and kept > 0
+
+
+def test_degree_rule_saves_searches(monkeypatch):
+    """Through order 7 the census runs 1,287 child searches (it ran
+    1,640 with every rejection left to the search), drops 353 children
+    before any search, and compares 35 children's C - w* with their
+    parent by certificate."""
+    calls = {"child": 0, "parent": 0, "dropped": 0}
+    search, rule = census._canonical_order, census._degree_rules_out
+
+    def counting_search(g, cells=None):
+        calls["parent" if cells is None else "child"] += 1
+        return search(g, cells)
+
+    def counting_rule(rows, cells, degrees):
+        out = rule(rows, cells, degrees)
+        calls["dropped"] += out
+        return out
+
+    monkeypatch.setattr(census, "_canonical_order", counting_search)
+    monkeypatch.setattr(census, "_degree_rules_out", counting_rule)
+    assert [t for _, t, _ in census_counts(7)] == KNOWN_COUNTS
+    assert calls == {"child": 1287, "parent": 35, "dropped": 353}
 
 
 @pytest.mark.parametrize("parent6, mask, accepted", [
@@ -128,7 +236,7 @@ def test_augmentation_compares_parents_when_new_vertex_is_not_last(
     rest = child.without((last,))
     degrees = sorted(row.bit_count() for row in parent.rows)
     assert sorted(row.bit_count() for row in rest.rows) == degrees
-    assert _accepts(child, last, canonical_cert(parent), degrees) is accepted
+    assert _accepts(child, last, canonical_cert(parent)) is accepted
     assert (canonical_cert(rest) == canonical_cert(parent)) is accepted
 
     def grown(g):

@@ -9,13 +9,15 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from redrank import cli, poly
-from redrank.bounds import levenshtein_bound
+from redrank.bounds import (LEMMA_DIMENSION_CAP, RANKIN_DIMENSION_CAP,
+                            levenshtein_bound)
 from redrank.cli import main
 from redrank.exact import QSqrt2
 from redrank.formats import graph6_decode, graph6_encode
@@ -240,6 +242,27 @@ def test_rankin_renders_values_beyond_the_digit_limit(capsys):
     assert blob["value_decimal"].endswith("e+4651")
     numerator, denominator = blob["value_exact"].split("/")
     assert len(numerator) - len(denominator) in (4651, 4652)
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["rankin", "--case", "acute", "--n", "100001"], "RANKIN_DIMENSION_CAP"),
+    (["lemma5", "--to", "10001"], "LEMMA_DIMENSION_CAP"),
+    (["lemma8", "--from", "10001", "--to", "10001"], "LEMMA_DIMENSION_CAP"),
+])
+def test_dimension_caps_refuse_before_any_work(capsys, argv, cap):
+    assert (RANKIN_DIMENSION_CAP, LEMMA_DIMENSION_CAP) == (100_000, 10_000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert cap in err and "Traceback" not in err
+
+
+def test_lemma_sweep_admits_its_cap(capsys):
+    code, out, err = run(capsys, "lemma8", "--from", "10000", "--to", "10000")
+    assert (code, err) == (0, "")
+    assert [r["n"] for r in json.loads(out)["reports"]] == [10000]
 
 
 def test_lemma5_short_window_all_hold(capsys):
