@@ -11,16 +11,18 @@ C's canonical order, is isomorphic to P.  So every class grows from
 one parent class, and repeats are caught in a set that lives for one
 parent.  Canonical orders come from a backtracking search over
 equitable vertex partitions with automorphism-orbit pruning; no
-external tooling is involved, so runs are reproducible anywhere.  A
-child whose degree sequence rules it out is dropped before its search,
-from the first equitable refinement, which the search then starts from.
+external tooling is involved, so runs are reproducible anywhere.  w*
+lies in the last cell of C's first equitable refinement, a union of
+automorphism orbits, so each class comes from a child whose new vertex
+lies in that cell; every other child is dropped before its search,
+which starts from that refinement.
 
 A call builds each level once, from the level before, and keeps
 nothing between calls: the module holds no graphs, only the previous
 level is kept while the next is built, and the last level streams.
 
 Orders up to ORDER_CAP = 10 are accepted; on a 2-vCPU Xeon 8 takes
-about 2 s and 9 about 40 s, and 10 is a stretch for patient hardware.
+about 1.8 s and 9 about 37 s, and 10 is a stretch for patient hardware.
 Larger orders are rejected outright rather than invited to run for days.
 """
 
@@ -39,7 +41,8 @@ ORDER_CAP = 10
 
 
 class EnumerationCapError(ValueError):
-    """Requested order above the supported enumeration cap."""
+    """An exhaustive check asked past its cap: an order above ORDER_CAP
+    or an inequality rank above MINEQ_R_CAP."""
 
 
 # ── canonical labeling ───────────────────────────────────────────
@@ -203,26 +206,9 @@ def _check_order(order: int, name: str, what: str) -> None:
 _Class = tuple[Graph, int, list[tuple[int, ...]]]
 
 
-def _degree_rules_out(rows: Sequence[int],
-                      cells: tuple[tuple[int, ...], ...],
-                      parent_degrees: list[int]) -> bool:
-    """Whether a child is rejected by degrees before its search: its new
-    vertex n - 1 lies outside the last cell of `cells`, the child's first
-    refinement, and the child minus a vertex of that cell has another
-    sorted degree sequence than the parent's `parent_degrees`."""
-    last = cells[-1]
-    if len(rows) - 1 in last:
-        return False
-    w = last[0]
-    keep = ~(1 << w)
-    return sorted((row & keep).bit_count() for v, row in enumerate(rows)
-                  if v != w) != parent_degrees
-
-
 def _accepts(child: Graph, last: int, parent_cert: int) -> bool:
     """Whether the child minus `last`, its canonical last vertex, is
-    isomorphic to the parent, the child minus its new vertex n - 1.  The
-    caller has ruled out unequal degree sequences (see `_extend`)."""
+    isomorphic to the parent, the child minus its new vertex n - 1."""
     return (last == child.n - 1
             or canonical_cert(child.without((last,))) == parent_cert)
 
@@ -247,22 +233,18 @@ def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
       children with k in corresponding places, so skipping all but the
       least mask of an orbit drops no class.  Every found generator is a
       genuine automorphism: its two leaves had equal certificates.
-    * C - w* and C - k are isomorphic only if they have the same
-      sorted degree sequence, and a child failing that is dropped
-      without losing a class.  It is decided before any search, from
-      R(C), the first refinement of C's unit partition, which the
-      search then starts from.  w* lies in the last cell X of R(C) (see
-      `_canonical_order`), and X holds vertices of maximum degree only.
-      Equal degree sequences need equal edge counts, so k needs that
-      maximum degree too, which the mask alone decides.  R(C) is
-      equitable and refines the degrees: every w in X has, in each cell
-      Y, the same number of neighbours, all of Y's one degree.  Deleting
-      any w in X therefore lowers the same multiset of degrees by one,
-      and C - w has one degree sequence for all w in X, w* among them.
-      If k is outside X, that sequence must be P's, so the child is
-      dropped when C - w for some w in X has another.  If k is in X, C -
-      w* has the degree sequence of C - k = P.  Either way only the
-      certificates of C - w* and P are left to compare.
+    * A child whose new vertex k lies outside X, the last cell of R(C),
+      the first refinement of C's unit partition, is dropped before any
+      search, and the search starts from R(C).  X holds vertices of
+      maximum degree only, so a mask giving k less is dropped unrefined.
+      No class is lost.  w* lies in X (see `_canonical_order`), and
+      `_refine` orders sub-cells by count, never by label, so X is a
+      union of Aut(C)-orbits.  Take the child C' that puts k where some
+      labeling of C has w*.  Its mask-orbit leader is s(C') for some s
+      in Aut(P) fixing k, and it does so too; let C' be the leader.  Two
+      canonical orders of one graph differ by an automorphism, so w* =
+      t(k) for some t in Aut(C'): k lies in X, and C' - w* is isomorphic
+      to C' - k = P, so `_accepts` keeps C'.
     * Within the one parent, isomorphic children can still come from
       masks in different orbits (the found generators need not give
       all of Aut(P), and C can have pseudo-similar vertices), hence the
@@ -278,7 +260,6 @@ def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
         degrees = [row.bit_count() for row in base]
         top = max(degrees, default=0)
         at_top = sum(1 << i for i, d in enumerate(degrees) if d == top)
-        degrees.sort()
         images = []
         for p in generators:
             image = [0] * (1 << k)
@@ -296,7 +277,7 @@ def _extend(parents: Iterable[_Class], order: int) -> Iterator[_Class]:
             rows = tuple(base[i] | ((mask >> i & 1) << k) for i in range(k)
                          ) + (mask,)
             cells = _refine(rows, (tuple(range(order)),))
-            if _degree_rules_out(rows, cells, degrees):
+            if k not in cells[-1]:
                 continue
             child = Graph._raw(order, rows)
             child_cert, label_order, found = _canonical_order(child, cells)
@@ -480,6 +461,11 @@ def census_counts(max_order: int) -> list[tuple[int, int, int]]:
 
 # ── max-order arithmetic ─────────────────────────────────────────
 
+# Largest r_max of verify_m_inequalities: its work grows faster than
+# r_max^2 (1,000 takes 2.4 s, 2,000 takes 11.5 s), so a larger r_max is
+# refused before any work.
+MINEQ_R_CAP = 1_000
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -515,6 +501,10 @@ class InequalityReport:
 def verify_m_inequalities(r_max: int) -> InequalityReport:
     if r_max < 10:
         raise ValueError("r_max must be at least 10 to exercise family (ii)")
+    if r_max > MINEQ_R_CAP:
+        raise EnumerationCapError(
+            f"inequality check capped at rank {MINEQ_R_CAP} (MINEQ_R_CAP), "
+            f"got {r_max}")
     failures: list[str] = []
     recurrences = 0
     for r in range(4, r_max + 1):

@@ -17,7 +17,7 @@ import pytest
 from redrank import census
 from redrank.census import (ORDER_CAP, CensusReport, EnumerationCapError,
                             ExtremalConstructionError, _accepts,
-                            _canonical_order, _degree_rules_out, _extend,
+                            _canonical_order, _extend,
                             _refine, canonical_cert,
                             canonical_form, census_counts, construct_extremal,
                             enumerate_graphs, lemma_suite, verify_conjecture,
@@ -151,97 +151,108 @@ def test_refine_matches_a_full_rescan():
                                 .bit_count() for v in x}) == 1
 
 
+def _parents(max_order):
+    """(form, certificate, found generators) of every class below
+    max_order, as `_extend` yields them, from the empty graph on."""
+    level = [(Graph.empty(0), 0, [])]
+    for order in range(1, max_order):
+        yield from level
+        level = list(_extend(level, order))
+    yield from level
+
+
 def _children(max_order):
-    """(parent, parent certificate, sorted parent degrees, child rows)
-    for every mask on every class below max_order that the O(1) filter
-    of _extend lets through: the new vertex k has maximum degree."""
-    for k in range(max_order):
-        for parent in enumerate_graphs(k) if k else [Graph.empty(0)]:
-            degrees = sorted(row.bit_count() for row in parent.rows)
-            cert = canonical_cert(parent)
-            for mask in range(1 << k):
-                rows = tuple(row | (mask >> i & 1) << k
-                             for i, row in enumerate(parent.rows)) + (mask,)
-                if mask.bit_count() == max(r.bit_count() for r in rows):
-                    yield parent, cert, degrees, rows
+    """(parent, child rows) for every mask on every class below
+    max_order that the O(1) filter of _extend lets through: the new
+    vertex k has maximum degree."""
+    for parent in _parents(max_order):
+        k = parent[0].n
+        for mask in range(1 << k):
+            rows = tuple(row | (mask >> i & 1) << k
+                         for i, row in enumerate(parent[0].rows)) + (mask,)
+            if mask.bit_count() == max(r.bit_count() for r in rows):
+                yield parent, rows
 
 
-def test_degree_rule_drops_exactly_the_children_accepts_rejects_by_degree():
-    """Before the search, a child is dropped iff its canonical last
-    vertex w* is not the new vertex k and C - w* has other degrees than
-    the parent, as read off the search; every drop is a rejection, and a
-    kept child with w* != k has the parent's degree sequence, so that
-    `_accepts` need only compare certificates."""
+def test_last_cell_rule_loses_no_class():
+    """Through order 7, a child that passes the O(1) filter but has its
+    new vertex k outside the last cell of its first refinement R(C) is
+    dropped unsearched; the class of C still comes out of `_extend` from
+    the class of C - w*."""
+    grown = {}
+    for g, cert, found in _parents(7):
+        children = _extend([(g, cert, found)], g.n + 1)
+        grown[g.n, cert] = {c for _, c, _ in children}
     dropped = kept = 0
-    for parent, cert, degrees, rows in _children(7):
+    for parent, rows in _children(7):
         k = len(rows) - 1
-        child = Graph._raw(k + 1, rows)
-        cells = _refine(rows, (tuple(range(k + 1)),))
-        last = _canonical_order(child)[1][-1]
-        assert last in cells[-1]
-        by_degree = last != k and sorted(
-            row.bit_count() for row in child.without((last,)).rows) != degrees
-        assert _degree_rules_out(rows, cells, degrees) is by_degree
-        if by_degree:
-            dropped += 1
-            assert not _accepts(child, last, cert)
-        else:
+        if k in _refine(rows, (tuple(range(k + 1)),))[-1]:
             kept += 1
-            assert k in cells[-1] or sorted(
-                row.bit_count()
-                for row in child.without((cells[-1][0],)).rows) == degrees
+            continue
+        dropped += 1
+        child = Graph._raw(k + 1, rows)
+        cert, order, _ = _canonical_order(child)
+        assert order[-1] != k
+        assert cert in grown[k, canonical_cert(child.without((order[-1],)))]
     assert dropped > 0 and kept > 0
 
 
-def test_degree_rule_saves_searches(monkeypatch):
-    """Through order 7 the census runs 1,287 child searches (it ran
-    1,640 with every rejection left to the search), drops 353 children
-    before any search, and compares 35 children's C - w* with their
-    parent by certificate."""
-    calls = {"child": 0, "parent": 0, "dropped": 0}
-    search, rule = census._canonical_order, census._degree_rules_out
+def test_extend_keeps_one_child_per_class_of_a_parent():
+    """Without known automorphisms every mask of a parent is tried, so
+    masks in one orbit give isomorphic children; the per-parent set
+    keeps one of each, and the classes are those grown with the found
+    generators."""
+    for g, cert, found in _parents(7):
+        bare = [c for _, c, _ in _extend([(g, cert, [])], g.n + 1)]
+        assert len(bare) == len(set(bare))
+        assert sorted(bare) == sorted(
+            c for _, c, _ in _extend([(g, cert, found)], g.n + 1))
+
+
+def test_last_cell_rule_saves_searches(monkeypatch):
+    """Through order 7 the census runs 1,254 child searches (1,640 with
+    every rejection left to the search) and compares 2 children's C - w*
+    with their parent by certificate."""
+    calls = {"child": 0, "parent": 0}
+    search = census._canonical_order
 
     def counting_search(g, cells=None):
         calls["parent" if cells is None else "child"] += 1
         return search(g, cells)
 
-    def counting_rule(rows, cells, degrees):
-        out = rule(rows, cells, degrees)
-        calls["dropped"] += out
-        return out
-
     monkeypatch.setattr(census, "_canonical_order", counting_search)
-    monkeypatch.setattr(census, "_degree_rules_out", counting_rule)
     assert [t for _, t, _ in census_counts(7)] == KNOWN_COUNTS
-    assert calls == {"child": 1287, "parent": 35, "dropped": 353}
+    assert calls == {"child": 1254, "parent": 2}
 
 
 @pytest.mark.parametrize("parent6, mask, accepted", [
-    ("F?StG", 57, True),
-    ("F@?GW", 52, False),
+    ("E_Ko", 3, False),
+    ("EK~o", 15, False),
+    ("Ch", 9, True),
 ])
 def test_augmentation_compares_parents_when_new_vertex_is_not_last(
         parent6, mask, accepted):
-    """Order-8 children C whose canonical last vertex w* is not the new
-    vertex 7 but has its degree, and whose C - w* has the parent's
-    degree sequence: the certificate of C - w* decides, and the class
-    of C grows from the class of C - w* only."""
+    """Children C whose new vertex k lies in the last cell of R(C) but
+    is not their canonical last vertex w*: the certificate of C - w*
+    decides, and the class of C grows from the class of C - w* only.
+    The two order-7 children come from canonical-form parents and are
+    rejected.  No such parent through order 8 gives an accepted one, so
+    the accepted child is built by hand: the 5-cycle, vertex-transitive,
+    so C - w* is isomorphic to C - k whichever vertex the search ends on."""
     parent = graph6_decode(parent6)
-    child = Graph._raw(8, tuple(
-        row | (mask >> i & 1) << 7 for i, row in enumerate(parent.rows)
-    ) + (mask,))
+    k = parent.n
+    rows = tuple(row | (mask >> i & 1) << k
+                 for i, row in enumerate(parent.rows)) + (mask,)
+    child = Graph._raw(k + 1, rows)
     last = _canonical_order(child)[1][-1]
-    assert last != 7
-    assert child.rows[last].bit_count() == mask.bit_count()
+    assert last != k and k in _refine(rows, (tuple(range(k + 1)),))[-1]
     rest = child.without((last,))
-    degrees = sorted(row.bit_count() for row in parent.rows)
-    assert sorted(row.bit_count() for row in rest.rows) == degrees
     assert _accepts(child, last, canonical_cert(parent)) is accepted
     assert (canonical_cert(rest) == canonical_cert(parent)) is accepted
 
     def grown(g):
         return {c for c, _, _ in _extend(
-            [(canonical_form(g), canonical_cert(g), [])], 8)}
+            [(canonical_form(g), canonical_cert(g), [])], k + 1)}
 
     assert (canonical_form(child) in grown(parent)) is accepted
     assert canonical_form(child) in grown(rest)

@@ -18,6 +18,7 @@ import pytest
 from redrank import cli, poly
 from redrank.bounds import (LEMMA_DIMENSION_CAP, RANKIN_DIMENSION_CAP,
                             levenshtein_bound)
+from redrank.census import MINEQ_R_CAP
 from redrank.cli import main
 from redrank.exact import QSqrt2
 from redrank.formats import graph6_decode, graph6_encode
@@ -248,9 +249,11 @@ def test_rankin_renders_values_beyond_the_digit_limit(capsys):
     (["rankin", "--case", "acute", "--n", "100001"], "RANKIN_DIMENSION_CAP"),
     (["lemma5", "--to", "10001"], "LEMMA_DIMENSION_CAP"),
     (["lemma8", "--from", "10001", "--to", "10001"], "LEMMA_DIMENSION_CAP"),
+    (["mineq", "--r-max", "1001"], "MINEQ_R_CAP"),
 ])
 def test_dimension_caps_refuse_before_any_work(capsys, argv, cap):
     assert (RANKIN_DIMENSION_CAP, LEMMA_DIMENSION_CAP) == (100_000, 10_000)
+    assert MINEQ_R_CAP == 1_000
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
