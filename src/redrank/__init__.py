@@ -25,12 +25,11 @@ from .exact import (COS_REFERENCE, PI_HI, PI_LO, GammaRatio, QSqrt2,
 from .formats import (FormatError, graph6_decode, graph6_encode,
                       parse_edge_list, parse_graph6, serialize_edge_list,
                       sniff_format)
-from .graphs import (DuplicationWitness, Graph, RankDropReport,
-                     conjectured_max_order, duplication_classes,
-                     duplication_witness, is_reduced,
+from .graphs import (DuplicationWitness, Graph, conjectured_max_order,
+                     duplication_classes, duplication_witness, is_reduced,
                      min_removal_for_duplicates, min_removal_for_rank_drop,
                      neighborhood_symdiff, proven_max_order, rank,
-                     rank_drop_report, reduce_graph)
+                     rank_drops_hold, reduce_graph)
 from .poly import adjacent_poly, gegenbauer, locate_interval
 
 __version__ = "0.1.0"
@@ -42,7 +41,7 @@ __all__ = [
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
     "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
-    "PropertySuiteReport", "QSqrt2", "RankDropReport", "SuiteCheck",
+    "PropertySuiteReport", "QSqrt2", "SuiteCheck",
     "TailCertificate",
     "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
@@ -52,7 +51,7 @@ __all__ = [
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
-    "proven_max_order", "rank", "rank_drop_report", "rankin_bound",
+    "proven_max_order", "rank", "rank_drops_hold", "rankin_bound",
     "reduce_graph", "reference_params", "serialize_edge_list",
     "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
     "threshold_value", "verify_code_lemma", "verify_conjecture",

@@ -473,7 +473,6 @@ class CodeReport:
     min_rank_drop_removal: int
     cosine_cap: Fraction
     within_cap: bool
-    obtuse_ok: Optional[bool]
 
 
 def graph_to_code(g: Graph) -> CodeReport:
@@ -482,8 +481,7 @@ def graph_to_code(g: Graph) -> CodeReport:
     Two rows differ in exactly the symmetric-difference positions of the
     corresponding vertex pair, so every pairwise inner product is
     (n - 2d)/n with d >= min_removal_for_rank_drop(g); the report checks
-    that cap, and additionally that the products are all non-positive
-    when the removal count reaches n/2.
+    that cap, which is at most 0 when the removal count reaches n/2.
     """
     if g.n < 2:
         raise ValueError("code embedding needs at least 2 vertices")
@@ -500,6 +498,4 @@ def graph_to_code(g: Graph) -> CodeReport:
     inner = Fraction(n - 2 * d, n)
     rho = min_removal_for_rank_drop(g)
     cap = Fraction(n - 2 * rho, n)
-    obtuse_ok = (inner <= 0) if 2 * rho >= n else None
-    return CodeReport(n, vectors, inner, (u, v), rho, cap, inner <= cap,
-                      obtuse_ok)
+    return CodeReport(n, vectors, inner, (u, v), rho, cap, inner <= cap)

@@ -26,12 +26,12 @@ from typing import Callable, Optional, Sequence, Union
 
 from .bounds import (BoundReport, LevDenominatorZero, closed_form_sweep,
                      levenshtein_bound, rankin_bound, verify_code_lemma)
-from .census import (EnumerationCapError, ExtremalConstructionError,
-                     census_counts, construct_extremal, lemma_suite,
-                     verify_conjecture, verify_m_inequalities)
+from .census import (ExtremalConstructionError, census_counts,
+                     construct_extremal, lemma_suite, verify_conjecture,
+                     verify_m_inequalities)
 from .exact import COS_REFERENCE, QSqrt2
-from .formats import (FormatError, graph6_decode, graph6_encode,
-                      parse_edge_list, parse_graph6, sniff_format)
+from .formats import (graph6_decode, graph6_encode, parse_edge_list,
+                      parse_graph6, sniff_format)
 from .graphs import (Graph, duplication_witness, min_removal_for_duplicates,
                      min_removal_for_rank_drop, neighborhood_symdiff, rank,
                      reduce_graph)
@@ -485,7 +485,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_join_cosine(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (_UsageError, FormatError, EnumerationCapError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExtremalConstructionError, LevDenominatorZero,

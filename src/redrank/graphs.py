@@ -22,10 +22,11 @@ with identical neighborhoods.  For reduced graphs the module provides:
     removal leaves a graph with two duplicated vertices (the minimum of
     |N(u) xor N(v)| over non-adjacent pairs),
   * min_removal_for_rank_drop: the least number of vertices whose
-    removal lowers the rank (a subset search capped by RHO_SUBSET_CAP),
-  * rank_drop_report: checks that removing any closed-neighborhood or
-    neighborhood symmetric difference drops the rank by the expected
-    amount,
+    removal lowers the rank, at most n - rank + 1 (so 1 for a
+    nonsingular graph); a subset search below that bound is capped by
+    RHO_SUBSET_CAP,
+  * rank_drops_hold: whether removing any neighborhood or neighborhood
+    symmetric difference drops the rank by the expected amount,
   * duplication_witness: a largest induced subgraph with duplicated
     vertices together with the two-sided split of the removed set,
     solved in one pass over it for any number of duplicated pairs,
@@ -495,26 +496,24 @@ def _check_rho_budget(n: int, cap: int) -> None:
 def min_removal_for_rank_drop(g: Graph) -> int:
     """Least k such that deleting some k vertices lowers the rank.
 
-    Ascending search over subset sizes.  When the graph is reduced and
-    not complete, the symmetric difference of the closest non-adjacent
-    pair is tried first; if its removal verifiably drops the rank it
-    caps the search, keeping the bound non-circular.  A search that
-    could try more than RHO_SUBSET_CAP subsets (weighted past order 20)
-    is refused with SearchCapError before it starts.
+    Deleting any n - r + 1 vertices leaves r - 1, of rank below r, so k
+    <= n - r + 1, and a nonsingular graph answers 1 at once.  When the
+    graph is reduced and not complete, the symmetric difference of the
+    closest non-adjacent pair lowers that bound if it is smaller and its
+    removal verifiably drops the rank.  The ascending search over the
+    subset sizes below the bound is refused with SearchCapError before
+    it starts when it could try more than RHO_SUBSET_CAP subsets
+    (weighted past order 20).
     """
     if not g.has_edges:
         raise ValueError("rank drop needs at least one edge")
-    pair = None
-    if is_reduced(g) and not g.is_complete:
-        pair = _min_symdiff_pair(g)
-    cap = g.n if pair is None else pair[2]
-    _check_rho_budget(g.n, cap)  # before any rank: the least it can cost
     base = rank(g)
-    if pair is not None:
-        removed = neighborhood_symdiff(g, pair[0], pair[1])
-        if rank(g.without(removed)) >= base:
-            cap = g.n
-            _check_rho_budget(g.n, cap)
+    cap = g.n - base + 1
+    if cap > 1 and is_reduced(g) and not g.is_complete:
+        u, v, size = _min_symdiff_pair(g)
+        if size < cap and rank(g.without(neighborhood_symdiff(g, u, v))) < base:
+            cap = size
+    _check_rho_budget(g.n, cap)
     for k in range(1, cap):
         for subset in combinations(range(g.n), k):
             if rank(g.without(subset)) < base:
@@ -522,61 +521,21 @@ def min_removal_for_rank_drop(g: Graph) -> int:
     return cap
 
 
-# ── rank-drop checks ─────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class RankDropCheck:
-    kind: str                     # "neighborhood" | "adjacent" | "nonadjacent"
-    vertices: tuple[int, ...]     # v, or the pair (u, v)
-    removed: tuple[int, ...]
-    base_rank: int
-    observed_rank: int
-    required_max: int
-
-    @property
-    def passed(self) -> bool:
-        return self.observed_rank <= self.required_max
-
-
-@dataclass(frozen=True)
-class RankDropReport:
-    order: int
-    base_rank: int
-    checks: tuple[RankDropCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def rank_drop_report(g: Graph) -> RankDropReport:
-    """Verify the expected rank drops on a reduced graph:
+def rank_drops_hold(g: Graph) -> bool:
+    """Whether the expected rank drops hold on a reduced graph:
 
       * removing N(v) drops the rank by at least 2, for every vertex v,
       * removing N(u) xor N(v) drops it by at least 1 for adjacent pairs
         and at least 2 for non-adjacent pairs.
     """
     if not is_reduced(g):
-        raise ValueError("rank_drop_report requires a reduced graph")
+        raise ValueError("rank_drops_hold requires a reduced graph")
     base = rank(g)
-    checks: list[RankDropCheck] = []
-    for v in range(g.n):
-        removed = tuple(_bits(g.rows[v]))
-        observed = rank(g.without(removed))
-        checks.append(RankDropCheck("neighborhood", (v,), removed,
-                                    base, observed, base - 2))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            removed = neighborhood_symdiff(g, u, v)
-            observed = rank(g.without(removed))
-            if g.has_edge(u, v):
-                checks.append(RankDropCheck("adjacent", (u, v), removed,
-                                            base, observed, base - 1))
-            else:
-                checks.append(RankDropCheck("nonadjacent", (u, v), removed,
-                                            base, observed, base - 2))
-    return RankDropReport(g.n, base, tuple(checks))
+    drops = [(row, 2) for row in g.rows]
+    drops += [(g.rows[u] ^ g.rows[v], 2 - (g.rows[u] >> v & 1))
+              for u, v in combinations(range(g.n), 2)]
+    return all(rank(g.without(_bits(mask))) <= base - drop
+               for mask, drop in drops)
 
 
 # ── duplication witness ──────────────────────────────────────────
@@ -590,7 +549,8 @@ class DuplicationWitness:
     neighborhood symmetric difference, so |removed| equals
     min_removal_for_duplicates and the pair is duplicated in what
     remains.  `classes` are the duplication classes of the remaining
-    subgraph, in original labels.  When every class is a pair and some
+    subgraph, in original labels; each is a pair whose members differ
+    exactly on `removed` (see _two_sided_split).  When some
     orientation of the pairs lets the removed vertices split into T1
     (adjacent to the first member of every oriented pair, to no second
     member) and T2 (symmetrically), the split is reported in t1/t2 with
@@ -638,19 +598,20 @@ def _two_sided_split(g: Graph, removed: tuple[int, ...],
     adjacent either to all first members and no second member (T1) or
     the other way around (T2).
 
+    Each class is a pair {a, b} with N(a) xor N(b) = removed.  Its
+    members agree outside `removed` and are not adjacent (each would be
+    its own neighbour), so N(a) xor N(b) lies in `removed`, and as a
+    non-adjacent pair's difference it is no smaller; so the two are
+    equal.  A third member c would give N(b) xor N(c) = removed xor
+    removed, empty, in a reduced graph.  So `removed` is not empty, and
+    each removed vertex sees exactly one member of each pair.
+
     The first removed vertex fixes the orientation up to turning every
-    pair around: its neighbour goes first, and a pair in which it sees
-    both members or neither admits no orientation.  Turning every pair
-    around swaps T1 and T2, so of the two answers the one that keeps the
-    last pair as listed is returned.  Each removed vertex is then checked
+    pair around: its neighbour goes first.  Turning every pair around
+    swaps T1 and T2, so of the two answers the one that keeps the last
+    pair as listed is returned.  Each removed vertex is then checked
     once against that orientation."""
-    if not classes or any(len(c) != 2 for c in classes):
-        return None, None, None, False
-    if not removed:
-        return tuple(classes), (), (), True
     row = g.rows[removed[0]]
-    if any(row >> a & 1 == row >> b & 1 for a, b in classes):
-        return None, None, None, False
     oriented = [(a, b) if row >> a & 1 else (b, a) for a, b in classes]
     if oriented[-1] != classes[-1]:
         oriented = [(b, a) for a, b in oriented]

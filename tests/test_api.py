@@ -18,7 +18,7 @@ PUBLIC = [
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
     "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
-    "PropertySuiteReport", "QSqrt2", "RankDropReport", "SuiteCheck",
+    "PropertySuiteReport", "QSqrt2", "SuiteCheck",
     "TailCertificate",
     "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
@@ -28,7 +28,7 @@ PUBLIC = [
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
-    "proven_max_order", "rank", "rank_drop_report", "rankin_bound",
+    "proven_max_order", "rank", "rank_drops_hold", "rankin_bound",
     "reduce_graph", "reference_params", "serialize_edge_list",
     "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
     "threshold_value", "verify_code_lemma", "verify_conjecture",

@@ -195,6 +195,25 @@ def test_rho_refuses_searches_beyond_cap(capsys):
         assert "RHO_SUBSET_CAP" in err
 
 
+def test_rho_answers_nonsingular_graphs_at_once(capsys):
+    # the dense golden graphs are nonsingular, so rho <= n - rank + 1 = 1;
+    # the twin blow-ups have rank at most 12 and are not reduced
+    for name in ("dense63", "dense100", "dense150"):
+        n = graph6_decode(GOLDEN_GRAPHS[name]).n
+        expected = {"text": "1\n", "csv": f"order,rho\n{n},1\n",
+                    "json": json.dumps({"schema": 1, "command": "rho",
+                                        "order": n, "rho": 1}, indent=2) + "\n"}
+        for fmt, out in expected.items():
+            assert run(capsys, "rho", "--graph6", GOLDEN_GRAPHS[name],
+                       "--format", fmt) == (0, out, "")
+    for fmt in ("json", "text", "csv"):
+        code, out, err = run(capsys, "rho", "--graph6", GOLDEN_GRAPHS["twins150"],
+                             "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "RHO_SUBSET_CAP" in err
+
+
 def test_witness_answers_any_number_of_pairs(capsys):
     # k twin pairs over C_k; vertex 2k sees the first member of each pair,
     # and without the split vertex 2k + 1 sees the first members of all
@@ -359,6 +378,23 @@ def test_missing_input_file_exit_two(capsys):
     assert code == 2
 
 
+def test_graph6_file_input(capsys, tmp_path):
+    one = tmp_path / "one.g6"
+    one.write_text("Cr\n")
+    for fmt in ("json", "text", "csv"):
+        inline = run(capsys, "rank", "--graph6", "Cr", "--format", fmt)
+        assert inline[0] == 0
+        assert run(capsys, "rank", "--input", str(one), "--format", fmt) == inline
+    two = tmp_path / "two.g6"
+    two.write_text("C~\nCr\n")
+    code, out, err = run(capsys, "rank", "--input", str(two))
+    assert (code, out) == (2, "") and "expected exactly one graph" in err
+    header = tmp_path / "header.g6"
+    header.write_text(">>graph6<<\n")
+    code, out, err = run(capsys, "rank", "--input", str(header))
+    assert (code, out) == (2, "") and "no graphs found" in err
+
+
 def test_edge_list_autodetect(capsys, tmp_path):
     path = tmp_path / "p4.edges"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -431,8 +467,10 @@ GOLDEN_GRAPHS = _golden_graphs()
 
 def _golden_selection(command, g):
     """Whether a graph command's golden set holds the graph: rho every
-    graph of order 2..10 (larger ones meet the subset cap), delta every
-    graph with a vertex 1, witness the reduced, non-complete graphs."""
+    graph of order 2..10 (the larger twin blow-ups meet the subset cap,
+    and test_rho_answers_nonsingular_graphs_at_once covers the dense
+    ones), delta every graph with a vertex 1, witness the reduced,
+    non-complete graphs."""
     if command == "rho":
         return 2 <= g.n <= 10
     if command == "delta":

@@ -23,7 +23,7 @@ from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
                             min_removal_for_rank_drop, neighborhood_symdiff,
-                            proven_max_order, rank, rank_drop_report,
+                            proven_max_order, rank, rank_drops_hold,
                             reduce_graph)
 
 PETERSEN = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -97,6 +97,24 @@ def test_graph_construction_and_accessors():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 5)])
+
+
+@pytest.mark.parametrize("n, rows, message", [
+    (-1, [], "negative order"),
+    (3, [0b010, 0b001], "expected 3 rows, got 2"),
+    (2, [0b110, 0b001], "row 0 mentions a vertex >= 2"),
+    (2, [0b011, 0b001], "loop at vertex 0"),
+    (3, [0b010, 0b000, 0b000], "asymmetric edge 0-1"),
+])
+def test_graph_constructor_validates(n, rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, rows)
+
+
+def test_graph_constructor_accepts_valid_rows():
+    g = Graph(4, [0b0010, 0b0101, 0b1010, 0b0100])
+    assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert Graph(0, []) == Graph.empty(0)
 
 
 def test_rank_oracles():
@@ -351,17 +369,22 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 
 
 def test_rank_drop_search_cap():
-    # K_{6,7} is not reduced, so every subset size below 13 is in reach
-    # (2^13 - 2 subsets); rho is 6, the smaller side
-    assert 2 ** 13 - 2 <= RHO_SUBSET_CAP < 2 ** 14 - 2
+    # K_{a,b} has rank 2 and is not reduced, so the bound n - 1 leaves
+    # every subset size below 12 in reach for K_{6,7} (2^13 - 15 subsets)
+    # and below 13 for K_{7,7} (2^14 - 16); rho is 6, the smaller side
+    assert 2 ** 13 - 15 <= RHO_SUBSET_CAP < 2 ** 14 - 16
     assert min_removal_for_rank_drop(_complete_bipartite(6, 7)) == 6
     with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(_complete_bipartite(7, 7))
-    # past order 20 a subset weighs (n/20)^3, so for C_n (reduced, tau 2)
-    # level 1 alone is too much once n^4 > 8000 * RHO_SUBSET_CAP
-    assert min_removal_for_rank_drop(Graph.cycle(94)) == 1
-    g = Graph.cycle(95)
-    assert is_reduced(g)
+    # a nonsingular graph answers 1 with no search, at any order
+    assert rank(Graph.cycle(95)) == 95
+    assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
+    # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
+    # past order 20 a subset weighs (n/20)^3, so that level alone is too
+    # much once n^4 > 8000 * RHO_SUBSET_CAP
+    g = Graph.cycle(96)
+    assert is_reduced(g) and rank(g) == 94
+    assert min_removal_for_duplicates(g) == 2
     with pytest.raises(SearchCapError):
         min_removal_for_rank_drop(g)
 
@@ -466,14 +489,34 @@ def test_rho_at_most_tau_plus_structure():
         assert min_removal_for_rank_drop(g) <= min_removal_for_duplicates(g)
 
 
-def test_rank_drop_report():
-    rep = rank_drop_report(Graph.path(4))
-    assert rep.base_rank == 4
-    assert rep.all_passed
-    kinds = {c.kind for c in rep.checks}
-    assert kinds == {"neighborhood", "adjacent", "nonadjacent"}
+def test_rank_drops_hold(monkeypatch):
     for g in filter(is_reduced, enumerate_graphs(6)):
-        assert rank_drop_report(g).all_passed
+        assert rank_drops_hold(g)
+    with pytest.raises(ValueError):
+        rank_drops_hold(Graph.cycle(4))
+    # P_4 (rank 4) with rank() lying about one removal, N(0) = {1}:
+    # its rank 2 read as 3 is a drop of 1 where 2 is required
+    p4, real = Graph.path(4), graphs.rank
+    liar = p4.without([1])
+    monkeypatch.setattr(graphs, "rank",
+                        lambda h: 3 if h == liar else real(h))
+    assert not rank_drops_hold(p4)
+
+
+def test_duplication_witness_pairs_differ_exactly_on_removed():
+    # why _two_sided_split needs no guard: every class is a pair whose
+    # members differ exactly on the removed set, so the first removed
+    # vertex sees exactly one member of each
+    for order in range(3, 9):
+        for g in filter(is_reduced, enumerate_graphs(order)):
+            if g.is_complete:
+                continue
+            w = duplication_witness(g)
+            removed = sum(1 << x for x in w.removed)
+            assert removed
+            for c in w.classes:
+                assert len(c) == 2
+                assert g.rows[c[0]] ^ g.rows[c[1]] == removed
 
 
 def test_duplication_witness_oracles():
