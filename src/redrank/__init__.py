@@ -9,11 +9,11 @@ All core arithmetic is exact; floating point never decides a verdict.
 """
 
 from .bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
-                     AngleParams, BoundReport, CodeReport, IntegralBracket,
+                     AngleParams, BoundReport, IntegralBracket,
                      LevDenominatorZero, TailCertificate, closed_form_sweep,
-                     graph_to_code, levenshtein_bound, rankin_bound,
-                     reference_params, tail_ratio_certificate,
-                     threshold_value, verify_code_lemma)
+                     levenshtein_bound, rankin_bound, reference_params,
+                     tail_ratio_certificate, threshold_value,
+                     verify_code_lemma)
 from .census import (ORDER_CAP, CensusReport, ConjectureSummary,
                      EnumerationCapError, ExtremalConstructionError,
                      InequalityReport, PropertySuiteReport, SuiteCheck,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleParams", "BoundReport", "CLOSED_FORM_REPORT_FLOOR",
-    "COS_REFERENCE", "CensusReport", "CodeReport", "ConjectureSummary",
+    "COS_REFERENCE", "CensusReport", "ConjectureSummary",
     "DuplicationWitness", "EnumerationCapError",
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
@@ -47,7 +47,7 @@ __all__ = [
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",
     "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
-    "graph6_encode", "graph_to_code", "is_reduced",
+    "graph6_encode", "is_reduced",
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",

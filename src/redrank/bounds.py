@@ -1,5 +1,4 @@
-"""Upper bounds for spherical codes with a prescribed minimal angle, and
-the bridge from graphs to such codes.
+"""Upper bounds for spherical codes with a prescribed minimal angle.
 
 A spherical code here is a set of unit vectors in R^n whose pairwise
 inner products all lie at or below a cosine threshold s.  The module
@@ -15,18 +14,11 @@ provides three bound families, all evaluated in exact arithmetic:
     at s0 over a dimension range, compared to thresholds by squaring both
     sides and taking one integer sign in Z[sqrt2].
 
-The cosine threshold of interest is s0 = sqrt(2) - 1.  At s0 a reduced
-graph embeds as a code: replace 0 by -1 in the adjacency matrix and
-scale rows by 1/sqrt(n) (graph_to_code); the largest pairwise inner
-product is then (n - 2d)/n where d is the smallest number of positions
-in which two rows differ, and d is at least the minimal rank-drop
-removal count.
-
-verify_code_lemma sweeps a dimension range and compares the bound
-at s0 against 5 * 2^((n + offset)/2) - 2, using the Levenshtein bound up
-to n = 118 and the closed form beyond, where a ratio-monotonicity
-certificate (tail_ratio_certificate) extends the verdict to all larger
-dimensions.
+The cosine threshold of interest is s0 = sqrt(2) - 1.  verify_code_lemma
+sweeps a dimension range and compares the bound at s0 against
+5 * 2^((n + offset)/2) - 2, using the Levenshtein bound up to n = 118
+and the closed form beyond, where a ratio-monotonicity certificate
+(tail_ratio_certificate) extends the verdict to all larger dimensions.
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from typing import Optional, Union
 
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
                     gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
-from .graphs import Graph, is_reduced, min_removal_for_rank_drop
 from .poly import gegenbauer_values, locate_interval
 
 CosineLike = Union[int, Fraction, QSqrt2]
@@ -456,46 +447,3 @@ def tail_ratio_certificate(n_lo: int = LEVENSHTEIN_CEILING,
                            bool(boundary.holds),
                            ratio_ok(n_lo), ratio_all, symbolic,
                            u_floor.sign() > 0)
-
-
-# ── graphs as codes ──────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class CodeReport:
-    """A reduced graph rendered as unit vectors: the rows of the
-    adjacency matrix with 0 replaced by -1, scaled by 1/sqrt(n)."""
-
-    order: int
-    vectors: tuple[tuple[int, ...], ...]
-    max_inner_product: Fraction
-    max_pair: tuple[int, int]
-    min_rank_drop_removal: int
-    cosine_cap: Fraction
-    within_cap: bool
-
-
-def graph_to_code(g: Graph) -> CodeReport:
-    """Embed a reduced graph on n >= 2 vertices as a spherical code.
-
-    Two rows differ in exactly the symmetric-difference positions of the
-    corresponding vertex pair, so every pairwise inner product is
-    (n - 2d)/n with d >= min_removal_for_rank_drop(g); the report checks
-    that cap, which is at most 0 when the removal count reaches n/2.
-    """
-    if g.n < 2:
-        raise ValueError("code embedding needs at least 2 vertices")
-    if not is_reduced(g):
-        raise ValueError("code embedding requires a reduced graph")
-    n = g.n
-    vectors = tuple(
-        tuple(1 if g.rows[u] >> v & 1 else -1 for v in range(n))
-        for u in range(n))
-    # the largest inner product (n - 2d)/n comes from the least d, ties
-    # going to the first pair in (u, v) order
-    d, u, v = min(((g.rows[u] ^ g.rows[v]).bit_count(), u, v)
-                  for u in range(n) for v in range(u + 1, n))
-    inner = Fraction(n - 2 * d, n)
-    rho = min_removal_for_rank_drop(g)
-    cap = Fraction(n - 2 * rho, n)
-    return CodeReport(n, vectors, inner, (u, v), rho, cap, inner <= cap)

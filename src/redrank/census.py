@@ -29,13 +29,14 @@ Larger orders are rejected outright rather than invited to run for days.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bounds import graph_to_code
 from .formats import graph6_encode
 from .graphs import (Graph, conjectured_max_order, duplication_witness,
-                     is_reduced, min_removal_for_duplicates, proven_max_order,
-                     rank, rank_drops_hold)
+                     is_reduced, min_removal_for_duplicates,
+                     min_removal_for_rank_drop, proven_max_order, rank,
+                     rank_drops_hold)
 
 ORDER_CAP = 10
 
@@ -664,7 +665,7 @@ def lemma_suite(max_order: int) -> PropertySuiteReport:
       * the rank-drop removal count is at most the duplication count,
       * the order stays below 2^rank,
       * the duplication witness splits both ways consistently,
-      * the +-1 row embedding respects its inner-product cap.
+      * the +-1 row embedding keeps every inner product <= (n - 2 rho)/n.
     """
     if not 2 <= max_order <= 8:
         raise ValueError("suite supported for 2 <= max_order <= 8")
@@ -687,15 +688,19 @@ def lemma_suite(max_order: int) -> PropertySuiteReport:
         for g in filter(is_reduced, level):
             processed += 1
             r = rank(g)
-            code = graph_to_code(g)  # its rank-drop search also gives rho
+            rho = min_removal_for_rank_drop(g)
             record(g, "neighborhood_removal_rank_drop", rank_drops_hold(g))
             record(g, "order_within_power_bound", g.n <= 2 ** r - 1)
             if not g.is_complete:
                 tau = min_removal_for_duplicates(g)
-                record(g, "rank_drop_le_duplication",
-                       code.min_rank_drop_removal <= tau)
+                record(g, "rank_drop_le_duplication", rho <= tau)
                 record(g, "duplication_witness_consistent",
                        _witness_consistent(g, tau))
-            record(g, "embedding_inner_product_cap", code.within_cap)
+            # the code at s0: rows with 0 as -1, scaled by 1/sqrt(n), have
+            # inner products (n - 2d)/n with d = |N(u) xor N(v)|, so the
+            # cap (n - 2 rho)/n holds iff every d >= rho
+            record(g, "embedding_inner_product_cap",
+                   min((a ^ b).bit_count()
+                       for a, b in combinations(g.rows, 2)) >= rho)
     checks = tuple(SuiteCheck(name, run[name], passed[name]) for name in names)
     return PropertySuiteReport(max_order, processed, checks, tuple(failures))

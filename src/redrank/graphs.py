@@ -503,13 +503,18 @@ def min_removal_for_rank_drop(g: Graph) -> int:
     removal verifiably drops the rank.  The ascending search over the
     subset sizes below the bound is refused with SearchCapError before
     it starts when it could try more than RHO_SUBSET_CAP subsets
-    (weighted past order 20).
+    (weighted past order 20).  A graph that is not reduced has a zero
+    or a repeated row, so it is singular and its search starts with the
+    single vertices; that budget is checked before any elimination.
     """
     if not g.has_edges:
         raise ValueError("rank drop needs at least one edge")
+    reduced = is_reduced(g)
+    if not reduced:
+        _check_rho_budget(g.n, 2)
     base = rank(g)
     cap = g.n - base + 1
-    if cap > 1 and is_reduced(g) and not g.is_complete:
+    if cap > 1 and reduced and not g.is_complete:
         u, v, size = _min_symdiff_pair(g)
         if size < cap and rank(g.without(neighborhood_symdiff(g, u, v))) < base:
             cap = size

@@ -13,7 +13,7 @@ import redrank
 
 PUBLIC = [
     "AngleParams", "BoundReport", "CLOSED_FORM_REPORT_FLOOR",
-    "COS_REFERENCE", "CensusReport", "CodeReport", "ConjectureSummary",
+    "COS_REFERENCE", "CensusReport", "ConjectureSummary",
     "DuplicationWitness", "EnumerationCapError",
     "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
     "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
@@ -24,7 +24,7 @@ PUBLIC = [
     "closed_form_sweep", "conjectured_max_order", "construct_extremal",
     "decimal_str", "duplication_classes", "duplication_witness",
     "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
-    "graph6_encode", "graph_to_code", "is_reduced",
+    "graph6_encode", "is_reduced",
     "lemma_suite", "levenshtein_bound", "locate_interval",
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
@@ -81,3 +81,32 @@ def test_benchmark_trace_names_resolve():
     # traced runs also read the cache counters of these two
     for name in ("gegenbauer", "adjacent_poly"):
         assert hasattr(getattr(redrank.poly, name), "cache_info"), name
+
+
+def _sibling_imports(module):
+    """The redrank modules that src/redrank/<module>.py imports, read
+    from its import statements without running it."""
+    path = Path(redrank.__file__).with_name(f"{module}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("redrank."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("redrank."))
+    return found
+
+
+def test_graph_and_bound_layers_meet_only_in_cli():
+    graph_side = {"graphs", "formats", "census"}
+    bound_side = {"exact", "poly", "bounds"}
+    for module in bound_side:
+        assert not _sibling_imports(module) & graph_side, module
+    for module in graph_side:
+        assert not _sibling_imports(module) & bound_side, module
+    assert _sibling_imports("cli") >= graph_side | bound_side

@@ -1,6 +1,5 @@
 """Certified spherical-code bounds: Levenshtein ladder, Rankin cases,
-the integral bracket, the closed form, threshold sweeps, and the
-embedding of graphs as ±1 codes.
+the integral bracket, the closed form, and threshold sweeps.
 
 Float cross-checks use mpmath; every verdict-bearing comparison in the
 library itself is exact, and the frozen literals here pin that down.
@@ -14,14 +13,11 @@ from mpmath import mp, mpf, binomial, gegenbauer as mp_gegenbauer
 
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, DimensionCapError, IntegralBracket,
-                            LevDenominatorZero,
-                            closed_form_sweep, graph_to_code,
+                            LevDenominatorZero, closed_form_sweep,
                             levenshtein_bound, rankin_bound,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
 from redrank.exact import COS_REFERENCE, QSqrt2, sqrt_enclosure
-from redrank.graphs import Graph, is_reduced, min_removal_for_rank_drop
-from redrank.census import enumerate_graphs
 
 
 def test_angle_params_identities():
@@ -285,36 +281,3 @@ def test_bound_report_json_shape():
     assert blob["threshold_exact"] == str(threshold_value(10, 2))
     blob = rankin_bound(8, "obtuse").to_json()
     assert "threshold_exact" not in blob and blob["threshold_decimal"] is None
-
-
-def test_graph_to_code_oracles():
-    rep = graph_to_code(Graph.cycle(5))
-    assert rep.order == 5
-    assert rep.max_inner_product == Fraction(1, 5)
-    assert rep.cosine_cap == Fraction(3, 5)
-    assert rep.within_cap
-    assert rep.max_pair == (0, 2)
-    rep = graph_to_code(Graph.complete(4))
-    assert rep.max_inner_product == 0
-    assert rep.cosine_cap == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        graph_to_code(Graph.cycle(4))    # not reduced
-
-
-def test_graph_to_code_vectors_realize_inner_products():
-    for g in filter(is_reduced, enumerate_graphs(6)):
-        rep = graph_to_code(g)
-        n = g.n
-        vecs = rep.vectors
-        assert all(len(v) == n and set(v) <= {-1, 1} for v in vecs)
-        worst = max(Fraction(sum(a * b for a, b in zip(vecs[i], vecs[j])), n)
-                    for i in range(len(vecs)) for j in range(i + 1, len(vecs)))
-        assert worst == rep.max_inner_product
-        cap = Fraction(n - 2 * min_removal_for_rank_drop(g), n)
-        assert rep.cosine_cap == cap
-        assert rep.within_cap
-
-
-def test_graph_to_code_requires_enough_vertices():
-    with pytest.raises(ValueError):
-        graph_to_code(Graph.from_edges(1, []))

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +24,8 @@ from redrank.census import (ORDER_CAP, CensusReport, EnumerationCapError,
                             enumerate_graphs, lemma_suite, verify_conjecture,
                             verify_m_inequalities)
 from redrank.formats import graph6_decode, graph6_encode
-from redrank.graphs import (Graph, conjectured_max_order, is_reduced, rank)
+from redrank.graphs import (Graph, conjectured_max_order, is_reduced,
+                            min_removal_for_rank_drop, rank)
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 
@@ -411,21 +413,60 @@ def test_lemma_suite_frozen_at_order_five():
 
 
 def test_lemma_suite_runs_one_rank_drop_search_per_graph(monkeypatch):
-    from redrank import bounds, census, graphs
     searched = []
 
     def counted(g):
         searched.append(graph6_encode(g))
-        return graphs.min_removal_for_rank_drop(g)
+        return min_removal_for_rank_drop(g)
 
-    # census holds no such name now; patching it anyway counts a direct
-    # search that comes back
-    for module in (census, bounds):
-        monkeypatch.setattr(module, "min_removal_for_rank_drop", counted,
-                            raising=False)
+    # rho serves both the duplication comparison and the embedding cap
+    monkeypatch.setattr(census, "min_removal_for_rank_drop", counted)
     rep = lemma_suite(5)
     assert rep.holds
     assert len(searched) == len(set(searched)) == rep.graphs_processed == 18
+
+
+def _suite_failures(monkeypatch, graphs, check):
+    """The graph6 strings of `graphs` that fail `check` when lemma_suite
+    runs on exactly these graphs, as one level."""
+    monkeypatch.setattr(census, "_grow", lambda _max_order: iter([graphs]))
+    rep = lemma_suite(max(g.n for g in graphs))
+    assert {c.name: c.run for c in rep.checks}[check] == len(graphs)
+    return {g6 for g6, name in rep.failures if name == check}
+
+
+def test_embedding_cap_matches_the_plus_minus_one_code(monkeypatch):
+    # reference: the rows with 0 as -1 of every reduced graph through
+    # order 6, their largest inner product over n, and the cap
+    # (n - 2 rho)/n, compared graph by graph with the suite's verdict
+    graphs = [g for order in range(2, 7) for g in enumerate_graphs(order)
+              if is_reduced(g)]
+    assert len(graphs) == 84
+    failed = _suite_failures(monkeypatch, graphs,
+                             "embedding_inner_product_cap")
+    for g in graphs:
+        n = g.n
+        vecs = [[1 if row >> v & 1 else -1 for v in range(n)]
+                for row in g.rows]
+        worst = max(Fraction(sum(a * b for a, b in zip(x, y)), n)
+                    for x, y in itertools.combinations(vecs, 2))
+        within = worst <= Fraction(n - 2 * min_removal_for_rank_drop(g), n)
+        assert within, graph6_encode(g)
+        assert (graph6_encode(g) not in failed) == within
+
+
+def test_embedding_cap_is_met_with_equality_on_p4(monkeypatch):
+    # P_4 is nonsingular, so rho = 1, and N(0) xor N(2) = {3} has d = 1:
+    # its closest rows reach the cap (4 - 2)/4 exactly
+    p4 = Graph.path(4)
+    assert min_removal_for_rank_drop(p4) == 1
+    assert min((a ^ b).bit_count()
+               for a, b in itertools.combinations(p4.rows, 2)) == 1
+    check = "embedding_inner_product_cap"
+    assert _suite_failures(monkeypatch, [p4], check) == set()
+    # a cap one removal tighter is missed
+    monkeypatch.setattr(census, "min_removal_for_rank_drop", lambda g: 2)
+    assert _suite_failures(monkeypatch, [p4], check) == {graph6_encode(p4)}
 
 
 def test_lemma_suite_full_at_order_six():

@@ -389,6 +389,23 @@ def test_rank_drop_search_cap():
         min_removal_for_rank_drop(g)
 
 
+@pytest.mark.parametrize("n", [150, 300, 500])
+def test_rank_drop_refuses_twins_before_any_elimination(n, monkeypatch):
+    # a twin makes G(n - 1, 1/2) + twin singular and not reduced, so the
+    # search would start with the n single vertices, past the cap at
+    # these orders; that is known before any rank is computed
+    rng = random.Random(n)
+    g = _twin_blowup(rng, _random_graph(rng, n - 1), n)
+    assert not is_reduced(g)
+
+    def no_rank(_g):
+        raise AssertionError("rank computed before the refusal")
+
+    monkeypatch.setattr(graphs, "rank", no_rank)
+    with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
+        min_removal_for_rank_drop(g)
+
+
 def _twin_pairs_on_cycle(k: int, split: bool) -> Graph:
     """C_k with every vertex doubled into a twin pair (i, k + i), and
     vertex 2k adjacent to the first member of each pair.  Without
