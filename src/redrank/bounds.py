@@ -145,13 +145,8 @@ def threshold_value(n: int, offset: int) -> QSqrt2:
     """The comparison threshold 5 * 2^((n + offset)/2) - 2, exact in
     Q(sqrt2) for odd exponents."""
     e = n + offset
-    if e % 2 == 0:
-        half = e // 2
-        a = Fraction(5, 2 ** -half) if half < 0 else Fraction(5 * 2 ** half)
-        return QSqrt2(a - 2, 0)
-    half = (e - 1) // 2
-    b = Fraction(5, 2 ** -half) if half < 0 else Fraction(5 * 2 ** half)
-    return QSqrt2(-2, b)
+    c = Fraction(5 << e // 2) if e >= 0 else Fraction(5, 1 << -(e // 2))
+    return QSqrt2(c - 2, 0) if e % 2 == 0 else QSqrt2(-2, c)
 
 
 def _holds_by_squares(x: int, y: int, d: int, threshold: QSqrt2) -> bool:

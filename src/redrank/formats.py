@@ -166,6 +166,8 @@ def parse_edge_list(text: str) -> Graph:
     n, m = _two_ints(head, head_line, "header")
     if n < 0 or m < 0:
         raise FormatError("header counts must be non-negative", head_line, 1)
+    if n > _MAX_LONG:
+        raise FormatError(f"order beyond the supported {_MAX_LONG}", head_line, 1)
     if len(lines) - 1 != m:
         raise FormatError(
             f"header announces {m} edges, found {len(lines) - 1} edge lines",

@@ -22,8 +22,8 @@ with identical neighborhoods.  For reduced graphs the module provides:
     removal leaves a graph with two duplicated vertices (the minimum of
     |N(u) xor N(v)| over non-adjacent pairs),
   * min_removal_for_rank_drop: the least number of vertices whose
-    removal lowers the rank, at most n - rank + 1 (so 1 for a
-    nonsingular graph); a subset search below that bound is capped by
+    removal lowers the rank: the least weight of a nonzero Ax, bounded
+    on the twin quotient, with a search below the bounds capped by
     RHO_SUBSET_CAP,
   * rank_drops_hold: whether removing any neighborhood or neighborhood
     symmetric difference drops the rank by the expected amount,
@@ -37,6 +37,7 @@ Graphs are immutable; all functions are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -121,10 +122,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    @property
-    def has_edges(self) -> bool:
-        return any(self.rows)
 
     @property
     def is_complete(self) -> bool:
@@ -398,12 +395,7 @@ def duplication_classes(g: Graph) -> list[tuple[int, ...]]:
 
 def is_reduced(g: Graph) -> bool:
     """No isolated vertices and no duplicated neighborhoods."""
-    seen = set()
-    for row in g.rows:
-        if row == 0 or row in seen:
-            return False
-        seen.add(row)
-    return True
+    return all(g.rows) and len(set(g.rows)) == g.n
 
 
 def reduce_graph(g: Graph) -> Graph:
@@ -468,11 +460,11 @@ def min_removal_for_duplicates(g: Graph) -> int:
 
 
 # The rank-drop search is refused before it starts when it could go past
-# this cap.  min_removal_for_rank_drop ranks what is left of each vertex
-# subset it tries, by Bareiss elimination whenever the mod-p certificate
-# fails, at a cost that grows with the cube of the order n; so its
-# subsets count as subsets of an order-20 graph, each weighing (n/20)^3
-# past order 20.
+# this cap.  min_removal_for_rank_drop ranks the twin quotient left by
+# each class subset it tries, by Bareiss elimination whenever the mod-p
+# certificate fails, at a cost that grows with the cube of the order n;
+# so its subsets count as subsets of an order-20 graph, each weighing
+# (n/20)^3 past order 20.
 RHO_SUBSET_CAP = 10_000
 
 
@@ -482,48 +474,52 @@ class SearchCapError(ValueError):
 
 def _check_rho_budget(n: int, cap: int) -> None:
     """Refuse a rank-drop search over the subsets of sizes 1..cap-1 of n
-    vertices when it could go past RHO_SUBSET_CAP."""
-    weight = max(n, 20) ** 3
+    classes when it could go past RHO_SUBSET_CAP."""
     searched = 0
     for k in range(1, cap):
-        searched += comb(n, k) * weight
+        searched += comb(n, k) * max(n, 20) ** 3
         if searched > RHO_SUBSET_CAP * 20 ** 3:
             raise SearchCapError(
-                f"rho could try more than {RHO_SUBSET_CAP} vertex subsets, "
+                f"rho could try more than {RHO_SUBSET_CAP} class subsets, "
                 f"counted at order 20 (RHO_SUBSET_CAP); refused")
 
 
 def min_removal_for_rank_drop(g: Graph) -> int:
     """Least k such that deleting some k vertices lowers the rank.
 
-    Deleting any n - r + 1 vertices leaves r - 1, of rank below r, so k
-    <= n - r + 1, and a nonsingular graph answers 1 at once.  When the
-    graph is reduced and not complete, the symmetric difference of the
-    closest non-adjacent pair lowers that bound if it is smaller and its
-    removal verifiably drops the rank.  The ascending search over the
-    subset sizes below the bound is refused with SearchCapError before
-    it starts when it could try more than RHO_SUBSET_CAP subsets
-    (weighted past order 20).  A graph that is not reduced has a zero
-    or a repeated row, so it is singular and its search starts with the
-    single vertices; that budget is checked before any elimination.
+    Lemma: deleting S lowers the rank r of A iff S holds the support of
+    a nonzero Ax.  The rows outside S span A's row space iff they have
+    A's kernel, iff no x has Ax != 0 zero outside S.  If they span it, r
+    of them, I, do; A = A[:, I] D by symmetry, so A[I, I] D = A[I, :]
+    makes A[I, I] nonsingular (Kotlov and Lovász, J. Graph Theory 23,
+    1996) and the principal submatrix left keeps rank r.  If not, its
+    rank is below r.
+
+    Twins share every coordinate of Ax and isolated vertices have none,
+    so rho is the least weight (vertex count) of a set of classes of the
+    twin quotient q whose deletion lowers rank(q) = r.  Three bounds need
+    no rank: the q.n - r + 1 lightest classes, every positive degree (A
+    e_v) and every positive |N(u) xor N(v)| (A(e_u - e_v)).  Lighter
+    class sets are searched, unless SearchCapError refuses at once.
     """
-    if not g.has_edges:
+    classes = Counter(row for row in g.rows if row)
+    if not classes:
         raise ValueError("rank drop needs at least one edge")
-    reduced = is_reduced(g)
-    if not reduced:
-        _check_rho_budget(g.n, 2)
-    base = rank(g)
-    cap = g.n - base + 1
-    if cap > 1 and reduced and not g.is_complete:
-        u, v, size = _min_symdiff_pair(g)
-        if size < cap and rank(g.without(neighborhood_symdiff(g, u, v))) < base:
-            cap = size
-    _check_rho_budget(g.n, cap)
+    q = reduce_graph(g)  # vertex i of q is the i-th key of classes
+    weight = list(classes.values())
+    base = rank(q)
+    cap = sum(sorted(weight)[:q.n - base + 1])
+    if cap > 1:
+        diffs = (a ^ b for a, b in combinations(classes, 2))
+        cap = min(cap, *map(int.bit_count, classes), *map(int.bit_count, diffs))
+    _check_rho_budget(q.n, cap)
+    best = cap
     for k in range(1, cap):
-        for subset in combinations(range(g.n), k):
-            if rank(g.without(subset)) < base:
-                return k
-    return cap
+        for subset in combinations(range(q.n), k):
+            light = sum(weight[c] for c in subset)
+            if light < best and rank(q.without(subset)) < base:
+                best = light
+    return best
 
 
 def rank_drops_hold(g: Graph) -> bool:
@@ -579,10 +575,7 @@ def duplication_witness(g: Graph) -> DuplicationWitness:
     _require_reduced_noncomplete(g, "duplication_witness")
     u, v, _size = _min_symdiff_pair(g)
     removed = neighborhood_symdiff(g, u, v)
-    removed_mask = 0
-    for w in removed:
-        removed_mask |= 1 << w
-    keep_mask = ((1 << g.n) - 1) ^ removed_mask
+    keep_mask = ((1 << g.n) - 1) ^ (g.rows[u] ^ g.rows[v])
 
     groups: dict[int, list[int]] = {}
     for w in _bits(keep_mask):

@@ -7,6 +7,7 @@ fast; the console entry point wraps the same function.
 
 import hashlib
 import io
+import itertools
 import json
 import random
 import time
@@ -184,34 +185,55 @@ def test_lev_refuses_an_uncertified_cell(capsys, monkeypatch):
 
 
 def test_rho_refuses_searches_beyond_cap(capsys):
-    # K_{10,10} is not reduced, so rho could try 2^20 - 2 subsets
-    k1010 = Graph.from_edges(20, [(i, j) for i in range(10)
-                                  for j in range(10, 20)])
+    # C_96 is reduced, of rank 94 and degree 2, so rho would try its 96
+    # single vertices, each weighing (96/20)^3 subsets
+    c96 = graph6_encode(Graph.cycle(96))
     for fmt in ("json", "text", "csv"):
-        code, out, err = run(capsys, "rho", "--graph6", graph6_encode(k1010),
-                             "--format", fmt)
+        code, out, err = run(capsys, "rho", "--graph6", c96, "--format", fmt)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "RHO_SUBSET_CAP" in err
+
+
+def _rho_reports(name, rho):
+    n = graph6_decode(GOLDEN_GRAPHS[name]).n
+    return {"text": f"{rho}\n", "csv": f"order,rho\n{n},{rho}\n",
+            "json": json.dumps({"schema": 1, "command": "rho", "order": n,
+                                "rho": rho}, indent=2) + "\n"}
 
 
 def test_rho_answers_nonsingular_graphs_at_once(capsys):
     # the dense golden graphs are nonsingular, so rho <= n - rank + 1 = 1;
-    # the twin blow-ups have rank at most 12 and are not reduced
-    for name in ("dense63", "dense100", "dense150"):
-        n = graph6_decode(GOLDEN_GRAPHS[name]).n
-        expected = {"text": "1\n", "csv": f"order,rho\n{n},1\n",
-                    "json": json.dumps({"schema": 1, "command": "rho",
-                                        "order": n, "rho": 1}, indent=2) + "\n"}
-        for fmt, out in expected.items():
+    # twins150 has a nonsingular twin quotient (rank 12 on 12 classes),
+    # so rho is its lightest class, of 7 vertices
+    for name, rho in (("dense63", 1), ("dense100", 1), ("dense150", 1),
+                      ("twins150", 7)):
+        for fmt, out in _rho_reports(name, rho).items():
             assert run(capsys, "rho", "--graph6", GOLDEN_GRAPHS[name],
                        "--format", fmt) == (0, out, "")
-    for fmt in ("json", "text", "csv"):
-        code, out, err = run(capsys, "rho", "--graph6", GOLDEN_GRAPHS["twins150"],
-                             "--format", fmt)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "RHO_SUBSET_CAP" in err
+
+
+@pytest.mark.parametrize("name, rho", [("twins63", 4), ("twins100", 3),
+                                       ("twins150", 7)])
+def test_rho_answers_twin_blowups(capsys, name, rho):
+    for fmt, out in _rho_reports(name, rho).items():
+        assert run(capsys, "rho", "--graph6", GOLDEN_GRAPHS[name],
+                   "--format", fmt) == (0, out, "")
+    # by full-graph ranks: deleting some union of twin classes of weight
+    # rho lowers rank(g), and deleting no lighter union does
+    g = graph6_decode(GOLDEN_GRAPHS[name])
+    classes = {}
+    for v, row in enumerate(g.rows):
+        if row:
+            classes.setdefault(row, []).append(v)
+    base = rank(g)
+    dropping = set()
+    for k in range(1, rho + 1):
+        for union in itertools.combinations(classes.values(), k):
+            removed = [v for members in union for v in members]
+            if len(removed) <= rho and rank(g.without(removed)) < base:
+                dropping.add(len(removed))
+    assert min(dropping) == rho
 
 
 def test_witness_answers_any_number_of_pairs(capsys):
@@ -405,6 +427,19 @@ def test_edge_list_autodetect(capsys, tmp_path):
     assert (code, out) == (0, "4\n")
 
 
+def test_edge_list_order_beyond_graph6_refused_at_once(capsys, tmp_path):
+    # graph6 stops at order 258047, and so does the edge-list header,
+    # before any row is built
+    path = tmp_path / "big.edges"
+    for header in ("10000000000000000000 0", "258048 0"):
+        path.write_text(header + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "rank", "--input", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and "line 1" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_output_file_and_threads_seed(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "bounds", "--n", "8",
@@ -467,9 +502,8 @@ GOLDEN_GRAPHS = _golden_graphs()
 
 def _golden_selection(command, g):
     """Whether a graph command's golden set holds the graph: rho every
-    graph of order 2..10 (the larger twin blow-ups meet the subset cap,
-    and test_rho_answers_nonsingular_graphs_at_once covers the dense
-    ones), delta every graph with a vertex 1, witness the reduced,
+    graph of order 2..10 (test_rho_answers_nonsingular_graphs_at_once
+    and test_rho_answers_twin_blowups cover the larger ones), delta every graph with a vertex 1, witness the reduced,
     non-complete graphs."""
     if command == "rho":
         return 2 <= g.n <= 10

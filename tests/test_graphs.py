@@ -8,6 +8,7 @@ primes, and against the Bareiss elimination it falls back on.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -338,20 +339,30 @@ def test_min_removal_for_rank_drop():
         min_removal_for_rank_drop(Graph.from_edges(3, []))
 
 
+def _brute_rho(g: Graph) -> int:
+    """The least number of vertices whose deletion from g lowers its
+    rank, by exhausting the vertex subsets of g in ascending size."""
+    base = rank(g)
+    return next(size for size in range(1, g.n + 1)
+                if any(rank(g.without(sub)) < base
+                       for sub in itertools.combinations(range(g.n), size)))
+
+
 def test_removal_counts_by_brute_force():
-    # independent check of both minimums by exhausting removal subsets
+    # independent check of both minimums by exhausting removal subsets of
+    # every graph with an edge through order 7, twins and isolated
+    # vertices included, and of seeded twin blow-ups through order 12
+    rng = random.Random(1616)
+    blowups = []
+    while len(blowups) < 120:
+        base = _random_graph(rng, rng.randint(2, 7), rng.choice([0.3, 0.5, 0.7]))
+        g = _twin_blowup(rng, base, rng.randint(base.n, 12))
+        if g.edge_count and not is_reduced(g):
+            blowups.append(g)
+    graphs = [g for order in range(2, 8) for g in enumerate_graphs(order)]
+    for g in filter(lambda g: g.edge_count, graphs + blowups):
+        assert min_removal_for_rank_drop(g) == _brute_rho(g), g
     for g in enumerate_graphs(6):
-        base = rank(g)
-        if base == 0:
-            continue
-        brute_rho = None
-        for size in range(1, g.n):
-            if any(rank(g.without(set(sub))) < base
-                   for sub in itertools.combinations(range(g.n), size)):
-                brute_rho = size
-                break
-        if brute_rho is not None:
-            assert min_removal_for_rank_drop(g) == brute_rho
         if not is_reduced(g) or g.is_complete:
             continue
         brute_tau = None
@@ -369,41 +380,52 @@ def _complete_bipartite(a: int, b: int) -> Graph:
 
 
 def test_rank_drop_search_cap():
-    # K_{a,b} has rank 2 and is not reduced, so the bound n - 1 leaves
-    # every subset size below 12 in reach for K_{6,7} (2^13 - 15 subsets)
-    # and below 13 for K_{7,7} (2^14 - 16); rho is 6, the smaller side
-    assert 2 ** 13 - 15 <= RHO_SUBSET_CAP < 2 ** 14 - 16
-    assert min_removal_for_rank_drop(_complete_bipartite(6, 7)) == 6
-    with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
-        min_removal_for_rank_drop(_complete_bipartite(7, 7))
+    # the twin quotient of K_{a,b} is K_2, nonsingular, so rho is the
+    # lighter class: the column space is spanned by the side indicators
+    for a in range(1, 11):
+        for b in range(a, 11):
+            assert min_removal_for_rank_drop(_complete_bipartite(a, b)) == a
     # a nonsingular graph answers 1 with no search, at any order
     assert rank(Graph.cycle(95)) == 95
     assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
     # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
-    # past order 20 a subset weighs (n/20)^3, so that level alone is too
-    # much once n^4 > 8000 * RHO_SUBSET_CAP
+    # past order 20 a subset weighs (n/20)^3, so that level alone is
+    # within the cap for C_92 and past it for C_96
+    assert 92 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 96 ** 4
+    assert min_removal_for_rank_drop(Graph.cycle(92)) == 2
     g = Graph.cycle(96)
     assert is_reduced(g) and rank(g) == 94
     assert min_removal_for_duplicates(g) == 2
-    with pytest.raises(SearchCapError):
+    with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(g)
+
+
+def test_each_rank_drop_bound_answers_alone():
+    # C_96 has 3 lightest classes (n - rank + 1), degree 2 and
+    # differences of at least 2, and its size-1 search is past the cap;
+    # one more component or vertex brings one bound down to 1
+    c96 = list(Graph.cycle(96).edges())
+    # an edge: rank 96 of 98 vertices, so only the degree 1 answers
+    g = Graph.from_edges(98, c96 + [(96, 97)])
+    assert rank(g) == 96
+    assert min_removal_for_rank_drop(g) == 1
+    # x ~ {0, 2, 4}: degrees >= 2, and N(x) xor N(1) = {4} answers
+    g = Graph.from_edges(97, c96 + [(96, 0), (96, 2), (96, 4)])
+    assert rank(g) == 96 and min(row.bit_count() for row in g.rows) == 2
+    assert min_removal_for_rank_drop(g) == 1
 
 
 @pytest.mark.parametrize("n", [150, 300, 500])
-def test_rank_drop_refuses_twins_before_any_elimination(n, monkeypatch):
-    # a twin makes G(n - 1, 1/2) + twin singular and not reduced, so the
-    # search would start with the n single vertices, past the cap at
-    # these orders; that is known before any rank is computed
+def test_rank_drop_answers_twins_on_the_quotient(n):
+    # G(n - 1, 1/2) + twin is singular and not reduced, but its twin
+    # quotient G(n - 1, 1/2) is nonsingular and has a class of one
+    # vertex, so rho is 1 after one rank pass on the quotient
     rng = random.Random(n)
     g = _twin_blowup(rng, _random_graph(rng, n - 1), n)
     assert not is_reduced(g)
-
-    def no_rank(_g):
-        raise AssertionError("rank computed before the refusal")
-
-    monkeypatch.setattr(graphs, "rank", no_rank)
-    with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
-        min_removal_for_rank_drop(g)
+    start = time.perf_counter()
+    assert min_removal_for_rank_drop(g) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def _twin_pairs_on_cycle(k: int, split: bool) -> Graph:
