@@ -23,8 +23,7 @@ from .census import (ORDER_CAP, CensusReport, ConjectureSummary,
 from .exact import (COS_REFERENCE, PI_HI, PI_LO, GammaRatio, QSqrt2,
                     decimal_str, gamma_half_ratio, sqrt_enclosure)
 from .formats import (FormatError, graph6_decode, graph6_encode,
-                      parse_edge_list, parse_graph6, serialize_edge_list,
-                      sniff_format)
+                      parse_edge_list, parse_graph6, sniff_format)
 from .graphs import (DuplicationWitness, Graph, conjectured_max_order,
                      duplication_classes, duplication_witness, is_reduced,
                      min_removal_for_duplicates, min_removal_for_rank_drop,
@@ -52,8 +51,7 @@ __all__ = [
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
     "proven_max_order", "rank", "rank_drops_hold", "rankin_bound",
-    "reduce_graph", "reference_params", "serialize_edge_list",
-    "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
-    "threshold_value", "verify_code_lemma", "verify_conjecture",
-    "verify_m_inequalities",
+    "reduce_graph", "reference_params", "sniff_format", "sqrt_enclosure",
+    "tail_ratio_certificate", "threshold_value", "verify_code_lemma",
+    "verify_conjecture", "verify_m_inequalities",
 ]

@@ -108,7 +108,6 @@ class BoundReport:
     n: int
     method: str
     value: Union[QSqrt2, Fraction]
-    value_is_exact: bool
     threshold: Optional[QSqrt2] = None
     holds: Optional[bool] = None
     k_used: Optional[int] = None
@@ -216,10 +215,10 @@ def rankin_bound(n: int, case: str) -> BoundReport:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if case == "exactly_half_pi":
-        return BoundReport(n, "rankin_half_pi", QSqrt2(2 * n), True,
+        return BoundReport(n, "rankin_half_pi", QSqrt2(2 * n),
                            notes=("exact maximum, attained by the cross-polytope",))
     if case == "obtuse":
-        return BoundReport(n, "rankin_obtuse", QSqrt2(n + 1), True)
+        return BoundReport(n, "rankin_obtuse", QSqrt2(n + 1))
     if case != "acute":
         raise ValueError(f"unknown case {case!r}")
     if n > RANKIN_DIMENSION_CAP:
@@ -234,7 +233,7 @@ def rankin_bound(n: int, case: str) -> BoundReport:
                / lo_sq)
     # pi_half_power is 0 or 2, so the value carries pi^0 or pi^1
     value_up = sqrt_enclosure(pi_free, 40)[1] * PI_HI ** (g.pi_half_power // 2)
-    return BoundReport(n, "rankin_integral", value_up, False,
+    return BoundReport(n, "rankin_integral", value_up,
                        notes=("one-sided rounding of the integral bound",))
 
 
@@ -276,7 +275,7 @@ def levenshtein_bound(n: int, s: CosineLike,
     holds = None
     if threshold is not None:
         holds = threshold.sign() > 0 and value < threshold
-    return BoundReport(n, "levenshtein", value, True, threshold, holds,
+    return BoundReport(n, "levenshtein", value, threshold, holds,
                        k_used=k, branch_used=branch)
 
 
@@ -361,15 +360,13 @@ def closed_form_sweep(n_lo: int, n_hi: int,
             value: Union[QSqrt2, Fraction] = QSqrt2(
                 Fraction((n * n - 1) * ah, half_denom),
                 Fraction((n * n - 1) * bh, half_denom))
-            exact = True
         else:
             value = sqrt_enclosure(QSqrt2(Fraction(c * a, denom),
                                           Fraction(c * b, denom)), 40)[1]
-            exact = False
         notes: tuple[str, ...] = ()
         if n < CLOSED_FORM_REPORT_FLOOR:
             notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)
-        reports.append(BoundReport(n, "closed_form", value, exact, thr, holds,
+        reports.append(BoundReport(n, "closed_form", value, thr, holds,
                                    notes=notes))
         a, b = 2 * a + 2 * b, a + 2 * b
         if n % 2 == 1:

@@ -189,22 +189,13 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def serialize_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def sniff_format(text: str) -> str:
     """Best-effort input classification: 'edges' when the first content
     line is two integers (an edge-list header), else 'graph6'."""
-    for _, body in _content_lines(text):
-        parts = body.split()
-        if len(parts) == 2:
-            try:
-                int(parts[0]), int(parts[1])
-                return "edges"
-            except ValueError:
-                pass
-        return "graph6"
+    for lineno, body in _content_lines(text):
+        try:
+            _two_ints(body, lineno, "header")
+        except FormatError:
+            return "graph6"
+        return "edges"
     return "graph6"

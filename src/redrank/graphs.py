@@ -1,19 +1,20 @@
 """Graphs, adjacency rank over Q, and the reducedness invariants.
 
 A graph is a tuple of neighbor bitmasks.  Rank of the 0/1 adjacency
-matrix is the exact rank over Q (equivalently over R), found in up to
-three steps.  Gaussian elimination modulo the prime p = 32749 comes
-first, with each row packed into one Python integer of 48-bit lanes.
-A matrix that is nonsingular mod p has a determinant that p does not
-divide, hence a nonzero one, so its rank is n; through order 9
-Hadamard's inequality keeps every minor below p, so the rank mod p is
-the rank.  A singular matrix whose rank mod p, r_p, is at most n/3 (a
-twin blow-up, say) then gets a span certificate: an integer
-Gauss-Jordan pass on its r_p pivot rows, packed in lanes wide enough
-for every minor, proves that they span every row, so the rank is r_p.
-Any other matrix (of higher rank mod p, or where p divides a minor the
-certificate needs) falls back to fraction-free Bareiss elimination on
-Python integers.
+matrix is the exact rank over Q (equivalently over R).  Above order 9
+it is taken on the twin quotient (reduce_graph), which has the same
+rank, and found in up to three steps.  Gaussian elimination modulo the
+prime p = 32749 comes first, with each row packed into one Python
+integer of 48-bit lanes.  A matrix that is nonsingular mod p has a
+determinant that p does not divide, hence a nonzero one, so its rank is
+n; through order 9 Hadamard's inequality keeps every minor below p, so
+the rank mod p is the rank.  A singular matrix whose rank mod p, r_p, is
+at most n/3 then gets a span certificate: an integer Gauss-Jordan pass
+on its r_p pivot rows, packed in lanes wide enough for every minor,
+proves that they span every row, so the rank is r_p.  Any other matrix
+(of higher rank mod p, or where p divides a minor the certificate
+needs) falls back to fraction-free Bareiss elimination on Python
+integers.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -116,13 +117,6 @@ class Graph:
 
     # ── structure ────────────────────────────────────────────────
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
     @property
     def is_complete(self) -> bool:
         mask = (1 << self.n) - 1
@@ -186,36 +180,28 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _bareiss_rank(matrix: list[list[int]]) -> int:
     """Rank over Q of an integer matrix, by fraction-free elimination
-    with full pivoting.  The matrix is consumed."""
+    column by column.  The matrix is consumed.
+
+    A column that is zero in every row not yet a pivot row is skipped.
+    Otherwise a row nonzero there becomes the pivot row, and each later
+    row becomes (row[j] * pivot - head * prow[j]) // prev for j > c: by
+    Sylvester's identity (Bareiss, Math. Comp. 22, 1968) its entries are
+    then the minors on the pivot rows and columns plus its own row and
+    column, and prev the last pivot minor, so each division is exact."""
     nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
     prev = 1
     r = 0
-    while r < min(nrows, ncols):
-        pi = pj = -1
-        for i in range(r, nrows):
-            row = matrix[i]
-            for j in range(r, ncols):
-                if row[j]:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        if pi != r:
-            matrix[r], matrix[pi] = matrix[pi], matrix[r]
-        if pj != r:
-            for row in matrix:
-                row[r], row[pj] = row[pj], row[r]
-        pivot = matrix[r][r]
+    for c in range(len(matrix[0]) if nrows else 0):
+        pi = next((i for i in range(r, nrows) if matrix[i][c]), None)
+        if pi is None:
+            continue
+        matrix[r], matrix[pi] = matrix[pi], matrix[r]
         prow = matrix[r]
-        for i in range(r + 1, nrows):
-            row = matrix[i]
-            head = row[r]
-            for j in range(r + 1, ncols):
+        pivot = prow[c]
+        for row in matrix[r + 1:]:
+            head = row[c]
+            for j in range(c + 1, len(prow)):
                 row[j] = (row[j] * pivot - head * prow[j]) // prev
-            row[r] = 0
         prev = pivot
         r += 1
     return r
@@ -233,11 +219,11 @@ _FOLD_EVERY = 64
 # A singular matrix of order n > 9 gets the span certificate when its
 # rank mod p is at most n / _SPAN_SHARE.  The certificate costs about
 # r^2 operations on packed rows whose lanes grow with r, Bareiss about
-# r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), order-150 twin
-# blow-ups of rank 12 / 30 / 50 / 60 / 75 / 100 took 8 / 16 / 48 / 81 /
-# 159 / 364 ms by the mod-p pass and certificate, 20 / 48 / 86 / 95 /
-# 124 / 134 ms by Bareiss alone; G(n, 1/2) plus a twin, 1.7 / 26 / 236
-# / 1758 ms against 0.9 / 9 / 61 / 381 ms for n = 30 / 60 / 100 / 150.
+# r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), mod-p pass and
+# certificate against Bareiss alone: extremal graphs of rank 8 / 10 / 12
+# (order 30 / 62 / 126), 0.3 / 1.3 / 6.1 against 0.4 / 2.4 / 12.6 ms;
+# dense reduced singular graphs of rank 50 / 84 / 125 (order 60 / 100 /
+# 150), with no cutoff, 12 / 93 / 597 against 8 / 31 / 122 ms.
 _SPAN_SHARE = 3
 
 
@@ -356,12 +342,13 @@ def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
         prev = pv
     spans = [(1 << c, zk) for (_, c), zk in zip(pivots, z)]
     return all(prev * _pack(x, width) == sum(zk for bit, zk in spans if x & bit)
-               for x in set(rows))
+               for x in rows)
 
 
 def rank(g: Graph) -> int:
     """Exact rank over Q of the adjacency matrix of g.
 
+    Above order 9, g's twin quotient (reduce_graph, same rank) is used.
     Gaussian elimination modulo the prime p = 32749 runs first.  If A is
     nonsingular mod p then det A is not divisible by p, so det A != 0
     and the rank is n exactly; for n <= 9 Hadamard's inequality keeps
@@ -372,6 +359,8 @@ def rank(g: Graph) -> int:
     higher r_p, or p dividing a minor that decides the rank) the rank
     comes from fraction-free Bareiss elimination on integers.
     """
+    if g.n > _EXACT_ORDER:
+        g = reduce_graph(g)
     found = _certified_rank(g.rows, g.n)
     if found is not None:
         return found

@@ -29,10 +29,9 @@ PUBLIC = [
     "min_removal_for_duplicates", "min_removal_for_rank_drop",
     "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
     "proven_max_order", "rank", "rank_drops_hold", "rankin_bound",
-    "reduce_graph", "reference_params", "serialize_edge_list",
-    "sniff_format", "sqrt_enclosure", "tail_ratio_certificate",
-    "threshold_value", "verify_code_lemma", "verify_conjecture",
-    "verify_m_inequalities",
+    "reduce_graph", "reference_params", "sniff_format", "sqrt_enclosure",
+    "tail_ratio_certificate", "threshold_value", "verify_code_lemma",
+    "verify_conjecture", "verify_m_inequalities",
 ]
 
 
@@ -56,6 +55,11 @@ def test_trimmed_members_are_pinned():
     assert params(redrank.IntegralBracket) == ["params"]
     assert fields(redrank.IntegralBracket) == ["params", "lo_sq", "hi_sq"]
     assert params(redrank.BoundReport.to_json) == ["self"]
+    assert fields(redrank.BoundReport) == [
+        "n", "method", "value", "threshold", "holds", "k_used",
+        "branch_used", "notes"]
+    for name in ("has_edge", "edge_count"):
+        assert not hasattr(redrank.Graph, name), name
     assert params(redrank.enumerate_graphs) == ["order"]
 
 

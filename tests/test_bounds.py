@@ -130,7 +130,7 @@ def test_closed_form_frozen():
     r = closed_form_sweep(10, 10, None)[0]
     assert (r.threshold, r.holds) == (None, None)
     assert r.value == QSqrt2(Fraction(2871, 4), Fraction(4059, 8))
-    assert r.value_is_exact
+    assert isinstance(r.value, QSqrt2)
     assert r.value_decimal() == "1435.28660620904910038575681645"
     # even-dimension identity: (n^2-1) ((2+sqrt2)/2)^(n/2)
     grow = QSqrt2(1, Fraction(1, 2))
@@ -139,7 +139,7 @@ def test_closed_form_frozen():
 
 def test_closed_form_odd_dimension_certified():
     r = closed_form_sweep(9, 9, None)[0]
-    assert not r.value_is_exact
+    assert not isinstance(r.value, QSqrt2)
     # the certified upper value must cover the true square root
     true_sq = QSqrt2((9 * 9 - 1) ** 2) * (1 / (QSqrt2(1) - COS_REFERENCE)) ** 9
     assert r.value * r.value >= true_sq
@@ -206,9 +206,9 @@ def test_tail_certificate():
 
 def test_rankin_exact_cases():
     r = rankin_bound(8, "exactly_half_pi")
-    assert r.value == Fraction(16) and r.value_is_exact
+    assert r.value == Fraction(16) and isinstance(r.value, QSqrt2)
     r = rankin_bound(8, "obtuse")
-    assert r.value == Fraction(9) and r.value_is_exact
+    assert r.value == Fraction(9) and isinstance(r.value, QSqrt2)
     with pytest.raises(ValueError):
         rankin_bound(8, "reflex")
     # the cap binds the acute case only
@@ -219,7 +219,7 @@ def test_rankin_exact_cases():
 
 def test_rankin_acute_frozen():
     r = rankin_bound(8, "acute")
-    assert not r.value_is_exact
+    assert not isinstance(r.value, QSqrt2)
     assert r.value_decimal() == "210.596274625157336928278899616"
     r10 = rankin_bound(10, "acute")
     assert r10.value_decimal() == "450.784091055418816849100529828"

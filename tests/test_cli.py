@@ -9,13 +9,17 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import redrank
 from redrank import cli, poly
 from redrank.bounds import (LEMMA_DIMENSION_CAP, RANKIN_DIMENSION_CAP,
                             levenshtein_bound)
@@ -440,6 +444,32 @@ def test_edge_list_order_beyond_graph6_refused_at_once(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_edge_list_of_isolated_vertices_ranks_at_once(capsys, tmp_path):
+    # the rank runs on the twin quotient, empty here, not at order 8000
+    path = tmp_path / "isolated.edges"
+    path.write_text("8000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("graph6, code, out", [("C~", 0, "4\n"), ("!!", 2, "")])
+def test_module_entry_point(graph6, code, out):
+    env = dict(os.environ)
+    src = str(Path(redrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "redrank", "rank",
+                           "--graph6", graph6], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)
+    if code:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+    else:
+        assert done.stderr == ""
+
+
 def test_output_file_and_threads_seed(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "bounds", "--n", "8",
@@ -510,7 +540,7 @@ def _golden_selection(command, g):
     if command == "delta":
         return g.n >= 2
     if command == "witness":
-        return is_reduced(g) and g.edge_count < g.n * (g.n - 1) // 2
+        return is_reduced(g) and not g.is_complete
     return True
 
 

@@ -32,24 +32,28 @@ PETERSEN = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                  (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
 
 
-def _gauss_rank(g: Graph) -> int:
+def _fraction_rank(matrix: list[list[int]]) -> int:
     """Reference rank: plain fraction Gaussian elimination."""
-    m = [[Fraction(g.rows[i] >> j & 1) for j in range(g.n)]
-         for i in range(g.n)]
+    m = [[Fraction(x) for x in row] for row in matrix]
     r = 0
-    for col in range(g.n):
-        pivot = next((i for i in range(r, g.n) if m[i][col]), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = 1 / m[r][col]
         m[r] = [x * inv for x in m[r]]
-        for i in range(g.n):
+        for i in range(len(m)):
             if i != r and m[i][col]:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def _gauss_rank(g: Graph) -> int:
+    return _fraction_rank([[g.rows[i] >> j & 1 for j in range(g.n)]
+                           for i in range(g.n)])
 
 
 def _modp_rank(g: Graph, p: int) -> int:
@@ -83,13 +87,13 @@ def _twin_blowup(rng: random.Random, base: Graph, n: int) -> Graph:
                                    for _ in range(n - base.n)]
     rng.shuffle(owner)
     return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
-                                if base.has_edge(owner[a], owner[b])])
+                                if base.rows[owner[a]] >> owner[b] & 1])
 
 
 def test_graph_construction_and_accessors():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
-    assert g.edge_count == 3
+    assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert not g.is_complete
     assert Graph.complete(4).is_complete
     assert Graph.path(4) == g
@@ -198,16 +202,71 @@ def test_rank_matches_bareiss_on_dense_twin_blowups(k, density, n, seed):
 @pytest.mark.parametrize("r", range(4, 13))
 def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
     # shaped like the benchmark stream's blow-ups; orders past 64 and 128
-    # cross the periodic lane folds
-    def refuse(matrix):
-        raise AssertionError("Bareiss ran")
+    # cross the periodic lane folds.  Bareiss may decide on the twin
+    # quotient, the base itself, but never at the blow-up's order
+    def refuse_large(matrix):
+        assert len(matrix) <= base.n, "Bareiss ran at the blow-up's order"
+        return _bareiss_rank(matrix)
 
     base = construct_extremal(r)  # which checks its own rank
-    monkeypatch.setattr(graphs, "_bareiss_rank", refuse)
+    monkeypatch.setattr(graphs, "_bareiss_rank", refuse_large)
     rng = random.Random(r)
     for n in sorted({max(base.n, 3 * r), 70, 130, 150}):
         if n >= base.n:
             assert rank(_twin_blowup(rng, base, n)) == r
+
+
+def test_rank_of_twin_blowups_matches_the_full_matrix():
+    # the twin quotient's rank lands on both sides of a third of its
+    # order, so the quotient's rank comes from the span certificate or
+    # from Bareiss; either way it is the blow-up's full-matrix rank
+    rng = random.Random(1968)
+    bases = [construct_extremal(r) for r in range(4, 10)]
+    bases += [_random_graph(rng, rng.randint(1, 20), rng.choice([0.1, 0.5, 0.9]))
+              for _ in range(40)]
+    sides = set()
+    for base in bases:
+        g = _twin_blowup(rng, base, rng.randint(max(10, base.n), 60))
+        q = reduce_graph(g)
+        sides.add((q.n > 9, 3 * rank(q) <= q.n))
+        assert rank(g) == _bareiss(g) == _bareiss(base)
+    assert {(True, True), (True, False)} <= sides
+
+
+@pytest.mark.parametrize("n", [3000, 8000])
+def test_rank_of_large_edgeless_graphs_runs_on_the_quotient(n):
+    start = time.perf_counter()
+    assert rank(Graph.empty(n)) == 0
+    assert rank(Graph.from_edges(n, [(0, n - 1)])) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def _dependent_matrix(rng: random.Random, nrows: int, ncols: int):
+    """Integer rows spanned by at most min(nrows, ncols) random rows,
+    with a random set of columns zero in every row."""
+    basis = [[rng.randint(-3, 3) for _ in range(ncols)]
+             for _ in range(rng.randint(0, min(nrows, ncols)))]
+    zero = set(rng.sample(range(ncols), rng.randint(0, ncols)))
+    return [[0 if j in zero else sum(rng.randint(-2, 2) * b[j] for b in basis)
+             for j in range(ncols)] for _ in range(nrows)]
+
+
+def test_bareiss_matches_fraction_elimination():
+    # square and non-square shapes, dependent rows and all-zero columns,
+    # so the elimination skips columns before, between and after pivots
+    assert _bareiss_rank([]) == _bareiss_rank([[]]) == 0
+    rng = random.Random(1968)
+    ranks = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        if rng.random() < 0.3:
+            ncols = nrows
+        matrix = _dependent_matrix(rng, nrows, ncols)
+        expected = _fraction_rank(matrix)
+        assert _bareiss_rank([row[:] for row in matrix]) == expected, matrix
+        ranks.add((expected, min(nrows, ncols)))
+    assert any(r < full for r, full in ranks)
+    assert any(r == full > 0 for r, full in ranks)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 64, 65, 129, 200])
@@ -285,7 +344,7 @@ def _reduce_to_fixpoint(g: Graph) -> Graph:
 
 def test_reduce_graph():
     red = reduce_graph(Graph.cycle(4))
-    assert red.n == 2 and red.edge_count == 1
+    assert red.n == 2 and list(red.edges()) == [(0, 1)]
     assert reduce_graph(red) is red
     assert reduce_graph(PETERSEN) is PETERSEN
     rng = random.Random(848484)
@@ -357,10 +416,10 @@ def test_removal_counts_by_brute_force():
     while len(blowups) < 120:
         base = _random_graph(rng, rng.randint(2, 7), rng.choice([0.3, 0.5, 0.7]))
         g = _twin_blowup(rng, base, rng.randint(base.n, 12))
-        if g.edge_count and not is_reduced(g):
+        if any(g.rows) and not is_reduced(g):
             blowups.append(g)
     graphs = [g for order in range(2, 8) for g in enumerate_graphs(order)]
-    for g in filter(lambda g: g.edge_count, graphs + blowups):
+    for g in filter(lambda g: any(g.rows), graphs + blowups):
         assert min_removal_for_rank_drop(g) == _brute_rho(g), g
     for g in enumerate_graphs(6):
         if not is_reduced(g) or g.is_complete:
@@ -455,8 +514,8 @@ def _split_by_search(g: Graph, w: DuplicationWitness):
                          for i, c in enumerate(classes))
         t1, t2 = [], []
         for x in w.removed:
-            firsts = [g.has_edge(x, f) for f, _ in oriented]
-            seconds = [g.has_edge(x, s) for _, s in oriented]
+            firsts = [g.rows[x] >> f & 1 for f, _ in oriented]
+            seconds = [g.rows[x] >> s & 1 for _, s in oriented]
             if all(firsts) and not any(seconds):
                 t1.append(x)
             elif all(seconds) and not any(firsts):
