@@ -205,7 +205,7 @@ RANKIN_DIMENSION_CAP = 100_000
 def rankin_bound(n: int, case: str) -> BoundReport:
     """Code-size bounds by angle regime.
 
-      * case "exactly_half_pi": the maximum is exactly 2n,
+      * case "half_pi": the maximum is exactly 2n,
       * case "obtuse": at most n + 1 points pairwise at an obtuse angle,
       * case "acute": at s0, sqrt(pi) Gamma((n-1)/2) sin(alpha)
         tan(alpha) / (2 Gamma(n/2) I) with I replaced by the certified
@@ -214,7 +214,7 @@ def rankin_bound(n: int, case: str) -> BoundReport:
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if case == "exactly_half_pi":
+    if case == "half_pi":
         return BoundReport(n, "rankin_half_pi", QSqrt2(2 * n),
                            notes=("exact maximum, attained by the cross-polytope",))
     if case == "obtuse":
@@ -227,12 +227,11 @@ def rankin_bound(n: int, case: str) -> BoundReport:
             f"(RANKIN_DIMENSION_CAP), got {n}")
     params = reference_params(n)
     lo_sq = IntegralBracket(params).lo_sq
-    g = gamma_half_ratio(n)
-    # value^2 = q^2 pi^e sin^2(alpha) tan^2(alpha) / lo^2, e = pi_half_power
-    pi_free = (QSqrt2(g.q * g.q) * params.sin_sq_alpha * params.tan_sq_alpha
+    q, e = gamma_half_ratio(n)
+    # value = pi^e sqrt(q^2 sin^2(alpha) tan^2(alpha) / lo^2), e = 0 or 1
+    pi_free = (QSqrt2(q * q) * params.sin_sq_alpha * params.tan_sq_alpha
                / lo_sq)
-    # pi_half_power is 0 or 2, so the value carries pi^0 or pi^1
-    value_up = sqrt_enclosure(pi_free, 40)[1] * PI_HI ** (g.pi_half_power // 2)
+    value_up = sqrt_enclosure(*pi_free.as_integers(), 40)[1] * PI_HI ** e
     return BoundReport(n, "rankin_integral", value_up,
                        notes=("one-sided rounding of the integral bound",))
 
@@ -335,8 +334,8 @@ def closed_form_sweep(n_lo: int, n_hi: int,
     The power (1 + 1/sqrt2)^n = 1/sin(alpha)^n is kept as an integer pair,
     so the square of the value is c (a + b*sqrt2)/2^n with c = (n^2 - 1)^2
     and each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
-    for the threshold T, exact for every n; only odd n builds the square
-    as a QSqrt2."""
+    for the threshold T, exact for every n; odd n encloses the root of
+    that integer triple, unreduced."""
     _check_guard(reference_params(n_lo))
     if n_hi < n_lo:
         raise ValueError("empty range")
@@ -361,8 +360,7 @@ def closed_form_sweep(n_lo: int, n_hi: int,
                 Fraction((n * n - 1) * ah, half_denom),
                 Fraction((n * n - 1) * bh, half_denom))
         else:
-            value = sqrt_enclosure(QSqrt2(Fraction(c * a, denom),
-                                          Fraction(c * b, denom)), 40)[1]
+            value = sqrt_enclosure(c * a, c * b, denom, 40)[1]
         notes: tuple[str, ...] = ()
         if n < CLOSED_FORM_REPORT_FLOOR:
             notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)

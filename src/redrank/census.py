@@ -35,8 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .formats import graph6_encode
 from .graphs import (Graph, conjectured_max_order, duplication_witness,
                      is_reduced, min_removal_for_duplicates,
-                     min_removal_for_rank_drop, proven_max_order, rank,
-                     rank_drops_hold)
+                     min_removal_for_rank_drop, proven_max_order, rank)
 
 ORDER_CAP = 10
 
@@ -661,11 +660,18 @@ def lemma_suite(max_order: int) -> PropertySuiteReport:
     """Exhaustively re-verify, over every reduced graph on up to
     max_order <= 8 vertices:
 
-      * neighborhood removal drops the rank by at least 2,
+      * removing N(v), or N(u) xor N(v), drops the rank by at least 2
+        (at least 1 when u and v are adjacent),
       * the rank-drop removal count is at most the duplication count,
       * the order stays below 2^rank,
       * the duplication witness splits both ways consistently,
       * the +-1 row embedding keeps every inner product <= (n - 2 rho)/n.
+
+    The second and the last follow from the row-difference bound that
+    min_removal_for_rank_drop puts on rho (deleting N(u) xor N(v), the
+    support of A(e_u - e_v), lowers the rank); the first checks the
+    premise of that bound by rank, and rho itself is checked against
+    exhaustive deletion in test_removal_counts_by_brute_force.
     """
     if not 2 <= max_order <= 8:
         raise ValueError("suite supported for 2 <= max_order <= 8")
@@ -689,7 +695,12 @@ def lemma_suite(max_order: int) -> PropertySuiteReport:
             processed += 1
             r = rank(g)
             rho = min_removal_for_rank_drop(g)
-            record(g, "neighborhood_removal_rank_drop", rank_drops_hold(g))
+            drops = [(row, 2) for row in g.rows]
+            drops += [(g.rows[u] ^ g.rows[v], 2 - (g.rows[u] >> v & 1))
+                      for u, v in combinations(range(g.n), 2)]
+            record(g, "neighborhood_removal_rank_drop", all(
+                rank(g.without(w for w in range(g.n) if mask >> w & 1))
+                <= r - drop for mask, drop in drops))
             record(g, "order_within_power_bound", g.n <= 2 ** r - 1)
             if not g.is_complete:
                 tau = min_removal_for_duplicates(g)

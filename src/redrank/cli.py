@@ -279,9 +279,7 @@ def _cmd_lev(args: argparse.Namespace) -> int:
 
 
 def _cmd_rankin(args: argparse.Namespace) -> int:
-    case = {"half_pi": "exactly_half_pi", "obtuse": "obtuse",
-            "acute": "acute"}[args.case]
-    report = rankin_bound(args.n, case)
+    report = rankin_bound(args.n, args.case)
     _emit(args,
           lambda: {"command": "rankin", "case": args.case, **report.to_json()},
           lambda: [_bound_text(report)], lambda: _bound_table([report]))

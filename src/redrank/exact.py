@@ -1,16 +1,16 @@
 """Exact scalar arithmetic for the rank-bound toolkit.
 
 Provides the real quadratic field Q(sqrt2) (class QSqrt2), exact ratios of
-Gamma values at integer and half-integer arguments (GammaRatio), and
-directed decimal rendering of exact quantities.  Field elements hold
-fractions.Fraction parts.  Signs, floors, square-root enclosures and
-decimal renderings first write a value as (A + B*sqrt2)/D with integers
-A, B and D > 0 (QSqrt2.as_integers) and then work in integers alone: a
-sign is that of A + B*sqrt2 (sign_sqrt2, which compares A^2 with 2*B^2),
-and floor(x * 10^k), for k of either sign, is one integer isqrt and one
-floor division.  A float only estimates the decimal exponent of a
-rendering, which the integer digits then confirm or correct; no floating
-point enters any comparison or verdict.
+Gamma values at integer and half-integer arguments (gamma_half_ratio),
+and directed decimal rendering of exact quantities.  Field elements hold
+fractions.Fraction parts and have no float conversion.  Signs, floors,
+square-root enclosures and decimal renderings work on a value written
+as (A + B*sqrt2)/D with integers A, B and D > 0 (QSqrt2.as_integers) in
+integers alone: a sign is that of A + B*sqrt2 (sign_sqrt2, which
+compares A^2 with 2*B^2), and floor(x * 10^k), for k of either sign, is
+one integer isqrt and one floor division.  A float only estimates the
+decimal exponent of a rendering, which the integer digits then confirm
+or correct; no floating point enters any comparison or verdict.
 
 All values are immutable and every function is pure, so the module is safe
 for concurrent use.
@@ -18,7 +18,6 @@ for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import factorial, floor, isqrt, lcm, log10
@@ -26,12 +25,10 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-# 50 decimal digits of pi, verified against a 60-digit independent
-# evaluation in the test suite.  PI_HI rounds reported values that carry
-# a power of pi upward; neither bound enters a verdict.
-_PI_DIGITS = "314159265358979323846264338327950288419716939937510"
-PI_LO = Fraction(int(_PI_DIGITS), 10 ** 50)
-PI_HI = Fraction(int(_PI_DIGITS) + 1, 10 ** 50)
+# An upper bound on pi from 50 decimal digits, verified against an
+# 80-digit independent evaluation in the test suite.  It rounds reported
+# values that carry a power of pi upward and enters no verdict.
+PI_HI = Fraction(314159265358979323846264338327950288419716939937511, 10 ** 50)
 
 _LOG10_2 = log10(2)
 
@@ -127,12 +124,6 @@ class QSqrt2:
             return NotImplemented
         return QSqrt2(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
-
     def __mul__(self, other: object) -> "QSqrt2":
         o = self._coerce(other)
         if o is None:
@@ -153,20 +144,9 @@ class QSqrt2:
         return QSqrt2((self.a * o.a - 2 * self.b * o.b) / norm,
                       (self.b * o.a - self.a * o.b) / norm)
 
-    def __rtruediv__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self) -> "QSqrt2":
-        return QSqrt2(-self.a, -self.b)
-
     def __pow__(self, k: int) -> "QSqrt2":
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return (QSqrt2(1) / self) ** (-k)
         result = QSqrt2(1)
         base = self
         while k:
@@ -202,9 +182,6 @@ class QSqrt2:
         return hash((self.a, self.b))
 
     # ── conversions ──────────────────────────────────────────────
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * (2.0 ** 0.5)
 
     def __repr__(self) -> str:
         return f"QSqrt2({self.a!r}, {self.b!r})"
@@ -342,16 +319,15 @@ def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
 # ── square-root enclosures ───────────────────────────────────────
 
 
-def sqrt_enclosure(x: "QSqrt2 | Fraction | int", digits: int = 40) -> tuple[Fraction, Fraction]:
-    """An interval [lo, hi] of rationals containing sqrt(x), for x >= 0.
+def sqrt_enclosure(a: int, b: int, d: int,
+                   digits: int = 40) -> tuple[Fraction, Fraction]:
+    """An interval [lo, hi] of rationals containing sqrt((a + b*sqrt2)/d),
+    for integers a, b and d > 0 with a + b*sqrt2 >= 0.  Scaling a, b and
+    d by one positive integer leaves the interval unchanged.
 
-    Exact (lo == hi) when x is a perfect square of a rational that the
-    scaling resolves.
+    Exact (lo == hi) when the value is a perfect square of a rational
+    that the scaling resolves.
     """
-    v = QSqrt2._coerce(x)
-    if v is None:
-        raise TypeError(f"cannot take sqrt of {type(x).__name__}")
-    a, b, d = v.as_integers()
     s = sign_sqrt2(a, b)
     if s < 0:
         raise ValueError("sqrt of a negative value")
@@ -368,24 +344,10 @@ def sqrt_enclosure(x: "QSqrt2 | Fraction | int", digits: int = 40) -> tuple[Frac
 # ── Gamma ratios at half-integer points ──────────────────────────
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """A value q * pi^(pi_half_power/2) with rational q.
-
-    Enough for every ratio of Gamma values at integer and half-integer
-    arguments that the sphere bounds need, since Gamma(k) = (k-1)! and
-    Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!).
-    """
-
-    q: Fraction
-    pi_half_power: int
-
-
-def gamma_half_ratio(n: int) -> GammaRatio:
-    """sqrt(pi) * Gamma((n-1)/2) / (2 * Gamma(n/2)) as an exact GammaRatio.
-
-    For even n the value is a rational multiple of pi, for odd n a plain
-    rational.
+def gamma_half_ratio(n: int) -> tuple[Fraction, int]:
+    """sqrt(pi) * Gamma((n-1)/2) / (2 * Gamma(n/2)) as (q, e), the value
+    being q * pi^e with rational q: e = 1 for even n, 0 for odd n, since
+    Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -394,9 +356,9 @@ def gamma_half_ratio(n: int) -> GammaRatio:
         # Gamma(m) / Gamma(m + 1/2), the sqrt(pi) factors cancel
         q = Fraction(4 ** m * factorial(m) * factorial(m - 1),
                      2 * factorial(2 * m))
-        return GammaRatio(q, 0)
+        return q, 0
     m = n // 2
     # Gamma(m - 1/2) carries sqrt(pi), joining the explicit sqrt(pi)
     q = Fraction(factorial(2 * m - 2),
                  2 * 4 ** (m - 1) * factorial(m - 1) ** 2)
-    return GammaRatio(q, 2)
+    return q, 1

@@ -26,8 +26,6 @@ with identical neighborhoods.  For reduced graphs the module provides:
     removal lowers the rank: the least weight of a nonzero Ax, bounded
     on the twin quotient, with a search below the bounds capped by
     RHO_SUBSET_CAP,
-  * rank_drops_hold: whether removing any neighborhood or neighborhood
-    symmetric difference drops the rank by the expected amount,
   * duplication_witness: a largest induced subgraph with duplicated
     vertices together with the two-sided split of the removed set,
     solved in one pass over it for any number of duplicated pairs,
@@ -419,7 +417,8 @@ def neighborhood_symdiff(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 def _min_symdiff_pair(g: Graph) -> tuple[int, int, int]:
     """(u, v, |symdiff|) minimizing the symmetric difference size over
-    non-adjacent pairs; ties resolved by lexicographic (u, v)."""
+    non-adjacent pairs; ties resolved by lexicographic (u, v).  Requires
+    g not complete, which both callers check first."""
     best: Optional[tuple[int, int, int]] = None
     for u in range(g.n):
         for v in range(u + 1, g.n):
@@ -428,8 +427,6 @@ def _min_symdiff_pair(g: Graph) -> tuple[int, int, int]:
             size = (g.rows[u] ^ g.rows[v]).bit_count()
             if best is None or size < best[2]:
                 best = (u, v, size)
-    if best is None:
-        raise ValueError("graph is complete; no non-adjacent pair exists")
     return best
 
 
@@ -509,23 +506,6 @@ def min_removal_for_rank_drop(g: Graph) -> int:
             if light < best and rank(q.without(subset)) < base:
                 best = light
     return best
-
-
-def rank_drops_hold(g: Graph) -> bool:
-    """Whether the expected rank drops hold on a reduced graph:
-
-      * removing N(v) drops the rank by at least 2, for every vertex v,
-      * removing N(u) xor N(v) drops it by at least 1 for adjacent pairs
-        and at least 2 for non-adjacent pairs.
-    """
-    if not is_reduced(g):
-        raise ValueError("rank_drops_hold requires a reduced graph")
-    base = rank(g)
-    drops = [(row, 2) for row in g.rows]
-    drops += [(g.rows[u] ^ g.rows[v], 2 - (g.rows[u] >> v & 1))
-              for u, v in combinations(range(g.n), 2)]
-    return all(rank(g.without(_bits(mask))) <= base - drop
-               for mask, drop in drops)
 
 
 # ── duplication witness ──────────────────────────────────────────

@@ -1,7 +1,8 @@
-"""The public API: the names `redrank` exports and the fields and
-parameters trimmed to what is used, pinned so that neither can grow back
-unnoticed, and the names the benchmark's traced runs rebind, which must
-keep resolving."""
+"""The public API: the names `redrank` exports, each function or
+constant among them used by a command or an acceptance criterion, and
+the fields and parameters trimmed to what is used, pinned so that
+neither can grow back unnoticed, and the names the benchmark's traced
+runs rebind, which must keep resolving."""
 
 import ast
 import dataclasses
@@ -12,26 +13,21 @@ from pathlib import Path
 import redrank
 
 PUBLIC = [
-    "AngleParams", "BoundReport", "CLOSED_FORM_REPORT_FLOOR",
-    "COS_REFERENCE", "CensusReport", "ConjectureSummary",
-    "DuplicationWitness", "EnumerationCapError",
-    "ExtremalConstructionError", "FormatError", "GammaRatio", "Graph",
-    "InequalityReport", "IntegralBracket", "LEVENSHTEIN_CEILING",
-    "LevDenominatorZero", "ORDER_CAP", "PI_HI", "PI_LO",
-    "PropertySuiteReport", "QSqrt2", "SuiteCheck",
+    "AngleParams", "BoundReport", "COS_REFERENCE", "CensusReport",
+    "ConjectureSummary", "DuplicationWitness", "EnumerationCapError",
+    "ExtremalConstructionError", "FormatError", "Graph",
+    "InequalityReport", "IntegralBracket", "LevDenominatorZero",
+    "ORDER_CAP", "PropertySuiteReport", "QSqrt2", "SuiteCheck",
     "TailCertificate",
-    "adjacent_poly", "canonical_cert", "canonical_form", "census_counts",
-    "closed_form_sweep", "conjectured_max_order", "construct_extremal",
-    "decimal_str", "duplication_classes", "duplication_witness",
-    "enumerate_graphs", "gamma_half_ratio", "gegenbauer", "graph6_decode",
-    "graph6_encode", "is_reduced",
-    "lemma_suite", "levenshtein_bound", "locate_interval",
-    "min_removal_for_duplicates", "min_removal_for_rank_drop",
-    "neighborhood_symdiff", "parse_edge_list", "parse_graph6",
-    "proven_max_order", "rank", "rank_drops_hold", "rankin_bound",
-    "reduce_graph", "reference_params", "sniff_format", "sqrt_enclosure",
-    "tail_ratio_certificate", "threshold_value", "verify_code_lemma",
-    "verify_conjecture", "verify_m_inequalities",
+    "census_counts", "closed_form_sweep", "conjectured_max_order",
+    "construct_extremal", "duplication_witness", "enumerate_graphs",
+    "graph6_decode", "graph6_encode", "is_reduced", "lemma_suite",
+    "levenshtein_bound", "min_removal_for_duplicates",
+    "min_removal_for_rank_drop", "neighborhood_symdiff",
+    "parse_edge_list", "parse_graph6", "proven_max_order", "rank",
+    "rankin_bound", "reduce_graph", "sniff_format",
+    "tail_ratio_certificate", "verify_code_lemma", "verify_conjecture",
+    "verify_m_inequalities",
 ]
 
 
@@ -39,6 +35,27 @@ def test_public_api_is_pinned():
     assert sorted(redrank.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(redrank, name), name
+
+
+def _imported_names(path):
+    """Every name that the file at `path` imports, read from its import
+    statements without running it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_function_and_constant_has_a_user():
+    # a command (cli.py) or an acceptance criterion imports each exported
+    # function or constant; classes are exempt, as result and error types
+    root = Path(__file__).resolve().parents[1]
+    used = (_imported_names(root / "src" / "redrank" / "cli.py")
+            | _imported_names(root / "tests" / "test_acceptance.py"))
+    for name in redrank.__all__:
+        if not inspect.isclass(getattr(redrank, name)):
+            assert name in used, name
 
 
 def test_trimmed_members_are_pinned():
@@ -50,7 +67,6 @@ def test_trimmed_members_are_pinned():
 
     assert fields(redrank.AngleParams) == [
         "n", "s", "sin_sq_alpha", "tan_sq_alpha"]
-    assert fields(redrank.GammaRatio) == ["q", "pi_half_power"]
     assert params(redrank.rankin_bound) == ["n", "case"]
     assert params(redrank.IntegralBracket) == ["params"]
     assert fields(redrank.IntegralBracket) == ["params", "lo_sq", "hi_sq"]
@@ -60,6 +76,12 @@ def test_trimmed_members_are_pinned():
         "branch_used", "notes"]
     for name in ("has_edge", "edge_count"):
         assert not hasattr(redrank.Graph, name), name
+    for module, name in (("exact", "GammaRatio"), ("exact", "PI_LO"),
+                         ("graphs", "rank_drops_hold")):
+        assert not hasattr(importlib.import_module(f"redrank.{module}"),
+                           name), name
+    for name in ("__float__", "__rsub__", "__rtruediv__", "__neg__"):
+        assert not hasattr(redrank.QSqrt2, name), name
     assert params(redrank.enumerate_graphs) == ["order"]
 
 

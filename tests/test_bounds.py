@@ -123,7 +123,8 @@ def test_levenshtein_matches_float_recomputation():
         s = Fraction(rng.randint(-80, 85), 100)
         r = levenshtein_bound(n, s)
         want = _lev_float(n, s, r.k_used, r.branch_used)
-        assert float(r.value) == pytest.approx(want, rel=1e-9)
+        got = float(r.value.a) + float(r.value.b) * 2 ** 0.5
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_closed_form_frozen():
@@ -141,7 +142,8 @@ def test_closed_form_odd_dimension_certified():
     r = closed_form_sweep(9, 9, None)[0]
     assert not isinstance(r.value, QSqrt2)
     # the certified upper value must cover the true square root
-    true_sq = QSqrt2((9 * 9 - 1) ** 2) * (1 / (QSqrt2(1) - COS_REFERENCE)) ** 9
+    growth = QSqrt2(1) / (QSqrt2(1) - COS_REFERENCE)
+    true_sq = QSqrt2((9 * 9 - 1) ** 2) * growth ** 9
     assert r.value * r.value >= true_sq
 
 
@@ -205,7 +207,7 @@ def test_tail_certificate():
 
 
 def test_rankin_exact_cases():
-    r = rankin_bound(8, "exactly_half_pi")
+    r = rankin_bound(8, "half_pi")
     assert r.value == Fraction(16) and isinstance(r.value, QSqrt2)
     r = rankin_bound(8, "obtuse")
     assert r.value == Fraction(9) and isinstance(r.value, QSqrt2)
@@ -263,10 +265,10 @@ def test_integral_bracket_quadrature_containment():
 
 def test_integral_bracket_enclosures_nest():
     br = IntegralBracket(reference_params(9))
-    lo_lo, lo_hi = sqrt_enclosure(br.lo_sq, 30)
-    hi_lo, hi_hi = sqrt_enclosure(br.hi_sq, 30)
+    lo_lo, lo_hi = sqrt_enclosure(*br.lo_sq.as_integers(), 30)
+    hi_lo, hi_hi = sqrt_enclosure(*br.hi_sq.as_integers(), 30)
     assert lo_lo <= lo_hi <= hi_lo <= hi_hi
-    coarse_lo, coarse_hi = sqrt_enclosure(br.lo_sq, 10)
+    coarse_lo, coarse_hi = sqrt_enclosure(*br.lo_sq.as_integers(), 10)
     assert coarse_lo <= lo_lo and lo_hi <= coarse_hi
 
 

@@ -469,6 +469,19 @@ def test_embedding_cap_is_met_with_equality_on_p4(monkeypatch):
     assert _suite_failures(monkeypatch, [p4], check) == {graph6_encode(p4)}
 
 
+def test_suite_flags_a_neighborhood_removal_that_drops_too_little(
+        monkeypatch):
+    # every reduced graph through order 6 passes (the order-6 suite
+    # below); P_4 (rank 4) with rank() lying about one removal,
+    # N(0) = {1}: its rank 2 read as 3 is a drop of 1 where 2 is required
+    p4, real = Graph.path(4), census.rank
+    check = "neighborhood_removal_rank_drop"
+    assert _suite_failures(monkeypatch, [p4], check) == set()
+    liar = p4.without([1])
+    monkeypatch.setattr(census, "rank", lambda h: 3 if h == liar else real(h))
+    assert _suite_failures(monkeypatch, [p4], check) == {graph6_encode(p4)}
+
+
 def test_lemma_suite_full_at_order_six():
     rep = lemma_suite(6)
     assert rep.holds

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
-from redrank.exact import (COS_REFERENCE, PI_HI, PI_LO, GammaRatio, QSqrt2,
-                           _floor_scaled, decimal_str, gamma_half_ratio,
-                           sign_sqrt2, sqrt_enclosure)
+from redrank.exact import (COS_REFERENCE, PI_HI, QSqrt2, _floor_scaled,
+                           decimal_str, gamma_half_ratio, sign_sqrt2,
+                           sqrt_enclosure)
 
 
 def _to_mpf(x, dps=100):
@@ -56,9 +56,9 @@ def test_field_laws_on_seeded_randoms():
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        assert x + (-x) == QSqrt2(0)
+        assert x + (QSqrt2(0) - x) == QSqrt2(0)
         if x != QSqrt2(0):
-            assert x * (1 / x) == QSqrt2(1)
+            assert x * (QSqrt2(1) / x) == QSqrt2(1)
             assert (y / x) * x == y
     assert QSqrt2(0, 1) * QSqrt2(0, 1) == QSqrt2(2)
 
@@ -67,9 +67,9 @@ def test_mixed_operand_coercion():
     x = QSqrt2(1, 1)
     assert x + 1 == QSqrt2(2, 1)
     assert 1 + x == QSqrt2(2, 1)
-    assert 2 - x == QSqrt2(1, -1)
+    assert QSqrt2(2) - x == QSqrt2(1, -1)
     assert Fraction(1, 2) * x == QSqrt2(Fraction(1, 2), Fraction(1, 2))
-    assert 1 / QSqrt2(0, 1) == QSqrt2(0, Fraction(1, 2))
+    assert QSqrt2(1) / QSqrt2(0, 1) == QSqrt2(0, Fraction(1, 2))
     with pytest.raises(TypeError):
         x + 0.5
 
@@ -85,7 +85,8 @@ def test_power():
     s = QSqrt2(2, 1)
     assert s ** 0 == QSqrt2(1)
     assert s ** 5 == s * s * s * s * s
-    assert s ** -2 == 1 / (s * s)
+    with pytest.raises(TypeError):
+        s ** -2
 
 
 def test_sign_matches_mpmath_on_seeded_randoms():
@@ -126,7 +127,7 @@ def test_ordering_total_and_consistent():
         x, y = vals[i], vals[i + 1]
         assert (x < y) + (y < x) + (x == y) == 1
         if x < y:
-            assert -y < -x
+            assert QSqrt2(0) - y < QSqrt2(0) - x
             assert x + 1 < y + 1
 
 
@@ -142,11 +143,6 @@ def test_floor():
     mp.dps = 100
     for x in _random_values(300, seed=4242):
         assert floor(x) == int(mp.floor(_to_mpf(x)))
-
-
-def test_float_conversion():
-    assert float(QSqrt2(0, 1)) == pytest.approx(2 ** 0.5)
-    assert float(COS_REFERENCE) == pytest.approx(2 ** 0.5 - 1)
 
 
 def test_str_rendering():
@@ -197,12 +193,9 @@ def test_decimal_str_brackets_true_value():
 
 
 def test_pi_bounds():
-    assert PI_LO < PI_HI
-    assert PI_HI - PI_LO < Fraction(1, 10 ** 49)
     mp.dps = 80
-    pi = mp.pi
-    assert mpf(PI_LO.numerator) / mpf(PI_LO.denominator) < pi
-    assert mpf(PI_HI.numerator) / mpf(PI_HI.denominator) > pi
+    gap = mpf(PI_HI.numerator) / mpf(PI_HI.denominator) - mp.pi
+    assert 0 < gap < mpf(10) ** -49
 
 
 def test_decimal_str_encloses_quadratic_irrational():
@@ -216,34 +209,60 @@ def test_decimal_str_encloses_quadratic_irrational():
 
 
 def test_sqrt_enclosure():
-    lo, hi = sqrt_enclosure(Fraction(2), 30)
+    lo, hi = sqrt_enclosure(2, 0, 1, 30)
     assert lo * lo <= 2 <= hi * hi
     assert hi - lo <= Fraction(2, 10 ** 30)
     # perfect squares pinch to the exact root
-    lo, hi = sqrt_enclosure(Fraction(9, 4), 10)
+    lo, hi = sqrt_enclosure(9, 0, 4, 10)
     assert lo == hi == Fraction(3, 2)
-    lo, hi = sqrt_enclosure(QSqrt2(3, 2), 25)   # 3 + 2*sqrt2 = (1+sqrt2)^2
+    lo, hi = sqrt_enclosure(3, 2, 1, 25)   # 3 + 2*sqrt2 = (1+sqrt2)^2
     v = QSqrt2(1, 1)
     assert QSqrt2(lo) <= v <= QSqrt2(hi)
+    assert sqrt_enclosure(0, 0, 7) == (0, 0)
     with pytest.raises(ValueError):
-        sqrt_enclosure(Fraction(-1))
+        sqrt_enclosure(-1, 0, 1)
+    with pytest.raises(ValueError):
+        sqrt_enclosure(1, -1, 1)   # 1 - sqrt2 < 0
+
+
+def test_sqrt_enclosure_ignores_a_common_factor():
+    # closed_form_sweep passes (c a, c b, 2^n) unreduced, so scaling all
+    # three integers by k >= 2 must not move either end, exact roots
+    # included
+    rng = random.Random(5150)
+    exact = 0
+    for _ in range(300):
+        if rng.random() < 0.25:
+            # a perfect square (p/q)^2, so lo == hi at digits 10
+            p, q = rng.randint(1, 999), rng.choice([1, 2, 4, 5, 8, 10, 16, 25])
+            a, b, d = p * p, 0, q * q
+        else:
+            b = rng.randint(-10 ** 6, 10 ** 6)
+            # smallest a with a + b*sqrt2 >= 0, plus a margin
+            a = isqrt(2 * b * b) + 1 if b < 0 else 0
+            a += rng.randint(0, 10 ** 6)
+            d = rng.randint(1, 10 ** 6)
+        want = sqrt_enclosure(a, b, d, 10)
+        exact += want[0] == want[1]
+        for k in (2, 3, rng.randint(4, 10 ** 9)):
+            assert sqrt_enclosure(k * a, k * b, k * d, 10) == want, (a, b, d, k)
+    assert exact >= 40
 
 
 def test_gamma_half_ratio_oracles():
-    assert gamma_half_ratio(3) == GammaRatio(1, 0)
-    assert gamma_half_ratio(4) == GammaRatio(Fraction(1, 4), 2)
-    assert gamma_half_ratio(5) == GammaRatio(Fraction(2, 3), 0)
-    assert gamma_half_ratio(8) == GammaRatio(Fraction(5, 32), 2)
-    assert gamma_half_ratio(9) == GammaRatio(Fraction(16, 35), 0)
+    assert gamma_half_ratio(3) == (1, 0)
+    assert gamma_half_ratio(4) == (Fraction(1, 4), 1)
+    assert gamma_half_ratio(5) == (Fraction(2, 3), 0)
+    assert gamma_half_ratio(8) == (Fraction(5, 32), 1)
+    assert gamma_half_ratio(9) == (Fraction(16, 35), 0)
 
 
 def test_gamma_half_ratio_matches_mpmath():
     # gamma_half_ratio(n) = sqrt(pi) Gamma((n-1)/2) / (2 Gamma(n/2))
     mp.dps = 60
     for n in range(3, 40):
-        g = gamma_half_ratio(n)
-        value = mpf(g.q.numerator) / g.q.denominator * \
-            mp.pi ** (mpf(g.pi_half_power) / 2)
+        q, e = gamma_half_ratio(n)
+        value = mpf(q.numerator) / q.denominator * mp.pi ** e
         truth = mp.sqrt(mp.pi) * mp.gamma(mpf(n - 1) / 2) / \
             (2 * mp.gamma(mpf(n) / 2))
         # mpmath's own roundoff at 60 dps

@@ -24,8 +24,7 @@ from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
                             min_removal_for_rank_drop, neighborhood_symdiff,
-                            proven_max_order, rank, rank_drops_hold,
-                            reduce_graph)
+                            proven_max_order, rank, reduce_graph)
 
 PETERSEN = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                  (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -585,20 +584,6 @@ def test_rho_at_most_tau_plus_structure():
         if g.is_complete:
             continue
         assert min_removal_for_rank_drop(g) <= min_removal_for_duplicates(g)
-
-
-def test_rank_drops_hold(monkeypatch):
-    for g in filter(is_reduced, enumerate_graphs(6)):
-        assert rank_drops_hold(g)
-    with pytest.raises(ValueError):
-        rank_drops_hold(Graph.cycle(4))
-    # P_4 (rank 4) with rank() lying about one removal, N(0) = {1}:
-    # its rank 2 read as 3 is a drop of 1 where 2 is required
-    p4, real = Graph.path(4), graphs.rank
-    liar = p4.without([1])
-    monkeypatch.setattr(graphs, "rank",
-                        lambda h: 3 if h == liar else real(h))
-    assert not rank_drops_hold(p4)
 
 
 def test_duplication_witness_pairs_differ_exactly_on_removed():
