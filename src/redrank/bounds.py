@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Optional, Union
 
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
                     gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
-from .poly import gegenbauer_values, locate_interval
+from .poly import _scaled_gegenbauer_values, locate_interval
 
 CosineLike = Union[int, Fraction, QSqrt2]
 
@@ -251,26 +252,40 @@ def levenshtein_bound(n: int, s: CosineLike,
                  ((2k+n-1)/(n-1) - (1+s)(Q_k(s) - Q_{k+1}(s)) /
                                    ((1-s)(Q_k(s) + Q_{k+1}(s))))
 
+    With s = (a + c*sqrt2)/b, Q_j(s) = (x_j + y_j*sqrt2)/w_j = R_j/w_j
+    from the recurrence's integer triples and m = w_{i+1}/w_i, the last
+    fraction is h (m R_i - R_{i+1}) / (b(1-s) G): (i, h, G) is (k-1, b, R_k)
+    on branch A and (k, b(1+s), m R_k + R_{k+1}) on branch B.  So the
+    value is N/D in Z[sqrt2], reduced once through the conjugate of D.
     Raises LevDenominatorZero when the Q-denominator vanishes at s.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     sv = _as_cosine(s)
     k, branch = locate_interval(n, sv)
-    qk1, qk, qk2 = gegenbauer_values(n, sv, k - 1, k + 1)
-    one = QSqrt2(1)
+    a, c, b = sv.as_integers()
+    i = k - 1 if branch == "A" else k
+    u, v = ((x, y) for x, y, _ in islice(_scaled_gegenbauer_values(n, sv), i, i + 2))
+    m = b * (i + n - 2) if i else b
+
+    def mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+        return p[0] * q[0] + 2 * p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
     if branch == "A":
-        den = (one - sv) * qk
-        if den.sign() == 0:
-            raise LevDenominatorZero(f"Q_{k}(s) = 0 at n = {n}")
-        value = comb(k + n - 3, k - 1) * (
-            QSqrt2(Fraction(2 * k + n - 3, n - 1)) - (qk1 - qk) / den)
+        coeff, lead, h, g = comb(k + n - 3, k - 1), 2 * k + n - 3, (b, 0), v
+        zero = f"Q_{k}(s) = 0"
     else:
-        den = (one - sv) * (qk + qk2)
-        if den.sign() == 0:
-            raise LevDenominatorZero(f"Q_{k}(s) + Q_{k+1}(s) = 0 at n = {n}")
-        value = comb(k + n - 2, k) * (
-            QSqrt2(Fraction(2 * k + n - 1, n - 1)) - (one + sv) * (qk - qk2) / den)
+        coeff, lead, h = comb(k + n - 2, k), 2 * k + n - 1, (b + a, c)
+        g, zero = (m * u[0] + v[0], m * u[1] + v[1]), f"Q_{k}(s) + Q_{k+1}(s) = 0"
+    den = mul((b - a, -c), g)
+    if den == (0, 0):
+        raise LevDenominatorZero(f"{zero} at n = {n}")
+    # value = coeff (lead den - (n-1) h (m R_i - R_{i+1})) / ((n-1) den)
+    tail = mul(h, (m * u[0] - v[0], m * u[1] - v[1]))
+    num = mul((lead * den[0] - (n - 1) * tail[0],
+               lead * den[1] - (n - 1) * tail[1]), (den[0], -den[1]))
+    norm = (n - 1) * (den[0] * den[0] - 2 * den[1] * den[1])
+    value = QSqrt2(Fraction(coeff * num[0], norm), Fraction(coeff * num[1], norm))
     holds = None
     if threshold is not None:
         holds = threshold.sign() > 0 and value < threshold

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -102,6 +103,10 @@ def _load_one_graph(args: argparse.Namespace) -> Graph:
 def _parse_cosine(text: str) -> Union[QSqrt2, Fraction]:
     if text == "s0":
         return COS_REFERENCE
+    # Fraction builds 10^exponent before any digit cap can refuse it
+    if re.search(r"[eE][-+]?0*[1-9]\d\d", text.replace("_", "")):
+        raise _UsageError(f"cosine {text!r} has a decimal exponent of 100 or "
+                          f"more in magnitude; refused")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -141,18 +146,6 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict],
         sys.stdout.write(body)
 
 
-def _bound_csv_row(report: BoundReport) -> list[object]:
-    return [report.n, report.method, report.value_decimal(),
-            report.threshold_decimal() or "",
-            "" if report.holds is None else report.holds,
-            "" if report.k_used is None else report.k_used,
-            report.branch_used or ""]
-
-
-_BOUND_CSV_HEADER = ["n", "method", "value_decimal", "threshold_decimal",
-                     "holds", "k", "branch"]
-
-
 def _bound_text(report: BoundReport) -> str:
     bits = [f"n={report.n}", report.method, report.value_decimal()]
     if report.threshold is not None:
@@ -166,7 +159,12 @@ def _bound_text(report: BoundReport) -> str:
 
 
 def _bound_table(reports: list[BoundReport]) -> _Table:
-    return _BOUND_CSV_HEADER, [_bound_csv_row(r) for r in reports]
+    return (["n", "method", "value_decimal", "threshold_decimal", "holds",
+             "k", "branch"],
+            [[r.n, r.method, r.value_decimal(), r.threshold_decimal() or "",
+              "" if r.holds is None else r.holds,
+              "" if r.k_used is None else r.k_used, r.branch_used or ""]
+             for r in reports])
 
 
 # ── graph commands ───────────────────────────────────────────────

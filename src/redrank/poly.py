@@ -1,8 +1,10 @@
 """The Gegenbauer ladder used by the sphere-code bounds, and the cell of the
 Levenshtein partition that holds a cosine.
 
-A polynomial is a tuple of Fraction coefficients, lowest degree first,
-with no trailing zero; () is the zero polynomial.
+A polynomial is a tuple of coefficients, lowest degree first, with no
+trailing zero; () is the zero polynomial.  Q_k has reduced Fraction
+coefficients; an adjacent polynomial is its primitive integer multiple,
+since Descartes' rule reads only the signs of a positive multiple.
 
 The Gegenbauer polynomials Q_k for dimension n are normalized so that
 Q_k(1) = 1 and satisfy
@@ -40,21 +42,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Union
 
 from .exact import QSqrt2, sign_sqrt2
 
 Scalar = Union[int, Fraction, QSqrt2]
-Poly = tuple[Fraction, ...]
 
 
 # ── Gegenbauer ladder ────────────────────────────────────────────
 
 
 @lru_cache(maxsize=None)
-def gegenbauer(n: int, k: int) -> Poly:
+def gegenbauer(n: int, k: int) -> tuple[Fraction, ...]:
     """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1.
 
     Built from the explicit coefficients of C_k^lambda, lambda = (n-2)/2
@@ -77,11 +77,6 @@ def gegenbauer(n: int, k: int) -> Poly:
     return tuple(coeffs)
 
 
-def _integer_form(s: Scalar) -> tuple[int, int, int]:
-    """Integers (a, c, b) with s = (a + c*sqrt2)/b and b > 0."""
-    return QSqrt2._coerce(s).as_integers()
-
-
 def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int]]:
     """Integer triples (x, y, w), w > 0, with Q_j(s) = (x + y*sqrt2)/w for
     j = 0, 1, 2, ... without end.
@@ -90,7 +85,7 @@ def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int
     R_{j+1} = (2j+n-2) r R_j - j (j+n-3) b^2 R_{j-1} (the factor j+n-3 is
     1 at j = 1) on R_j = Q_j(s) b^j D_j, D_{j+1} = (j+n-2) D_j, D_1 = 1.
     No gcd is taken, so a term costs a few integer products."""
-    a, c, b = _integer_form(s)
+    a, c, b = QSqrt2._coerce(s).as_integers()
     yield 1, 0, 1
     x0, y0, x1, y1, w = 1, 0, a, c, b
     j = 1
@@ -104,24 +99,17 @@ def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int
         j += 1
 
 
-def gegenbauer_values(n: int, s: Scalar, first: int, last: int) -> list[QSqrt2]:
-    """Q_first(s), ..., Q_last(s) for dimension n, by the three-term
-    recurrence in exact arithmetic; equal to gegenbauer(n, j) at s."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    return [QSqrt2(Fraction(x, w), Fraction(y, w)) for x, y, w in
-            islice(_scaled_gegenbauer_values(n, s), first, last + 1)]
-
-
 @lru_cache(maxsize=None)
-def adjacent_poly(n: int, k: int, kind: str) -> Poly:
+def adjacent_poly(n: int, k: int, kind: str) -> tuple[int, ...]:
     """Adjacent Gegenbauer polynomial Q_k^{1,0} (kind "10") or Q_k^{1,1}
-    (kind "11") for dimension n, obtained by exact division.
+    (kind "11") for dimension n, as its primitive integer multiple.
 
-    With j = 1 or 2, P = Q_k - Q_{k+j} = (1 - t^j) q coefficientwise reads
-    p_i = q_i - q_{i-j}, solved for q from the top down; the j lowest
-    equations, q_i = p_i, are left over and must hold.  Then q is scaled
-    by (n-1)/(2k+n-2+j)."""
+    With j = 1 or 2, Q_k and Q_{k+j} are brought over one common
+    denominator D, and P = D (Q_k - Q_{k+j}) = (1 - t^j) q coefficientwise
+    reads p_i = q_i - q_{i-j}, solved for q from the top down in integers;
+    the j lowest equations, q_i = p_i, are left over and must hold.  Then
+    q is D (2k+n-2+j)/(n-1) times Q_k^{kind}, a positive multiple, and its
+    content is divided out."""
     if n < 3:
         raise ValueError("dimension must be at least 3")
     if kind not in ("10", "11"):
@@ -129,16 +117,18 @@ def adjacent_poly(n: int, k: int, kind: str) -> Poly:
     j = 1 if kind == "10" else 2
     if k < 2 - j:
         raise ValueError(f'kind "{kind}" needs k >= {2 - j}')
-    p = [-c for c in gegenbauer(n, k + j)]
-    for i, c in enumerate(gegenbauer(n, k)):
-        p[i] += c
-    q = [Fraction(0)] * len(p)
+    low, high = gegenbauer(n, k), gegenbauer(n, k + j)
+    den = lcm(*(c.denominator for c in low + high))
+    p = [-(c.numerator * (den // c.denominator)) for c in high]
+    for i, c in enumerate(low):
+        p[i] += c.numerator * (den // c.denominator)
+    q = [0] * len(p)
     for i in range(len(p) - 1, j - 1, -1):
         q[i - j] = q[i] - p[i]
     if q[:j] != p[:j]:
         raise ValueError(f"inexact division: n = {n}, k = {k}, kind {kind}")
-    scale = Fraction(n - 1, 2 * k + n - 2 + j)
-    return tuple(scale * c for c in q[:k + 1])
+    g = gcd(*q)
+    return tuple(c // g for c in q[:k + 1])
 
 
 # ── locating s among the adjacent zeros ──────────────────────────
@@ -176,35 +166,32 @@ class CellCertificateError(ArithmeticError):
     by the theorems in the module docstring this never happens."""
 
 
-def _no_zero_above(p: Poly, s: Scalar) -> bool:
-    """Whether Descartes' rule of signs proves that p has no zero above s.
+def _no_zero_above(p: tuple[int, ...], s: Scalar) -> bool:
+    """Whether Descartes' rule of signs proves that the integer polynomial
+    p has no zero above s.
 
     The rule is applied to the Taylor coefficients of p(s + t): with no
     sign variation among them, p(s + t) has no positive zero.  They are
     computed in integers, writing s = (a + c*sqrt2)/b and shifting
     S(x) = b^d p(x/b) by a + c*sqrt2, which scales the coefficient of t^j
-    by the positive b^(d-j).  False only means that the rule proves
-    nothing."""
-    a, c, b = _integer_form(s)
-    den = lcm(*(x.denominator for x in p))
+    by the positive b^(d-j); the sqrt2 parts w stay 0 for a rational s.
+    False only means that the rule proves nothing, as for the zero
+    polynomial, which vanishes everywhere."""
+    a, c, b = QSqrt2._coerce(s).as_integers()
     d = len(p) - 1
-    u = [int(x * den) * b ** (d - i) for i, x in enumerate(p)]
-    w = [0] * (d + 1)
+    u, w, scale = list(p), [0] * (d + 1), 1
+    for i in range(d, -1, -1):
+        u[i], scale = u[i] * scale, scale * b
     for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            u[j], w[j] = (u[j] + a * u[j + 1] + 2 * c * w[j + 1],
-                          w[j] + c * u[j + 1] + a * w[j + 1])
+        if c:
+            for j in range(d - 1, i - 1, -1):
+                u[j], w[j] = (u[j] + a * u[j + 1] + 2 * c * w[j + 1],
+                              w[j] + c * u[j + 1] + a * w[j + 1])
+        else:
+            for j in range(d - 1, i - 1, -1):
+                u[j] += a * u[j + 1]
     signs = [g for g in (sign_sqrt2(x, y) for x, y in zip(u, w)) if g]
-    return all(g == signs[0] for g in signs)
-
-
-def _certify_at_or_above(n: int, j: int, kind: str, s: Scalar) -> None:
-    """Raise CellCertificateError unless Descartes' rule puts s at or above
-    every zero of Q_j^{kind}."""
-    if not _no_zero_above(adjacent_poly(n, j, kind), s):
-        raise CellCertificateError(
-            f"Descartes' rule does not place s at or above the largest zero "
-            f"of Q_{j}^{{{kind[0]},{kind[1]}}} at n = {n}; refused")
+    return bool(signs) and all(g == signs[0] for g in signs)
 
 
 def _scan(n: int, s: Scalar) -> tuple[int, bool]:
@@ -215,7 +202,7 @@ def _scan(n: int, s: Scalar) -> tuple[int, bool]:
     since 1 - s > 0.  With Q_j(s) = R_j / w_j, those are the signs of
     R_k m - R_{k+2} and R_k m' - R_{k+1} for the integer ratios m, m' of
     the scales."""
-    b = _integer_form(s)[2]
+    b = QSqrt2._coerce(s).as_integers()[2]
 
     def sign(p: tuple[int, int, int], q: tuple[int, int, int], m: int) -> int:
         return sign_sqrt2(p[0] * m - q[0], p[1] * m - q[1])
@@ -245,13 +232,11 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     s < t_k^{1,0} on branch A, hold by the intermediate value theorem:
     the polynomial is negative at s and 1 at t = 1.  The ends
     t_{k-1}^{1,1} <= s, and t_k^{1,0} <= s on branch B, are certified by
-    Descartes' rule; where it proves nothing, CellCertificateError is
-    raised and no other cell is tried.  Real simple zeros (Szego, Thm
-    3.3.1) and interlacing largest zeros (Levenshtein, Handbook of Coding
-    Theory, 1998, section 5) keep that refusal from firing.  Cells beyond
-    LOCATE_CELL_CAP raise CellCapError; a numerator or denominator of s
-    longer than COSINE_DIGIT_CAP digits raises CosineDigitCapError
-    before the scan.
+    Descartes' rule; where it proves nothing (by the theorems in the
+    module docstring, never), CellCertificateError is raised and no other
+    cell is tried.  Cells beyond LOCATE_CELL_CAP raise CellCapError; a
+    numerator or denominator of s longer than COSINE_DIGIT_CAP digits
+    raises CosineDigitCapError before the scan.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -262,9 +247,9 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     if sv == -1:
         return 1, "A"
     k, below_10 = _scan(n, sv)
-    if k > 1:
-        _certify_at_or_above(n, k - 1, "11", sv)
-    if below_10:
-        return k, "A"
-    _certify_at_or_above(n, k, "10", sv)
-    return k, "B"
+    for j, kind in [(k - 1, "11")] * (k > 1) + [(k, "10")] * (not below_10):
+        if not _no_zero_above(adjacent_poly(n, j, kind), sv):
+            raise CellCertificateError(
+                f"Descartes' rule does not place s at or above the largest zero "
+                f"of Q_{j}^{{{kind[0]},{kind[1]}}} at n = {n}; refused")
+    return k, "A" if below_10 else "B"

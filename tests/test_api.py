@@ -77,7 +77,8 @@ def test_trimmed_members_are_pinned():
     for name in ("has_edge", "edge_count"):
         assert not hasattr(redrank.Graph, name), name
     for module, name in (("exact", "GammaRatio"), ("exact", "PI_LO"),
-                         ("graphs", "rank_drops_hold")):
+                         ("graphs", "rank_drops_hold"),
+                         ("poly", "gegenbauer_values")):
         assert not hasattr(importlib.import_module(f"redrank.{module}"),
                            name), name
     for name in ("__float__", "__rsub__", "__rtruediv__", "__neg__"):

@@ -5,12 +5,16 @@ Float cross-checks use mpmath; every verdict-bearing comparison in the
 library itself is exact, and the frozen literals here pin that down.
 """
 
+import itertools
 import random
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from mpmath import mp, mpf, binomial, gegenbauer as mp_gegenbauer
 
+from redrank import bounds
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, DimensionCapError, IntegralBracket,
                             LevDenominatorZero, closed_form_sweep,
@@ -18,6 +22,7 @@ from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
 from redrank.exact import COS_REFERENCE, QSqrt2, sqrt_enclosure
+from redrank.poly import locate_interval
 
 
 def test_angle_params_identities():
@@ -125,6 +130,51 @@ def test_levenshtein_matches_float_recomputation():
         want = _lev_float(n, s, r.k_used, r.branch_used)
         got = float(r.value.a) + float(r.value.b) * 2 ** 0.5
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def _lev_reference(n, s, k, branch):
+    """The bound in QSqrt2 arithmetic: Q_j(s) by the three-term recurrence
+    on field elements, then the branch formula term by term."""
+    sv = QSqrt2._coerce(s)
+    one = QSqrt2(1)
+    q = [one, sv]
+    for j in range(1, k + 1):
+        q.append(((2 * j + n - 2) * sv * q[j] - j * q[j - 1]) / (j + n - 2))
+    if branch == "A":
+        return comb(k + n - 3, k - 1) * (
+            QSqrt2(Fraction(2 * k + n - 3, n - 1))
+            - (q[k - 1] - q[k]) / ((one - sv) * q[k]))
+    return comb(k + n - 2, k) * (
+        QSqrt2(Fraction(2 * k + n - 1, n - 1))
+        - (one + sv) * (q[k] - q[k + 1]) / ((one - sv) * (q[k] + q[k + 1])))
+
+
+def test_levenshtein_matches_field_arithmetic_reference():
+    # the integer evaluation gives the same cell, value string and verdict
+    # as the branch formula evaluated in QSqrt2 arithmetic
+    rng = random.Random(1998)
+    points = [(n, COS_REFERENCE) for n in range(3, 119)]
+    for _ in range(400):
+        d = rng.randint(1, 300)
+        points.append((rng.randint(3, 60), Fraction(rng.randint(-d, d - 1), d)))
+    for n, s in points:
+        threshold = threshold_value(n, -4)
+        r = levenshtein_bound(n, s, threshold)
+        k, branch = locate_interval(n, s)
+        want = _lev_reference(n, s, k, branch)
+        assert (r.k_used, r.branch_used) == (k, branch), (n, s)
+        assert str(r.value) == str(want), (n, s)
+        assert r.holds == (threshold.sign() > 0 and want < threshold), (n, s)
+
+
+def test_levenshtein_refuses_a_zero_denominator(monkeypatch):
+    # Q_k(s) = 0 on branch A, Q_k(s) + Q_{k+1}(s) = 0 on branch B
+    monkeypatch.setattr(bounds, "_scaled_gegenbauer_values",
+                        lambda n, s: itertools.repeat((0, 0, 1)))
+    for n, message in ((5, "Q_3(s) = 0 at n = 5"),
+                       (10, "Q_3(s) + Q_4(s) = 0 at n = 10")):
+        with pytest.raises(LevDenominatorZero, match=re.escape(message)):
+            levenshtein_bound(n, COS_REFERENCE)
 
 
 def test_closed_form_frozen():

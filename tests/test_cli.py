@@ -5,6 +5,7 @@ Commands run in-process through redrank.cli.main so the tests stay
 fast; the console entry point wraps the same function.
 """
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -18,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import redrank
 from redrank import cli, poly
@@ -186,6 +188,59 @@ def test_lev_refuses_an_uncertified_cell(capsys, monkeypatch):
         assert code == 1 and out == ""
         assert err.startswith("verification failure: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+_MALFORMED_COSINES = st.one_of(
+    st.sampled_from(["", " ", "abc", "S0", "s0 0", "1/0", "0/0", "1//2",
+                     "1/-2", "1/2/3", "1.2.3", "nan", "inf", "-inf", "0x10",
+                     "1e", "--", "1e10000000", "-1e-10000000",
+                     "0e0_9999999", "1" * 5000]),
+    st.text(alphabet="0123456789/-+.eE_ s", max_size=14))
+
+
+@st.composite
+def _cosine_texts(draw):
+    """s0, a malformed string, or p/q with |p| <= q of at most 6 digits."""
+    kind = draw(st.sampled_from(["ratio", "s0", "malformed"]))
+    if kind == "malformed":
+        return draw(_MALFORMED_COSINES)
+    if kind == "s0":
+        return "s0"
+    q = draw(st.integers(1, 999_999))
+    return f"{draw(st.integers(-q, q))}/{q}"
+
+
+@seed(20121)
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(-5, 200), s=_cosine_texts())
+def test_lev_exits_cleanly_on_any_input(n, s):
+    # argparse reports its own usage errors by SystemExit(2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["lev", "--n", str(n), "--s", s])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (n, s, code)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue(), (n, s)
+    else:
+        assert json.loads(out.getvalue())["n"] == n
+
+
+def test_lev_refuses_large_exponents_at_once(capsys):
+    # Fraction would build 10^exponent before any digit cap applies
+    start = time.perf_counter()
+    for s in ("1e10000000", "-1E-0_10000000", "0e9999999"):
+        code, out, err = run(capsys, "lev", "--n", "3", "--s", s)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "exponent" in err
+    assert time.perf_counter() - start < 0.5
+    code, out, _ = run(capsys, "lev", "--n", "5", "--s", "3e-0_01",
+                       "--format", "text")
+    assert (code, out) == (0, "n=5 levenshtein 22.3711340206185567010309278351"
+                              " k=2 branch=B\n")
 
 
 def test_rho_refuses_searches_beyond_cap(capsys):

@@ -13,6 +13,8 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import islice
+from math import gcd, lcm
 
 import pytest
 from mpmath import mp, mpf
@@ -21,13 +23,19 @@ from redrank import poly
 from redrank.exact import COS_REFERENCE, QSqrt2
 from redrank.poly import (COSINE_DIGIT_CAP, LOCATE_CELL_CAP, CellCapError,
                           CellCertificateError, CosineDigitCapError,
-                          adjacent_poly, gegenbauer, gegenbauer_values,
-                          locate_interval)
+                          adjacent_poly, gegenbauer, locate_interval)
 
 
 def horner(p, x):
     """p(x) exactly for Fraction and QSqrt2 x; p lowest degree first."""
     return reduce(lambda acc, c: acc * x + c, reversed(p), 0 * x)
+
+
+def numerators(p):
+    """The integer numerators of p over the common denominator of its
+    coefficients, a positive multiple of p."""
+    den = lcm(*(Fraction(c).denominator for c in p))
+    return tuple(int(c * den) for c in p)
 
 
 def test_gegenbauer_frozen_coefficients():
@@ -64,19 +72,44 @@ def test_gegenbauer_matches_mpmath():
 
 
 def test_adjacent_poly_frozen_coefficients():
-    assert adjacent_poly(13, 2, "10") == \
-        (Fraction(-1, 16), Fraction(1, 8), Fraction(15, 16))
-    assert adjacent_poly(13, 2, "11") == \
-        (Fraction(-1, 14), 0, Fraction(15, 14))
+    # (-1/16, 1/8, 15/16) and (-1/14, 0, 15/14), made primitive
+    assert adjacent_poly(13, 2, "10") == (-1, 2, 15)
+    assert adjacent_poly(13, 2, "11") == (-1, 0, 15)
     with pytest.raises(ValueError):
         adjacent_poly(13, 2, "01")
 
 
+def reference_adjacent(qs, n, k, kind):
+    """Q_k^{kind} in Fractions from the ladder qs, by the defining
+    quotient (n-1)(Q_k - Q_{k+j}) / ((2k+n-2+j)(1 - t^j)), with the
+    division by 1 - t^j done as a long division from the top."""
+    j = 1 if kind == "10" else 2
+    p = [Fraction(0)] * (k + j + 1)
+    for i, c in enumerate(qs[k]):
+        p[i] += c
+    for i, c in enumerate(qs[k + j]):
+        p[i] -= c
+    q = [Fraction(0)] * (k + j + 1)
+    for i in range(k + j, j - 1, -1):
+        q[i - j] = q[i] - p[i]
+    assert q[:j] == p[:j] and not any(q[k + 1:])
+    return [Fraction(n - 1, 2 * k + n - 2 + j) * c for c in q[:k + 1]]
+
+
 def test_adjacent_poly_normalization():
-    for n in (3, 5, 10, 24):
-        for k in (1, 2, 3, 4):
-            for kind in ("10", "11"):
-                assert horner(adjacent_poly(n, k, kind), Fraction(1)) == 1
+    for n in range(3, 41):
+        qs = three_term_ladder(n, 26)
+        for kind in ("10", "11"):
+            for k in range(1 if kind == "10" else 0, 25):
+                got = adjacent_poly(n, k, kind)
+                want = reference_adjacent(qs, n, k, kind)
+                assert horner(want, Fraction(1)) == 1
+                assert all(isinstance(c, int) for c in got)
+                assert len(got) == k + 1 and got[-1] > 0
+                assert gcd(*got) == 1
+                scale = got[-1] / want[-1]
+                assert scale > 0
+                assert [scale * c for c in want] == list(got), (n, k, kind)
 
 
 def mp_value(s):
@@ -133,7 +166,7 @@ def test_largest_zero_matches_mpmath():
         with mp.workdps(50):
             top = Fraction(mp.nstr(max(r.real for r in mp_roots(q)), 40))
         assert horner(q, top - eps) < 0  # and Q_k(1) = 1: a zero above
-        assert poly._no_zero_above(q, top + eps)
+        assert poly._no_zero_above(numerators(q), top + eps)
 
 
 def test_interlacing_of_largest_roots():
@@ -145,21 +178,21 @@ def test_interlacing_of_largest_roots():
                 lo = max(r.real for r in mp_roots(gegenbauer(n, k)))
                 hi = max(r.real for r in mp_roots(gegenbauer(n, k + 1)))
                 mid = Fraction(mp.nstr((lo + hi) / 2, 25))
-            assert poly._no_zero_above(gegenbauer(n, k), mid)
+            assert poly._no_zero_above(numerators(gegenbauer(n, k)), mid)
             assert horner(gegenbauer(n, k + 1), mid) < 0
 
 
 def test_no_zero_above_at_repeated_and_exact_roots():
     # (t - 1)^2 (t - 2): the double root at 1 does not hide the root at 2
-    p = (Fraction(-2), Fraction(5), Fraction(-4), Fraction(1))
+    p = (-2, 5, -4, 1)
     assert [poly._no_zero_above(p, Fraction(s, 2)) for s in (1, 2, 3, 4, 5)] \
         == [False, False, False, True, True]
     # (t - 1)^2: a double largest root
-    sq = (Fraction(1), Fraction(-2), Fraction(1))
+    sq = (1, -2, 1)
     assert [poly._no_zero_above(sq, Fraction(s, 2)) for s in (1, 2, 3)] \
         == [False, True, True]
     # t^2 + 2t - 1 has its largest root exactly at s0 = sqrt2 - 1
-    r = (Fraction(-1), Fraction(2), Fraction(1))
+    r = (-1, 2, 1)
     eps = Fraction(1, 10 ** 12)
     assert poly._no_zero_above(r, COS_REFERENCE)
     assert not poly._no_zero_above(r, COS_REFERENCE - eps)
@@ -192,13 +225,13 @@ def test_no_zero_above_is_sound_against_mpmath_roots():
             stable = all(r.real < sv for r in roots)
         if not above and not stable:
             continue
-        p = tuple(Fraction(c) for c in coeffs)
-        assert poly._no_zero_above(p, s) is stable, (coeffs, s)
+        assert poly._no_zero_above(tuple(coeffs), s) is stable, (coeffs, s)
         checked[stable] += 1
 
 
 def test_adjacent_poly_refuses_inexact_division(monkeypatch):
     exact = poly.gegenbauer
+    want = adjacent_poly(10, 2, "10")
 
     def perturbed(n, k):
         q = exact(n, k)
@@ -213,7 +246,7 @@ def test_adjacent_poly_refuses_inexact_division(monkeypatch):
     finally:
         monkeypatch.undo()
         adjacent_poly.cache_clear()
-    assert horner(adjacent_poly(10, 2, "10"), Fraction(1)) == 1
+    assert adjacent_poly(10, 2, "10") == want
 
 
 def test_adjacent_largest_zero_interval():
@@ -242,16 +275,22 @@ def test_locate_interval_k_grows_with_dimension():
     assert last >= 5
 
 
+def three_term_ladder(n, last):
+    """Q_0, ..., Q_last as Fraction coefficient lists, by the recurrence
+    Q_{j+1} = ((2j+n-2) t Q_j - j Q_{j-1}) / (j+n-2)."""
+    qs = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for j in range(1, last):
+        nxt = [Fraction(0)] + [(2 * j + n - 2) * c for c in qs[j]]
+        for i, c in enumerate(qs[j - 1]):
+            nxt[i] -= j * c
+        qs.append([c / (j + n - 2) for c in nxt])
+    return qs
+
+
 def test_gegenbauer_matches_three_term_recurrence():
     for n in (2, 3, 4, 7, 24, 119):
-        qs = [[Fraction(1)], [Fraction(0), Fraction(1)]]
-        for j in range(1, 40):
-            # Q_{j+1} = ((2j+n-2) t Q_j - j Q_{j-1}) / (j+n-2)
-            nxt = [Fraction(0)] + [(2 * j + n - 2) * c for c in qs[j]]
-            for i, c in enumerate(qs[j - 1]):
-                nxt[i] -= j * c
-            qs.append([c / (j + n - 2) for c in nxt])
-        assert [gegenbauer(n, k) for k in range(41)] == [tuple(q) for q in qs]
+        assert [gegenbauer(n, k) for k in range(41)] == \
+            [tuple(q) for q in three_term_ladder(n, 40)]
 
 
 def test_gegenbauer_cold_call_needs_no_recursion():
@@ -266,12 +305,14 @@ def test_gegenbauer_cold_call_needs_no_recursion():
 
 
 def test_gegenbauer_values_match_polynomials():
+    # the integer triples (x, y, w) give Q_j(s) = (x + y*sqrt2)/w
     for n in (3, 8, 24):
         for s in (Fraction(-2, 3), Fraction(0), Fraction(5, 7), COS_REFERENCE):
-            got = gegenbauer_values(n, s, 0, 12)
+            triples = list(islice(poly._scaled_gegenbauer_values(n, s), 13))
+            assert all(w > 0 for _, _, w in triples)
+            got = [QSqrt2(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
             assert got == [horner(gegenbauer(n, j), QSqrt2._coerce(s))
                            for j in range(13)]
-            assert gegenbauer_values(n, s, 4, 6) == got[4:7]
 
 
 # ── locate_interval against mpmath's zeros ─────────────────────────
@@ -377,7 +418,7 @@ def test_locate_interval_refuses_cosines_beyond_digit_cap():
 
 def test_descartes_reports_not_proved_when_a_zero_lies_above():
     # (t - 1/2)(t + 1): a zero at 1/2
-    p = (Fraction(-1, 2), Fraction(1, 2), Fraction(1))
+    p = (-1, 1, 2)
     assert not poly._no_zero_above(p, Fraction(0))
     assert not poly._no_zero_above(p, Fraction(49, 100))
     assert poly._no_zero_above(p, Fraction(1, 2))
@@ -385,3 +426,12 @@ def test_descartes_reports_not_proved_when_a_zero_lies_above():
     # t_3^{1,0} < s0 < t_4^{1,0} at n = 10
     assert poly._no_zero_above(adjacent_poly(10, 3, "10"), COS_REFERENCE)
     assert not poly._no_zero_above(adjacent_poly(10, 4, "10"), COS_REFERENCE)
+
+
+def test_no_zero_above_proves_nothing_for_the_zero_polynomial():
+    # the zero polynomial vanishes everywhere, so no sign pattern of its
+    # (absent) coefficients proves anything; a nonzero constant has no zero
+    for s in (Fraction(1, 2), Fraction(-3), COS_REFERENCE):
+        assert not poly._no_zero_above((), s)
+        assert poly._no_zero_above((3,), s)
+        assert poly._no_zero_above((-2,), s)
