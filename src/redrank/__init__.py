@@ -5,7 +5,7 @@ rationals, recognizes and produces reduced graphs (no isolated or
 duplicated vertices), enumerates small graphs up to isomorphism to
 test the order-versus-rank conjecture, and certifies the spherical
 two-distance-code bounds that power the general order estimates.
-All core arithmetic is exact; floating point never decides a verdict.
+All arithmetic is exact; the library uses no floating point.
 """
 
 from .bounds import (AngleParams, BoundReport, IntegralBracket,

@@ -103,15 +103,18 @@ def _load_one_graph(args: argparse.Namespace) -> Graph:
 def _parse_cosine(text: str) -> Union[QSqrt2, Fraction]:
     if text == "s0":
         return COS_REFERENCE
+    # a refusal echoes at most 20 characters of the argument
+    shown = (repr(text) if len(text) <= 20
+             else f"{text[:20]!r}… ({len(text)} characters)")
     # Fraction builds 10^exponent before any digit cap can refuse it
     if re.search(r"[eE][-+]?0*[1-9]\d\d", text.replace("_", "")):
-        raise _UsageError(f"cosine {text!r} has a decimal exponent of 100 or "
+        raise _UsageError(f"cosine {shown} has a decimal exponent of 100 or "
                           f"more in magnitude; refused")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(
-            f"cosine {text!r} not understood; use 's0' or a rational like -1/2"
+            f"cosine {shown} not understood; use 's0' or a rational like -1/2"
         ) from None
 
 

@@ -8,9 +8,9 @@ square-root enclosures and decimal renderings work on a value written
 as (A + B*sqrt2)/D with integers A, B and D > 0 (QSqrt2.as_integers) in
 integers alone: a sign is that of A + B*sqrt2 (sign_sqrt2, which
 compares A^2 with 2*B^2), and floor(x * 10^k), for k of either sign, is
-one integer isqrt and one floor division.  A float only estimates the
-decimal exponent of a rendering, which the integer digits then confirm
-or correct; no floating point enters any comparison or verdict.
+one integer isqrt and one floor division.  A rendering takes its decimal
+exponent from a bound on bit lengths (_log2_lower) and its digits from
+one such floor; the module uses no floating point.
 
 All values are immutable and every function is pure, so the module is safe
 for concurrent use.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import factorial, floor, isqrt, lcm, log10
+from math import factorial, isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -29,8 +29,6 @@ Rational = Union[int, Fraction]
 # 80-digit independent evaluation in the test suite.  It rounds reported
 # values that carry a power of pi upward and enters no verdict.
 PI_HI = Fraction(314159265358979323846264338327950288419716939937511, 10 ** 50)
-
-_LOG10_2 = log10(2)
 
 
 def _floor_int_sqrt2(b: int) -> int:
@@ -209,7 +207,8 @@ def _int_str(n: int) -> str:
         pass
     if n < 0:
         return "-" + _int_str(-n)
-    half = int(n.bit_length() * _LOG10_2) // 2
+    # about half the digit count, and below it, as any split must be
+    half = n.bit_length() * 3 // 20
     high, low = divmod(n, 10 ** half)
     return _int_str(high) + _int_str(low).zfill(half)
 
@@ -237,23 +236,18 @@ def _floor_scaled(a: int, b: int, d: int, k: int) -> int:
     return (a + _floor_int_sqrt2(b)) // (d * 10 ** -k)
 
 
-def _log10_sum(x: int, y: int) -> float:
-    """log10(x + y*sqrt2), approximately, for x, y >= 0 not both 0."""
-    shift = max(x.bit_length(), y.bit_length()) - 60
-    if shift <= 0:
-        return log10(x + y * 2 ** 0.5)
-    return log10((x >> shift) + (y >> shift) * 2 ** 0.5) + shift * _LOG10_2
-
-
-def _log10_estimate(a: int, b: int, d: int) -> float:
-    """log10((a + b*sqrt2)/d), approximately, for a positive value.  When
-    a and b have opposite signs, a + b*sqrt2 is written as the norm
-    a^2 - 2 b^2 over |a| + |b|*sqrt2, so cancellation costs no accuracy."""
+def _log2_lower(a: int, b: int, d: int) -> int:
+    """An integer lb with lb < log2(v) < lb + 3.5 for v = (a + b*sqrt2)/d
+    > 0.  With L = int.bit_length, 2^(L(n)-1) <= n < 2^L(n) for n > 0,
+    and P/sqrt2 <= |a| + |b|*sqrt2 <= P for P = |a| + 2|b|: a, b >= 0
+    puts log2(v) in (lb + 1/2, lb + 3) for lb = L(P) - L(d) - 2;
+    otherwise a + b*sqrt2 = |a^2 - 2b^2| / (|a| + |b|*sqrt2) puts it in
+    (lb, lb + 7/2) for lb = L(|a^2 - 2b^2|) - L(P) - L(d) - 1, with no
+    loss to cancellation."""
     if a >= 0 and b >= 0:
-        top = _log10_sum(a, b)
-    else:
-        top = log10(abs(a * a - 2 * b * b)) - _log10_sum(abs(a), abs(b))
-    return top - log10(d)
+        return (a + 2 * b).bit_length() - d.bit_length() - 2
+    return ((a * a - 2 * b * b).bit_length()
+            - (abs(a) + 2 * abs(b)).bit_length() - d.bit_length() - 1)
 
 
 def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
@@ -281,25 +275,23 @@ def decimal_str(value: "QSqrt2 | Fraction | int", digits: int = 30,
     # positive value, floor the magnitude of a negative one
     ceil_mag = (rounding == "up") != (s < 0)
 
-    # decimal exponent e10, 10^e10 <= magnitude < 10^(e10+1), holds exactly
-    # when m = floor(magnitude * 10^(digits-1-e10)) has `digits` digits; a
-    # float estimate is off by at most one, which m shows and one step fixes
-    e10 = floor(_log10_estimate(a, b, d))
-    lo, hi = 10 ** (digits - 1), 10 ** digits
-    while True:
-        k = digits - 1 - e10
-        m = _floor_scaled(a, b, d, k)
-        if m < lo:
-            e10 -= 1
-        elif m >= hi:
-            e10 += 1
-        else:
-            break
+    # 0.30102 < log10(2) < 0.30103, so e10 <= lb * log10(2) < log10(v):
+    # 10^e10 <= v, and m = floor(v * 10^(digits-1-e10)) has the j >= 0
+    # surplus digits (at most 2 + |lb|/10^5) that floor(floor(y)/10^j) =
+    # floor(y/10^j) drops exactly
+    lb = _log2_lower(a, b, d)
+    e10 = lb * (30102 if lb >= 0 else 30103) // 100000
+    k = digits - 1 - e10
+    m = _floor_scaled(a, b, d, k)
+    j = len(str(m)) - digits
+    m //= 10 ** j
+    e10 += j
+    k -= j
     exact = b == 0 and (a * 10 ** k % d == 0 if k >= 0
                         else a % (d * 10 ** -k) == 0)
     if ceil_mag and not exact:
         m += 1
-        if m == hi:
+        if m == 10 ** digits:
             m //= 10
             e10 += 1
     text = str(m)

@@ -1,8 +1,9 @@
 """The public API: the names `redrank` exports, each function or
 constant among them used by a command or an acceptance criterion, and
 the fields and parameters trimmed to what is used, pinned so that
-neither can grow back unnoticed, and the names the benchmark's traced
-runs rebind, which must keep resolving."""
+neither can grow back unnoticed, the names the benchmark's traced runs
+rebind, which must keep resolving, and the library's freedom from
+floating point."""
 
 import ast
 import dataclasses
@@ -137,3 +138,22 @@ def test_graph_and_bound_layers_meet_only_in_cli():
     for module in graph_side:
         assert not _sibling_imports(module) & bound_side, module
     assert _sibling_imports("cli") >= graph_side | bound_side
+
+
+def test_library_uses_no_floating_point():
+    """No module of the library holds a float or complex literal, uses
+    the name float, or imports from math anything but integer functions.
+    The scan cannot see true division between ints, x / y, which makes a
+    float without naming one."""
+    integer_math = {"comb", "factorial", "gcd", "isqrt", "lcm", "prod"}
+    for path in sorted(Path(redrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), where
+            elif isinstance(node, ast.Name):
+                assert node.id != "float", where
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "math" for a in node.names), where
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                assert {a.name for a in node.names} <= integer_math, where

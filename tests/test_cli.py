@@ -117,6 +117,21 @@ def test_lev_rejects_bad_cosine(capsys):
     assert code == 2
 
 
+def test_lev_refusals_echo_a_short_prefix(capsys):
+    # each refusal is one short line however long the argument; one of
+    # 20 characters or fewer is echoed whole
+    for s in ("7" * 5000, "1e" + "7" * 4998):
+        code, out, err = run(capsys, "lev", "--n", "3", "--s", s)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200 and "(5000 characters)" in err
+    code, _, err = run(capsys, "lev", "--n", "5", "--s", "pi")
+    assert err == ("error: cosine 'pi' not understood; use 's0' or a "
+                   "rational like -1/2\n")
+    code, _, err = run(capsys, "lev", "--n", "5", "--s", "x" * 20)
+    assert err.startswith(f"error: cosine {'x' * 20!r} not understood")
+
+
 def test_lev_accepts_negative_cosine_after_space(capsys):
     for fmt in ("json", "text", "csv"):
         joined = run(capsys, "lev", "--n", "5", "--s=-1/2", "--format", fmt)
@@ -227,6 +242,59 @@ def test_lev_exits_cleanly_on_any_input(n, s):
         assert out.getvalue() == "" and err.getvalue(), (n, s)
     else:
         assert json.loads(out.getvalue())["n"] == n
+
+
+def _integer_args(cap):
+    """Small integers, integers just past `cap`, or strings that are no
+    integer at all."""
+    return st.one_of(st.integers(-5, 130).map(str),
+                     st.integers(cap + 1, cap + 3).map(str),
+                     st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--",
+                                      "nan", "7" * 5000]))
+
+
+@st.composite
+def _numeric_commands(draw):
+    """An argument list for a command that takes integer options, its
+    values drawn so that every accepted run stays small."""
+    command = draw(st.sampled_from(["bounds", "rankin", "lemma5", "lemma8",
+                                    "mineq", "extremal"]))
+    if command == "bounds":
+        return ["bounds", "--n", draw(_integer_args(RANKIN_DIMENSION_CAP))]
+    if command == "rankin":
+        return ["rankin", "--n", draw(_integer_args(RANKIN_DIMENSION_CAP)),
+                "--case", draw(st.sampled_from(["half_pi", "obtuse", "acute",
+                                                "right"]))]
+    if command in ("lemma5", "lemma8"):
+        return [command,
+                "--from", draw(_integer_args(LEMMA_DIMENSION_CAP)),
+                "--to", draw(_integer_args(LEMMA_DIMENSION_CAP))]
+    if command == "mineq":
+        return ["mineq", "--r-max", draw(_integer_args(MINEQ_R_CAP))]
+    return ["extremal", "--rank", draw(_integer_args(12))]
+
+
+@seed(20122)
+@settings(max_examples=250, deadline=None, database=None)
+@given(argv=_numeric_commands())
+def test_numeric_commands_exit_cleanly_on_any_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    elif code == 1:
+        # the one exit 1 here is a lemma sweep with a bound that fails,
+        # which still prints its report
+        assert argv[0] in ("lemma5", "lemma8"), argv
+        assert json.loads(out.getvalue())["all_hold"] is False
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0]
 
 
 def test_lev_refuses_large_exponents_at_once(capsys):

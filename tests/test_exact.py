@@ -8,16 +8,17 @@ written here in Fraction arithmetic.
 """
 
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
 from redrank.exact import (COS_REFERENCE, PI_HI, QSqrt2, _floor_scaled,
-                           decimal_str, gamma_half_ratio, sign_sqrt2,
-                           sqrt_enclosure)
+                           _log2_lower, decimal_str, gamma_half_ratio,
+                           sign_sqrt2, sqrt_enclosure)
 
 
 def _to_mpf(x, dps=100):
@@ -318,7 +319,8 @@ def reference_decimal_str(x, digits, rounding):
     ceil_mag = (rounding == "up") != (s < 0)
     f = _ref_floor(a, b)
     if f >= 1:
-        e10 = len(str(f)) - 1
+        # the digit count of f, past the interpreter's limit on str(int)
+        e10 = Decimal(f).adjusted()
     else:
         e10 = 0
         sa, sb = a, b
@@ -396,3 +398,91 @@ def _scaled_qsqrt2(x, e):
 def test_decimal_str_matches_reference(x, digits, rounding):
     assert decimal_str(x, digits, rounding) == \
         reference_decimal_str(x, digits, rounding)
+
+
+# Past 10^4300 e10 = lb * 0.30102 falls short of the true exponent by a
+# further digit every 10^5 bits or so, which the surplus floor drops.
+_far = st.integers(4400, 50000)
+_far_general = st.builds(
+    lambda p, q, r, t, e: QSqrt2(_scaled(Fraction(p, q), e),
+                                 _scaled(Fraction(r, t), e)),
+    _small, _den, _small, _den, _far)
+_far_decimals = st.builds(lambda m, e: QSqrt2(_scaled(Fraction(m), e)),
+                          st.integers(-10 ** 40, 10 ** 40), _far)
+# (1 +- sqrt2)^k with parts of 5,000 bits or more; the conjugate, about
+# 10^(-0.38278 k), is lifted near 10^e, since the reference's exponent
+# search takes one floor per decade below 1
+_far_pell = st.builds(
+    lambda k, e, conj: _scaled_qsqrt2(QSqrt2(1, -1 if conj else 1) ** k,
+                                      e + (k * 38278 // 100000 if conj else 0)),
+    st.integers(3934, 8000), st.integers(-300, 300), st.booleans())
+
+
+@seed(4300)
+@settings(max_examples=60, deadline=None, database=None)
+@given(x=st.one_of(_far_general, _far_decimals, _far_pell),
+       digits=st.integers(1, 40),
+       rounding=st.sampled_from(["up", "down"]))
+def test_decimal_str_matches_reference_past_the_digit_limit(x, digits,
+                                                            rounding):
+    assert decimal_str(x, digits, rounding) == \
+        reference_decimal_str(x, digits, rounding)
+
+
+def test_decimal_str_drops_three_surplus_digits():
+    # 2^110195 - 1, just above 10^33172, gives lb = 110192 and e10 =
+    # 33169, so the one floor has three digits too many
+    top = 2 ** 110195 - 1
+    assert decimal_str(QSqrt2(top), 30, "up") == \
+        "1.00085737202338827859266042128e+33172"
+    for x, digits, rounding in ((QSqrt2(top), 30, "down"),
+                                (QSqrt2(-top), 1, "down"),
+                                (QSqrt2(0, Fraction(top, 2)), 40, "up")):
+        assert decimal_str(x, digits, rounding) == \
+            reference_decimal_str(x, digits, rounding)
+
+
+@seed(4301)
+@settings(max_examples=60, deadline=None, database=None)
+@given(x=st.one_of(_general, _far_pell), target=_far,
+       digits=st.integers(1, 40),
+       rounding=st.sampled_from(["up", "down"]))
+def test_decimal_str_of_tiny_values_shifts_the_reference(x, target, digits,
+                                                         rounding):
+    # below 10^-4400 the reference's exponent search is too slow, but
+    # x / 10^shift has the digits of x, its exponent lowered by shift
+    assume(x != 0)
+    want = Decimal(reference_decimal_str(x, digits, rounding))
+    shift = want.adjusted() + target
+    got = decimal_str(_scaled_qsqrt2(x, -shift), digits, rounding)
+    assert Decimal(got) == want.scaleb(-shift, Context(prec=100))
+    mantissa, exponent = got.lstrip("-").split("e")
+    assert len(mantissa.replace(".", "")) == digits
+    assert int(exponent) == -target
+
+
+def test_log2_lower_brackets_log2_on_seeded_randoms():
+    # lb < log2(v) < lb + 4 for v = (a + b*sqrt2)/d, with a and b of one
+    # sign and of opposite signs, near-cancelling ones included
+    rng = random.Random(2026)
+    cases = {"same": 0, "opposite": 0}
+    for _ in range(600):
+        bits = rng.choice([1, 4, 30, 64, 500, 5000])
+        b = rng.getrandbits(bits) + 1
+        near = isqrt(2 * b * b)
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = rng.getrandbits(bits)
+        elif kind == 1:
+            a, b = near + rng.choice([1, 2, rng.getrandbits(bits) + 1]), -b
+        elif kind == 2:
+            a = -max(near - rng.choice([0, 1, rng.getrandbits(bits)]), 0)
+        else:
+            a, b = rng.getrandbits(bits) + 1, 0
+        d = rng.getrandbits(rng.choice([1, 8, bits, 6000])) + 1
+        cases["same" if a >= 0 and b >= 0 else "opposite"] += 1
+        lb = _log2_lower(a, b, d)
+        mp.prec = 2 * bits + 200
+        log2v = mp.log((mpf(a) + mpf(b) * mpsqrt(2)) / d, 2)
+        assert lb < log2v < lb + 4, (a, b, d)
+    assert min(cases.values()) >= 200
