@@ -22,6 +22,7 @@ import io
 import json
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,7 +37,7 @@ from .formats import (graph6_decode, graph6_encode, parse_edge_list,
 from .graphs import (Graph, duplication_witness, min_removal_for_duplicates,
                      min_removal_for_rank_drop, neighborhood_symdiff, rank,
                      reduce_graph)
-from .poly import CellCertificateError
+from .poly import CellCapError, CellCertificateError
 
 SCHEMA = 1
 
@@ -255,14 +256,16 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 3:
+        raise _UsageError("no bound applies below dimension 3")
+    # first, as it refuses past RANKIN_DIMENSION_CAP before any work
+    acute = [rankin_bound(n, "acute")] if n >= 6 else []
     reports = []
-    if n >= 3:
+    with suppress(CellCapError):  # s0's cell may lie past LOCATE_CELL_CAP
         reports.append(levenshtein_bound(n, COS_REFERENCE))
     if n >= 6:
         reports.append(closed_form_sweep(n, n, None)[0])
-        reports.append(rankin_bound(n, "acute"))
-    if not reports:
-        raise _UsageError("no bound applies below dimension 3")
+    reports += acute
     _emit(args,
           lambda: {"command": "bounds", "n": n, "cosine": "s0",
                    "reports": [r.to_json() for r in reports]},

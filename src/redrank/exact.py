@@ -182,7 +182,9 @@ class QSqrt2:
     # ── conversions ──────────────────────────────────────────────
 
     def __repr__(self) -> str:
-        return f"QSqrt2({self.a!r}, {self.b!r})"
+        a, b = (f"Fraction({_int_str(x.numerator)}, {_int_str(x.denominator)})"
+                for x in (self.a, self.b))
+        return f"QSqrt2({a}, {b})"
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -3,18 +3,17 @@
 A graph is a tuple of neighbor bitmasks.  Rank of the 0/1 adjacency
 matrix is the exact rank over Q (equivalently over R).  Above order 9
 it is taken on the twin quotient (reduce_graph), which has the same
-rank, and found in up to three steps.  Gaussian elimination modulo the
-prime p = 32749 comes first, with each row packed into one Python
-integer of 48-bit lanes.  A matrix that is nonsingular mod p has a
-determinant that p does not divide, hence a nonzero one, so its rank is
-n; through order 9 Hadamard's inequality keeps every minor below p, so
-the rank mod p is the rank.  A singular matrix whose rank mod p, r_p, is
-at most n/3 then gets a span certificate: an integer Gauss-Jordan pass
-on its r_p pivot rows, packed in lanes wide enough for every minor,
-proves that they span every row, so the rank is r_p.  Any other matrix
-(of higher rank mod p, or where p divides a minor the certificate
-needs) falls back to fraction-free Bareiss elimination on Python
-integers.
+rank.  Gaussian elimination modulo the prime p = 32749 comes first, with
+each row packed into one Python integer of 48-bit lanes.  Its rank r_p
+is a lower bound on the rank, as a minor that is nonzero mod p is a
+nonzero integer, and rank returns it in three cases: r_p = n; order at
+most 9, where Hadamard's inequality keeps every minor below p; or r_p
+at most n/3 with a span certificate, an integer Gauss-Jordan pass on
+the r_p pivot rows, packed in lanes wide enough for every minor, that
+proves they span every row.  Any other matrix (of higher rank mod p, or
+where p divides a minor the certificate needs) goes to fraction-free
+Bareiss elimination on Python integers.  The same bound lets the
+rank-drop search clear most vertex sets without an exact rank.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -248,15 +247,11 @@ def _fold(x: int, lo: int, hi: int) -> int:
     return (x >> 15 & hi) * 19 + (x & lo)
 
 
-def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
-    """The rank over Q of the 0/1 matrix with these row bitmasks, when
-    Gaussian elimination modulo p proves it, else None.
-
-    A matrix that is nonsingular mod p has det A != 0 (mod p), so det A
-    != 0 and its rank is n.  For n <= _EXACT_ORDER every minor is below
-    p in absolute value, so the rank mod p is the rank.  A larger matrix
-    that is singular mod p gets r_p, its rank mod p, when r_p <= n /
-    _SPAN_SHARE and _span_certified proves it; else None.
+def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The rank r_p modulo p of the 0/1 matrix with these row bitmasks,
+    and the (0/1 row, column) of each pivot.  The rank over Q is at
+    least r_p: the pivot rows and columns hold a minor that is nonzero
+    mod p, hence a nonzero integer.
 
     Each row is one integer with entry v in lane v (bits 48v..48v+47).
     The elimination keeps the current column in lane 0: a row y becomes
@@ -269,10 +264,8 @@ def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
     lo, hi, three_p = _lane_masks(n)
     live = [_pack(row, _LANE) for row in rows]
     sources = list(rows)  # the 0/1 row each live row came from
-    pivots = []  # (0/1 row, column) of each pivot
+    pivots = []
     for step in range(n):
-        if step > len(pivots) and _SPAN_SHARE * len(pivots) > n > _EXACT_ORDER:
-            return None  # singular mod p, and r_p is past the cutoff
         if step and step % _FOLD_EVERY == 0:
             live = [_fold(y, lo, hi) for y in live]
         for at, y in enumerate(live):
@@ -288,12 +281,7 @@ def _certified_rank(rows: Sequence[int], n: int) -> Optional[int]:
         neg = (three_p - _fold(pivot, lo, hi)) >> _LANE
         three_p >>= _LANE
         live = [(y >> _LANE) + (y & _LANE_MASK) * inv % _P * neg for y in live]
-    found = len(pivots)
-    if found == n or n <= _EXACT_ORDER:
-        return found
-    if _SPAN_SHARE * found <= n and _span_certified(rows, pivots):
-        return found
-    return None
+    return len(pivots), pivots
 
 
 def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
@@ -347,20 +335,19 @@ def rank(g: Graph) -> int:
     """Exact rank over Q of the adjacency matrix of g.
 
     Above order 9, g's twin quotient (reduce_graph, same rank) is used.
-    Gaussian elimination modulo the prime p = 32749 runs first.  If A is
-    nonsingular mod p then det A is not divisible by p, so det A != 0
-    and the rank is n exactly; for n <= 9 Hadamard's inequality keeps
-    every minor below p, so the rank mod p is exact as well.  A singular
-    A whose rank mod p, r_p, is at most n/3 then gets the span
-    certificate: an integer Gauss-Jordan pass on the r_p pivot rows
-    proves that they span every row, so the rank is r_p.  Otherwise (a
-    higher r_p, or p dividing a minor that decides the rank) the rank
-    comes from fraction-free Bareiss elimination on integers.
+    Its rank mod p = 32749, r_p, is a lower bound, and it is the rank
+    when r_p = n; when n <= 9, as Hadamard's inequality keeps every
+    minor below p; or when r_p <= n/3 and the span certificate, an
+    integer Gauss-Jordan pass on the r_p pivot rows, proves that they
+    span every row.  Otherwise (a higher r_p, or p dividing a minor that
+    decides the rank) the rank comes from fraction-free Bareiss
+    elimination on integers.
     """
     if g.n > _EXACT_ORDER:
         g = reduce_graph(g)
-    found = _certified_rank(g.rows, g.n)
-    if found is not None:
+    found, pivots = _rank_mod_p(g.rows, g.n)
+    if found == g.n or g.n <= _EXACT_ORDER or (
+            _SPAN_SHARE * found <= g.n and _span_certified(g.rows, pivots)):
         return found
     matrix = [[g.rows[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]
     return _bareiss_rank(matrix)
@@ -446,12 +433,13 @@ def min_removal_for_duplicates(g: Graph) -> int:
 
 
 # The rank-drop search is refused before it starts when it could go past
-# this cap.  min_removal_for_rank_drop ranks the twin quotient left by
-# each class subset it tries, by Bareiss elimination whenever the mod-p
-# certificate fails, at a cost that grows with the cube of the order n;
-# so its subsets count as subsets of an order-20 graph, each weighing
-# (n/20)^3 past order 20.
-RHO_SUBSET_CAP = 10_000
+# this cap.  Its subsets count as subsets of an order-20 graph, each
+# weighing (n/20)^3 past order 20.  A subset costs one elimination mod p,
+# which grows more slowly than the cube: up to 0.16 ms per weighted
+# subset at orders 20-30 on a 2-vCPU Xeon (Python 3.11.7), about 3 s at
+# the cap.  Searches that clear every subset: C_30(4, 12, 15) (15,272
+# weighted subsets) 1.2-1.4 s, GP(24, 5) (16,257) 1.0 s, C_112 0.3-0.6 s.
+RHO_SUBSET_CAP = 20_000
 
 
 class SearchCapError(ValueError):
@@ -487,6 +475,10 @@ def min_removal_for_rank_drop(g: Graph) -> int:
     no rank: the q.n - r + 1 lightest classes, every positive degree (A
     e_v) and every positive |N(u) xor N(v)| (A(e_u - e_v)).  Lighter
     class sets are searched, unless SearchCapError refuses at once.
+
+    A set S is cleared without an exact rank when the rank mod p of
+    q - S is at least r: that is a lower bound on its rank over Q, and
+    deleting vertices never raises the rank, so the rank stays r.
     """
     classes = Counter(row for row in g.rows if row)
     if not classes:
@@ -503,8 +495,10 @@ def min_removal_for_rank_drop(g: Graph) -> int:
     for k in range(1, cap):
         for subset in combinations(range(q.n), k):
             light = sum(weight[c] for c in subset)
-            if light < best and rank(q.without(subset)) < base:
-                best = light
+            if light < best:
+                rest = q.without(subset)
+                if _rank_mod_p(rest.rows, rest.n)[0] < base and rank(rest) < base:
+                    best = light
     return best
 
 

@@ -17,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -95,6 +96,20 @@ def test_bounds_lists_applicable_methods(capsys):
     assert code == 0
     code, _, err = run(capsys, "bounds", "--n", "2")
     assert code == 2 and "error" in err
+
+
+def test_bounds_omits_the_levenshtein_entry_past_the_cell_cap(capsys):
+    # the cell of s0 lies past LOCATE_CELL_CAP at n = 20000, so only the
+    # closed form and the acute Rankin bound are listed
+    methods = ["closed_form", "rankin_integral"]
+    listed = {"json": lambda out: [r["method"] for r in json.loads(out)["reports"]],
+              "text": lambda out: [line.split()[1] for line in out.splitlines()],
+              "csv": lambda out: [row.split(",")[1] for row in out.splitlines()[1:]]}
+    for fmt, methods_of in listed.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--n", "20000", "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "") and methods_of(out) == methods
 
 
 def test_lev_exact_rendering(capsys):
@@ -205,6 +220,19 @@ def test_lev_refuses_an_uncertified_cell(capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def _run_anywhere(argv, stdin=""):
+    """(exit code, stdout, stderr) of main on argv with this stdin, with
+    argparse's own usage errors (SystemExit) counted as exit codes."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 _MALFORMED_COSINES = st.one_of(
     st.sampled_from(["", " ", "abc", "S0", "s0 0", "1/0", "0/0", "1//2",
                      "1/-2", "1/2/3", "1.2.3", "nan", "inf", "-inf", "0x10",
@@ -229,19 +257,13 @@ def _cosine_texts(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(n=st.integers(-5, 200), s=_cosine_texts())
 def test_lev_exits_cleanly_on_any_input(n, s):
-    # argparse reports its own usage errors by SystemExit(2)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(["lev", "--n", str(n), "--s", s])
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _run_anywhere(["lev", "--n", str(n), "--s", s])
     assert code in (0, 1, 2), (n, s, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code:
-        assert out.getvalue() == "" and err.getvalue(), (n, s)
+        assert out == "" and err, (n, s)
     else:
-        assert json.loads(out.getvalue())["n"] == n
+        assert json.loads(out)["n"] == n
 
 
 def _integer_args(cap):
@@ -278,23 +300,86 @@ def _numeric_commands(draw):
 @settings(max_examples=250, deadline=None, database=None)
 @given(argv=_numeric_commands())
 def test_numeric_commands_exit_cleanly_on_any_input(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _run_anywhere(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue(), argv
+        assert out == "" and err, argv
     elif code == 1:
         # the one exit 1 here is a lemma sweep with a bound that fails,
         # which still prints its report
         assert argv[0] in ("lemma5", "lemma8"), argv
-        assert json.loads(out.getvalue())["all_hold"] is False
+        assert json.loads(out)["all_hold"] is False
     else:
-        assert json.loads(out.getvalue())["command"] == argv[0]
+        assert json.loads(out)["command"] == argv[0]
+
+
+_GRAPH6_NOISE = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=130),
+                        max_size=14)
+
+
+@st.composite
+def _graph6_texts(draw):
+    """A graph6 string of order 0..12, kept, cut, extended or with one
+    character replaced, or noise."""
+    if draw(st.booleans()):
+        return draw(_GRAPH6_NOISE)
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                       max_size=len(pairs)))) if keep]
+    text = graph6_encode(Graph.from_edges(n, edges))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.characters(min_codepoint=32, max_codepoint=130))
+    return draw(st.sampled_from([text, text[:at], text + char,
+                                 text[:at] + char + text[at + 1:]]))
+
+
+@st.composite
+def _edge_lists(draw):
+    """An edge-list document with a header, edge lines and comments,
+    each token an integer near the range or a stray word."""
+    token = st.one_of(st.integers(-2, 13).map(str),
+                      st.sampled_from(["", "x", "1.5", "3 4", "#", "258048"]))
+    n = draw(st.one_of(st.integers(-1, 12).map(str), token))
+    edges = draw(st.lists(st.tuples(token, token), max_size=10))
+    m = draw(st.sampled_from([len(edges), len(edges) + 1, max(len(edges) - 1, 0)]))
+    lines = [f"{n} {m}"] + [f"{u} {v}" for u, v in edges]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# comment")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@st.composite
+def _graph_invocations(draw):
+    """(argv, stdin) for a graph command on a mostly malformed graph,
+    inline, or as graph6 or an edge list on stdin."""
+    command = draw(st.sampled_from(["rank", "rho", "tau", "delta", "witness",
+                                    "reduce"]))
+    argv = [command]
+    if command == "delta":
+        vertex = st.one_of(st.integers(-1, 4).map(str), st.just("x"))
+        argv += ["--u", draw(vertex), "--v", draw(vertex)]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    source = draw(st.sampled_from(["inline", "graph6", "edges", "auto"]))
+    if source == "inline":
+        return argv + ["--graph6", draw(_graph6_texts())], ""
+    text = draw(_graph6_texts()) if source == "graph6" else draw(_edge_lists())
+    return argv + ["--input", "-", "--input-format", source], text
+
+
+@seed(20123)
+@settings(max_examples=200, deadline=None, database=None)
+@given(invocation=_graph_invocations())
+def test_graph_commands_exit_cleanly_on_any_input(invocation):
+    argv, stdin = invocation
+    code, out, err = _run_anywhere(argv, stdin)
+    assert code in (0, 1, 2), (argv, stdin, code)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err, (argv, stdin)
+    else:
+        assert out and err == "", (argv, stdin)
 
 
 def test_lev_refuses_large_exponents_at_once(capsys):
@@ -312,14 +397,17 @@ def test_lev_refuses_large_exponents_at_once(capsys):
 
 
 def test_rho_refuses_searches_beyond_cap(capsys):
-    # C_96 is reduced, of rank 94 and degree 2, so rho would try its 96
-    # single vertices, each weighing (96/20)^3 subsets
-    c96 = graph6_encode(Graph.cycle(96))
+    # C_116 is reduced, of rank 114 and degree 2, so rho would try its
+    # 116 single vertices, each weighing (116/20)^3 subsets; C_96's 96
+    # are within the cap
+    c116 = graph6_encode(Graph.cycle(116))
     for fmt in ("json", "text", "csv"):
-        code, out, err = run(capsys, "rho", "--graph6", c96, "--format", fmt)
+        code, out, err = run(capsys, "rho", "--graph6", c116, "--format", fmt)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "RHO_SUBSET_CAP" in err
+    c96 = graph6_encode(Graph.cycle(96))
+    assert run(capsys, "rho", "--graph6", c96) == (0, "2\n", "")
 
 
 def _rho_reports(name, rho):

@@ -282,6 +282,17 @@ def test_str_renders_integers_beyond_the_conversion_limit():
         "1 + 1/" + "7" * 9001 + "*sqrt2"
 
 
+def test_repr_renders_parts_beyond_the_conversion_limit():
+    # small values keep Fraction's own repr; large parts no longer raise
+    assert repr(QSqrt2(Fraction(1, 2), 3)) == "QSqrt2(Fraction(1, 2), Fraction(3, 1))"
+    assert repr(QSqrt2(Fraction(-5, 7), Fraction(-1, 2))) == \
+        f"QSqrt2({Fraction(-5, 7)!r}, {Fraction(-1, 2)!r})"
+    text = "1" + "0" * 5000
+    assert repr(QSqrt2(10 ** 5000)) == f"QSqrt2(Fraction({text}, 1), Fraction(0, 1))"
+    assert repr(QSqrt2(0, Fraction(-1, 10 ** 5000))) == \
+        f"QSqrt2(Fraction(0, 1), Fraction(-1, {text}))"
+
+
 # ── the integer renderer against the Fraction algorithm it replaced ──
 
 

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from redrank.census import construct_extremal, enumerate_graphs
 from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
-                            _bareiss_rank, _certified_rank,
+                            _bareiss_rank, _rank_mod_p,
                             conjectured_max_order, duplication_classes,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
@@ -283,21 +284,39 @@ DET_DIVISIBLE_BY_P = (r"]olvaL~qpAQws}FyDBj?c?xrEgRjV\jc^NRzGwQM?PDkgrPiKynNUBZp
                       r"\jREwVmR@bXpP_")
 
 
-def test_rank_falls_back_when_p_divides_the_determinant():
+def _recording_bareiss(monkeypatch) -> list[int]:
+    """Route graphs._bareiss_rank through a wrapper that records the
+    order of each matrix it ranks."""
+    orders: list[int] = []
+
+    def record(matrix):
+        orders.append(len(matrix))
+        return _bareiss_rank(matrix)
+
+    monkeypatch.setattr(graphs, "_bareiss_rank", record)
+    return orders
+
+
+def test_rank_falls_back_when_p_divides_the_determinant(monkeypatch):
     g = graph6_decode(DET_DIVISIBLE_BY_P)
     assert g.n == 30
-    assert _certified_rank(g.rows, g.n) is None
+    assert _rank_mod_p(g.rows, g.n)[0] < 30
+    orders = _recording_bareiss(monkeypatch)
     assert rank(g) == _bareiss(g) == _gauss_rank(g) == 30
+    assert orders == [30]
 
 
-def test_span_certificate_refuses_when_p_divides_a_minor():
+def test_span_certificate_refuses_when_p_divides_a_minor(monkeypatch):
     # blown up to order 95 its rank mod p, 29, is within the cutoff n/3,
     # so the span certificate is tried; a row outside the span of the 29
     # pivot rows makes it refuse, and Bareiss finds the rank
     g = _twin_blowup(random.Random(95), graph6_decode(DET_DIVISIBLE_BY_P), 95)
-    assert _modp_rank(g, 32749) == 29 and 3 * 29 <= g.n
-    assert _certified_rank(g.rows, g.n) is None
-    assert rank(g) == _bareiss(g) == 30
+    assert _modp_rank(g, 32749) == _rank_mod_p(g.rows, g.n)[0] == 29
+    assert 3 * 29 <= g.n
+    orders = _recording_bareiss(monkeypatch)
+    assert rank(g) == 30
+    assert orders == [30]  # on the twin quotient
+    assert _bareiss(g) == 30
 
 
 def test_rank_invariant_under_relabeling():
@@ -448,28 +467,81 @@ def test_rank_drop_search_cap():
     assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
     # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
     # past order 20 a subset weighs (n/20)^3, so that level alone is
-    # within the cap for C_92 and past it for C_96
-    assert 92 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 96 ** 4
-    assert min_removal_for_rank_drop(Graph.cycle(92)) == 2
-    g = Graph.cycle(96)
-    assert is_reduced(g) and rank(g) == 94
+    # within the cap for C_112 and past it for C_116
+    assert 112 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 116 ** 4
+    assert min_removal_for_rank_drop(Graph.cycle(96)) == 2
+    g = Graph.cycle(116)
+    assert is_reduced(g) and rank(g) == 114
     assert min_removal_for_duplicates(g) == 2
     with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(g)
 
 
+def test_rank_drop_search_ranks_exactly_only_the_base(monkeypatch):
+    # deleting one vertex of C_92 leaves P_91, of rank 90 mod p: the
+    # bound clears all 92 subsets, so only the base is ranked exactly
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return rank(g)
+
+    monkeypatch.setattr(graphs, "rank", counted)
+    start = time.perf_counter()
+    assert min_removal_for_rank_drop(Graph.cycle(92)) == 2
+    assert time.perf_counter() - start < 1.5
+    assert calls == [92]
+
+
+def _sparse_singular_graph(rng: random.Random, n: int) -> Graph:
+    """C_n with up to three random chords, drawn until it is singular."""
+    while True:
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+        g = Graph.from_edges(n, edges)
+        if rank(g) < n:
+            return g
+
+
+def test_rank_drop_matches_exhaustive_deletion():
+    # every vertex set of size below rho keeps the rank and some set of
+    # size rho lowers it, on sparse singular graphs and twin blow-ups of
+    # order 10 to 20 with at most 6,000 such sets; degrees of at least 2
+    # make the sparse graphs search class subsets, which the bound mod p
+    # clears or an exact rank confirms
+    rng = random.Random(1996)
+    rhos = []
+    for trial in range(80):
+        n = rng.randint(10, 20)
+        if trial % 2:
+            g = _sparse_singular_graph(rng, n)
+        else:
+            base = _random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5]))
+            g = _twin_blowup(rng, base, n)
+        rho = min_removal_for_rank_drop(g) if any(g.rows) else 0
+        if not rho or sum(comb(n, k) for k in range(1, rho + 1)) > 6000:
+            continue
+        r = rank(g)
+        for size in range(1, rho + 1):
+            drops = any(rank(g.without(sub)) < r
+                        for sub in itertools.combinations(range(g.n), size))
+            assert drops == (size == rho), (g, size, rho)
+        rhos.append(rho)
+    assert len(rhos) >= 75 and len(set(rhos)) >= 4
+
+
 def test_each_rank_drop_bound_answers_alone():
-    # C_96 has 3 lightest classes (n - rank + 1), degree 2 and
+    # C_116 has 3 lightest classes (n - rank + 1), degree 2 and
     # differences of at least 2, and its size-1 search is past the cap;
     # one more component or vertex brings one bound down to 1
-    c96 = list(Graph.cycle(96).edges())
-    # an edge: rank 96 of 98 vertices, so only the degree 1 answers
-    g = Graph.from_edges(98, c96 + [(96, 97)])
-    assert rank(g) == 96
+    c116 = list(Graph.cycle(116).edges())
+    # an edge: rank 116 of 118 vertices, so only the degree 1 answers
+    g = Graph.from_edges(118, c116 + [(116, 117)])
+    assert rank(g) == 116
     assert min_removal_for_rank_drop(g) == 1
     # x ~ {0, 2, 4}: degrees >= 2, and N(x) xor N(1) = {4} answers
-    g = Graph.from_edges(97, c96 + [(96, 0), (96, 2), (96, 4)])
-    assert rank(g) == 96 and min(row.bit_count() for row in g.rows) == 2
+    g = Graph.from_edges(117, c116 + [(116, 0), (116, 2), (116, 4)])
+    assert rank(g) == 116 and min(row.bit_count() for row in g.rows) == 2
     assert min_removal_for_rank_drop(g) == 1
 
 
