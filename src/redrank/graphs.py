@@ -435,11 +435,11 @@ def min_removal_for_duplicates(g: Graph) -> int:
 # The rank-drop search is refused before it starts when it could go past
 # this cap.  Its subsets count as subsets of an order-20 graph, each
 # weighing (n/20)^3 past order 20.  A subset costs one elimination mod p,
-# which grows more slowly than the cube: up to 0.16 ms per weighted
-# subset at orders 20-30 on a 2-vCPU Xeon (Python 3.11.7), about 3 s at
-# the cap.  Searches that clear every subset: C_30(4, 12, 15) (15,272
-# weighted subsets) 1.2-1.4 s, GP(24, 5) (16,257) 1.0 s, C_112 0.3-0.6 s.
-RHO_SUBSET_CAP = 20_000
+# which grows more slowly than the cube: the slowest search found over
+# every circulant of order 20-30 clears all 15,271 weighted subsets of
+# C_30(1, 3, 5, 7, 9, 11, 12, 13, 14) in 2.4-2.7 s on a 2-vCPU Xeon
+# (Python 3.11.7), 0.16 ms each, so about 2.6 s at the cap.
+RHO_SUBSET_CAP = 16_000
 
 
 class SearchCapError(ValueError):

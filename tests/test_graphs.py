@@ -308,11 +308,14 @@ def test_rank_falls_back_when_p_divides_the_determinant(monkeypatch):
 
 def test_span_certificate_refuses_when_p_divides_a_minor(monkeypatch):
     # blown up to order 95 its rank mod p, 29, is within the cutoff n/3,
-    # so the span certificate is tried; a row outside the span of the 29
-    # pivot rows makes it refuse, and Bareiss finds the rank
+    # so the span certificate applies; a row outside the span of the 29
+    # pivot rows makes it refuse.  rank itself reduces to the order-30
+    # twin quotient first, where 3 * 29 > 30, and Bareiss finds the rank
     g = _twin_blowup(random.Random(95), graph6_decode(DET_DIVISIBLE_BY_P), 95)
-    assert _modp_rank(g, 32749) == _rank_mod_p(g.rows, g.n)[0] == 29
+    found, pivots = _rank_mod_p(g.rows, g.n)
+    assert _modp_rank(g, 32749) == found == 29
     assert 3 * 29 <= g.n
+    assert not graphs._span_certified(g.rows, pivots)
     orders = _recording_bareiss(monkeypatch)
     assert rank(g) == 30
     assert orders == [30]  # on the twin quotient
@@ -467,11 +470,11 @@ def test_rank_drop_search_cap():
     assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
     # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
     # past order 20 a subset weighs (n/20)^3, so that level alone is
-    # within the cap for C_112 and past it for C_116
-    assert 112 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 116 ** 4
+    # within the cap for C_104 and past it for C_108
+    assert 104 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 108 ** 4
     assert min_removal_for_rank_drop(Graph.cycle(96)) == 2
-    g = Graph.cycle(116)
-    assert is_reduced(g) and rank(g) == 114
+    g = Graph.cycle(108)
+    assert is_reduced(g) and rank(g) == 106
     assert min_removal_for_duplicates(g) == 2
     with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(g)
