@@ -2,9 +2,10 @@
 Levenshtein partition that holds a cosine.
 
 A polynomial is a tuple of coefficients, lowest degree first, with no
-trailing zero; () is the zero polynomial.  Q_k has reduced Fraction
-coefficients; an adjacent polynomial is its primitive integer multiple,
-since Descartes' rule reads only the signs of a positive multiple.
+trailing zero; () is the zero polynomial.  Q_k has integer (numerator,
+denominator) pairs in lowest terms as coefficients; an adjacent
+polynomial is its primitive integer multiple, since Descartes' rule
+reads only the signs of a positive multiple.
 
 The Gegenbauer polynomials Q_k for dimension n are normalized so that
 Q_k(1) = 1 and satisfy
@@ -54,26 +55,28 @@ Scalar = Union[int, Fraction, QSqrt2]
 
 
 @lru_cache(maxsize=None)
-def gegenbauer(n: int, k: int) -> tuple[Fraction, ...]:
-    """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1.
+def gegenbauer(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Normalized Gegenbauer polynomial Q_k for dimension n, Q_k(1) = 1, as
+    integer pairs (numerator, denominator) in lowest terms, denominator > 0.
 
     Built from the explicit coefficients of C_k^lambda, lambda = (n-2)/2
     (DLMF 18.5.10), rather than by recursion on k: the leading coefficient
     is prod_{i=1}^{k-1} (n-2+2i)/(n-2+i), and each coefficient of t^(k-2m-2)
     is the one of t^(k-2m) times
-    -(k-2m)(k-2m-1) / (2(m+1)(2k-2m+n-4))."""
+    -(k-2m)(k-2m-1) / (2(m+1)(2k-2m+n-4)).  As in Fraction's product, each
+    factor a/b is reduced, and p/q times it cancels just gcd(p, b) and gcd(a, q)."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if k < 0:
         raise ValueError("index must be nonnegative")
-    coeffs = [Fraction(0)] * (k + 1)
-    c = Fraction(1)
-    for i in range(1, k):
-        c = c * (n - 2 + 2 * i) / (n - 2 + i)
-    coeffs[k] = c
-    for m in range(k // 2):
-        c = c * -((k - 2 * m) * (k - 2 * m - 1)) / (2 * (m + 1) * (2 * k - 2 * m + n - 4))
-        coeffs[k - 2 * m - 2] = c
+    coeffs, p, q = [(0, 1)] * k + [(1, 1)], 1, 1
+    for m in range(1 - k, k // 2):  # m < 0: factor i = k + m of the leading one
+        a, b = ((n - 2 + 2 * (k + m), n - 2 + k + m) if m < 0 else
+                (-(k - 2 * m) * (k - 2 * m - 1), 2 * (m + 1) * (2 * k - 2 * m + n - 4)))
+        a, b = a // gcd(a, b), b // gcd(a, b)
+        g, h = gcd(p, b), gcd(a, q)
+        p, q = p // g * (a // h), q // h * (b // g)
+        coeffs[k - 2 * max(m + 1, 0)] = p, q
     return tuple(coeffs)
 
 
@@ -117,11 +120,9 @@ def adjacent_poly(n: int, k: int, kind: str) -> tuple[int, ...]:
     j = 1 if kind == "10" else 2
     if k < 2 - j:
         raise ValueError(f'kind "{kind}" needs k >= {2 - j}')
-    low, high = gegenbauer(n, k), gegenbauer(n, k + j)
-    den = lcm(*(c.denominator for c in low + high))
-    p = [-(c.numerator * (den // c.denominator)) for c in high]
-    for i, c in enumerate(low):
-        p[i] += c.numerator * (den // c.denominator)
+    low, high = gegenbauer(n, k) + ((0, 1),) * j, gegenbauer(n, k + j)
+    den = lcm(*(d for _, d in low + high))
+    p = [a * (den // b) - c * (den // d) for (a, b), (c, d) in zip(low, high)]
     q = [0] * len(p)
     for i in range(len(p) - 1, j - 1, -1):
         q[i - j] = q[i] - p[i]
@@ -141,24 +142,24 @@ class CellCapError(ValueError):
     """The cell holding s lies beyond LOCATE_CELL_CAP."""
 
 
-# Most decimal digits locate_interval admits in a numerator or a
+# Most decimal digits locate_interval admits in n and in a numerator or a
 # denominator of s (of either rational part when s is in Q(sqrt2)): the
 # scan's integers and the certificates' Taylor shifts grow with k times
-# these digits, so beyond the cap s is refused before any work.
+# these digits, so beyond the cap n or s is refused before any work.
 COSINE_DIGIT_CAP = 20
 
 
 class CosineDigitCapError(ValueError):
-    """s has more digits than COSINE_DIGIT_CAP."""
+    """n or s has more digits than COSINE_DIGIT_CAP."""
 
 
-def _check_digits(s: Scalar) -> None:
+def _check_digits(n: int, s: Scalar) -> None:
     limit = 10 ** COSINE_DIGIT_CAP
     parts = (s.a, s.b) if isinstance(s, QSqrt2) else (s,)
-    if any(abs(x.numerator) >= limit or x.denominator >= limit for x in parts):
+    if n >= limit or any(max(abs(x.numerator), x.denominator) >= limit for x in parts):
+        what = "n has" if n >= limit else "s has a numerator or denominator of"
         raise CosineDigitCapError(
-            f"s has a numerator or denominator of more than "
-            f"{COSINE_DIGIT_CAP} digits (COSINE_DIGIT_CAP); refused")
+            f"{what} more than {COSINE_DIGIT_CAP} digits (COSINE_DIGIT_CAP); refused")
 
 
 class CellCertificateError(ArithmeticError):
@@ -234,14 +235,14 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
     t_{k-1}^{1,1} <= s, and t_k^{1,0} <= s on branch B, are certified by
     Descartes' rule; where it proves nothing (by the theorems in the
     module docstring, never), CellCertificateError is raised and no other
-    cell is tried.  Cells beyond LOCATE_CELL_CAP raise CellCapError; a
-    numerator or denominator of s longer than COSINE_DIGIT_CAP digits
-    raises CosineDigitCapError before the scan.
+    cell is tried.  Cells beyond LOCATE_CELL_CAP raise CellCapError; n,
+    or a numerator or denominator of s, longer than COSINE_DIGIT_CAP
+    digits raises CosineDigitCapError before the scan.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     sv = s if isinstance(s, QSqrt2) else Fraction(s)
-    _check_digits(sv)
+    _check_digits(n, sv)
     if not (-1 <= sv and sv < 1):
         raise ValueError("s must lie in [-1, 1)")
     if sv == -1:

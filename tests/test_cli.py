@@ -199,6 +199,24 @@ def test_lev_refuses_cosines_beyond_digit_cap(capsys):
         assert "COSINE_DIGIT_CAP" in err
 
 
+def test_lev_refuses_dimensions_beyond_digit_cap(capsys):
+    # the scan's integers grow with the digits of n as with those of s
+    start = time.perf_counter()
+    for n in ("100000000000000000000", "1" + "0" * 200):
+        code, out, err = run(capsys, "lev", "--n", n, "--s", "s0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "COSINE_DIGIT_CAP" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "lev", "--n", "99999999999999999999", "--s", "0")
+    assert (code, err) == (0, "")
+    assert out == ('{\n  "schema": 1,\n  "command": "lev",\n  "s": "0",\n'
+                   '  "n": 99999999999999999999,\n  "method": "levenshtein",\n'
+                   '  "value_decimal": "199999999999999999998.000000000",\n'
+                   '  "threshold_decimal": null,\n  "holds": null,\n  "k": 2,\n'
+                   '  "branch": "A",\n  "value_exact": "199999999999999999998"\n}\n')
+
+
 def test_lev_refuses_cells_beyond_cap(capsys):
     code, out, err = run(capsys, "lev", "--n", "3", "--s", "9999999/10000000")
     assert code == 2 and out == ""
@@ -255,7 +273,9 @@ def _cosine_texts(draw):
 
 @seed(20121)
 @settings(max_examples=150, deadline=None, database=None)
-@given(n=st.integers(-5, 200), s=_cosine_texts())
+@given(n=st.one_of(st.integers(-5, 200),
+                   st.sampled_from([10 ** 20 - 1, 10 ** 20, 10 ** 40])),
+       s=_cosine_texts())
 def test_lev_exits_cleanly_on_any_input(n, s):
     code, out, err = _run_anywhere(["lev", "--n", str(n), "--s", s])
     assert code in (0, 1, 2), (n, s, code)

@@ -31,6 +31,25 @@ def horner(p, x):
     return reduce(lambda acc, c: acc * x + c, reversed(p), 0 * x)
 
 
+def as_fractions(q):
+    """gegenbauer's (numerator, denominator) pairs as Fractions."""
+    return tuple(Fraction(a, b) for a, b in q)
+
+
+def reference_gegenbauer(n, k):
+    """Q_k in reduced Fractions, by the same DLMF 18.5.10 ratios as
+    gegenbauer but in Fraction arithmetic."""
+    coeffs = [Fraction(0)] * (k + 1)
+    c = Fraction(1)
+    for i in range(1, k):
+        c = c * (n - 2 + 2 * i) / (n - 2 + i)
+    coeffs[k] = c
+    for m in range(k // 2):
+        c = c * -((k - 2 * m) * (k - 2 * m - 1)) / (2 * (m + 1) * (2 * k - 2 * m + n - 4))
+        coeffs[k - 2 * m - 2] = c
+    return tuple(coeffs)
+
+
 def numerators(p):
     """The integer numerators of p over the common denominator of its
     coefficients, a positive multiple of p."""
@@ -39,17 +58,18 @@ def numerators(p):
 
 
 def test_gegenbauer_frozen_coefficients():
-    assert gegenbauer(10, 3) == (0, Fraction(-1, 3), 0, Fraction(4, 3))
-    assert gegenbauer(5, 4) == \
+    assert gegenbauer(10, 3) == ((0, 1), (-1, 3), (0, 1), (4, 3))
+    assert as_fractions(gegenbauer(10, 3)) == (0, Fraction(-1, 3), 0, Fraction(4, 3))
+    assert as_fractions(gegenbauer(5, 4)) == \
         (Fraction(1, 8), 0, Fraction(-7, 4), 0, Fraction(21, 8))
-    assert gegenbauer(4, 0) == (1,)
-    assert gegenbauer(7, 1) == (0, 1)
+    assert as_fractions(gegenbauer(4, 0)) == (1,)
+    assert as_fractions(gegenbauer(7, 1)) == (0, 1)
 
 
 def test_gegenbauer_normalization_and_parity():
     for n in range(3, 13):
         for k in range(0, 9):
-            q = gegenbauer(n, k)
+            q = as_fractions(gegenbauer(n, k))
             assert len(q) == k + 1
             assert horner(q, Fraction(1)) == 1
             t = Fraction(3, 7)
@@ -63,7 +83,7 @@ def test_gegenbauer_matches_mpmath():
         lam = mpf(n - 2) / 2
         for k in range(1, 7):
             norm = mp.gegenbauer(k, lam, mpf(1))
-            q = gegenbauer(n, k)
+            q = as_fractions(gegenbauer(n, k))
             for _ in range(3):
                 t = Fraction(rng.randint(-99, 99), 100)
                 want = mp.gegenbauer(k, lam, mpf(t.numerator) / t.denominator) / norm
@@ -162,7 +182,7 @@ def test_largest_zero_matches_mpmath():
     # within 1e-14
     eps = Fraction(1, 10 ** 14)
     for (n, k) in ((5, 2), (9, 3), (14, 4)):
-        q = gegenbauer(n, k)
+        q = as_fractions(gegenbauer(n, k))
         with mp.workdps(50):
             top = Fraction(mp.nstr(max(r.real for r in mp_roots(q)), 40))
         assert horner(q, top - eps) < 0  # and Q_k(1) = 1: a zero above
@@ -174,12 +194,14 @@ def test_interlacing_of_largest_roots():
     # picked in floating point, is certified exactly on both sides
     for n in (5, 10, 24):
         for k in range(1, 6):
+            low = as_fractions(gegenbauer(n, k))
+            high = as_fractions(gegenbauer(n, k + 1))
             with mp.workdps(30):
-                lo = max(r.real for r in mp_roots(gegenbauer(n, k)))
-                hi = max(r.real for r in mp_roots(gegenbauer(n, k + 1)))
+                lo = max(r.real for r in mp_roots(low))
+                hi = max(r.real for r in mp_roots(high))
                 mid = Fraction(mp.nstr((lo + hi) / 2, 25))
-            assert poly._no_zero_above(numerators(gegenbauer(n, k)), mid)
-            assert horner(gegenbauer(n, k + 1), mid) < 0
+            assert poly._no_zero_above(numerators(low), mid)
+            assert horner(high, mid) < 0
 
 
 def test_no_zero_above_at_repeated_and_exact_roots():
@@ -234,8 +256,10 @@ def test_adjacent_poly_refuses_inexact_division(monkeypatch):
     want = adjacent_poly(10, 2, "10")
 
     def perturbed(n, k):
+        # Q_3's constant term (0, 1) becomes 1/7
         q = exact(n, k)
-        return (q[0] + Fraction(1, 7),) + q[1:] if k == 3 else q
+        (a, b), rest = q[0], q[1:]
+        return ((7 * a + b, 7 * b),) + rest if k == 3 else q
 
     adjacent_poly.cache_clear()
     monkeypatch.setattr(poly, "gegenbauer", perturbed)
@@ -289,7 +313,7 @@ def three_term_ladder(n, last):
 
 def test_gegenbauer_matches_three_term_recurrence():
     for n in (2, 3, 4, 7, 24, 119):
-        assert [gegenbauer(n, k) for k in range(41)] == \
+        assert [as_fractions(gegenbauer(n, k)) for k in range(41)] == \
             [tuple(q) for q in three_term_ladder(n, 40)]
 
 
@@ -301,7 +325,7 @@ def test_gegenbauer_cold_call_needs_no_recursion():
         q = gegenbauer(3, 600)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(q) == 601 and horner(q, Fraction(1)) == 1
+    assert len(q) == 601 and horner(as_fractions(q), Fraction(1)) == 1
 
 
 def test_gegenbauer_values_match_polynomials():
@@ -311,8 +335,30 @@ def test_gegenbauer_values_match_polynomials():
             triples = list(islice(poly._scaled_gegenbauer_values(n, s), 13))
             assert all(w > 0 for _, _, w in triples)
             got = [QSqrt2(Fraction(x, w), Fraction(y, w)) for x, y, w in triples]
-            assert got == [horner(gegenbauer(n, j), QSqrt2._coerce(s))
+            assert got == [horner(as_fractions(gegenbauer(n, j)), QSqrt2._coerce(s))
                            for j in range(13)]
+
+
+def test_gegenbauer_pairs_match_fractions_up_to_the_cell_cap():
+    # the integer build is the Fraction build, pair for pair, in lowest
+    # terms; the adjacent polynomials at large k are the primitive
+    # multiples of the reference's (Q_k - Q_{k+j}) / (1 - t^j)
+    start = time.perf_counter()
+    for n in (2, 3, 24, 119):
+        for k in [*range(41), 300, LOCATE_CELL_CAP]:
+            q = gegenbauer(n, k)
+            assert all(type(a) is int and type(b) is int and b > 0 and gcd(a, b) == 1
+                       for a, b in q), (n, k)
+            assert q == tuple((c.numerator, c.denominator)
+                              for c in reference_gegenbauer(n, k)), (n, k)
+    for n in (3, 118):
+        for k in (300, LOCATE_CELL_CAP):
+            qs = {i: reference_gegenbauer(n, i) for i in (k, k + 1, k + 2)}
+            for kind in ("10", "11"):
+                want = numerators(reference_adjacent(qs, n, k, kind))
+                g = gcd(*want)
+                assert adjacent_poly(n, k, kind) == tuple(c // g for c in want)
+    assert time.perf_counter() - start < 2
 
 
 # ── locate_interval against mpmath's zeros ─────────────────────────
@@ -411,9 +457,16 @@ def test_locate_interval_refuses_cosines_beyond_digit_cap():
         assert isinstance(exc.value, ValueError)
         assert "COSINE_DIGIT_CAP" in str(exc.value)
     assert time.perf_counter() - start < 0.5
+    # and so is a dimension past the cap, whatever s is
+    for n in (big, 10 ** 200):
+        for s in (COS_REFERENCE, Fraction(-1), Fraction(0)):
+            with pytest.raises(CosineDigitCapError, match="^n has .*COSINE_DIGIT_CAP"):
+                locate_interval(n, s)
+    assert time.perf_counter() - start < 0.5
     # cap digits are admitted, the range check still applies after it
     assert locate_interval(3, Fraction(1, big - 1)) == locate_interval(3, 0)
     assert locate_interval(3, Fraction(1 - big, big - 1)) == (1, "A")
+    assert locate_interval(big - 1, 0) == (2, "A")
 
 
 def test_descartes_reports_not_proved_when_a_zero_lies_above():
