@@ -7,8 +7,10 @@ column-major order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), packed
 big-endian into 6-bit groups, each emitted as byte value 63 + group;
 trailing pad bits are zero.  One graph per line.  Both directions are
 linear in the length of the body, which they write out once as a bit
-string: encoding joins the columns, and decoding reads each row from one
-column slice plus one character of every later column.
+string through a 64-entry table of 6-bit groups.  Decoding pads column
+j to n bits, so entry (i, j) of the n x n column-major square is x_{i,j}
+above the diagonal and 0 elsewhere: row i is column i OR-ed with the
+stride-n slice from i.
 
 Edge list: first line "n m", then m lines "u v" with 0-based vertex
 indices; blank lines and '#' comments are ignored anywhere.
@@ -28,6 +30,8 @@ _OFFSET = 63
 _LONG_MARK = 126  # '~'
 _MAX_SHORT = 62
 _MAX_LONG = 258047
+_SIXES = {_OFFSET + k: format(k, "06b") for k in range(64)}  # byte -> group
+_GROUPS = {bits: chr(byte) for byte, bits in _SIXES.items()}
 
 
 class FormatError(ValueError):
@@ -66,17 +70,16 @@ def graph6_encode(g: Graph) -> str:
     bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
                     for j in range(1, n)])
     bits += "0" * (-len(bits) % 6)
-    return "".join(head + [chr(_OFFSET + int(bits[at:at + 6], 2))
-                           for at in range(0, len(bits), 6)])
+    return "".join(head + list(map(_GROUPS.get, re.findall("......", bits))))
 
 
 def graph6_decode(text: str, line: int = 1) -> Graph:
     if not text:
         raise FormatError("empty graph6 string", line, 1)
-    for pos, ch in enumerate(text, start=1):
-        if not (_OFFSET <= ord(ch) <= 126):
-            raise FormatError(f"byte {ord(ch)} outside graph6 range 63..126",
-                              line, pos)
+    bad = re.search("[^?-~]", text)  # '?' is 63 and '~' is 126
+    if bad:
+        raise FormatError(f"byte {ord(bad[0])} outside graph6 range 63..126",
+                          line, bad.start() + 1)
     if ord(text[0]) != _LONG_MARK:
         n = ord(text[0]) - _OFFSET
         body_at = 1
@@ -97,20 +100,17 @@ def graph6_decode(text: str, line: int = 1) -> Graph:
         raise FormatError(
             f"order {n} needs {need} adjacency bytes, found {have}",
             line, body_at + min(have, need) + 1)
-    bits = "".join(format(ord(c) - _OFFSET, "06b") for c in text[body_at:])
+    bits = text[body_at:].translate(_SIXES)
     total = n * (n - 1) // 2
     if "1" in bits[total:]:
         # fewer than six pad bits, so all of them sit in the last byte
         raise FormatError("nonzero padding bits", line, len(text))
-    # column j is the slice bits[starts[j]:starts[j] + j], x_{0,j} first
-    starts = [j * (j - 1) // 2 for j in range(n)]
-    rows = []
-    for i in range(n):
-        # row i: x_{0,i} .. x_{i-1,i} from column i, a zero diagonal, then
-        # x_{i,j} from entry i of each later column j; reversed, bit v is x_v
-        upper = "".join([bits[at + i] for at in starts[i + 1:]])
-        lower = bits[starts[i]:starts[i] + i]
-        rows.append(int((lower + "0" + upper)[::-1], 2))
+    # reversed, column i gives the bits v < i of row i (x_{v,i}) and the
+    # stride-n slice from i the bits v > i (x_{i,v})
+    square = "".join([bits[j * (j - 1) // 2:j * (j + 1) // 2] + "0" * (n - j)
+                      for j in range(n)])
+    rows = [int(square[i * n:i * n + n][::-1], 2) | int(square[i::n][::-1], 2)
+            for i in range(n)]
     return Graph._raw(n, tuple(rows))
 
 

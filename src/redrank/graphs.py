@@ -125,23 +125,29 @@ class Graph:
                 yield (u, v)
 
     def induced_on(self, keep: Iterable[int]) -> "Graph":
-        """The induced subgraph on `keep`, relabeled in sorted order."""
-        kept = sorted(set(keep))
-        if kept and not (0 <= kept[0] and kept[-1] < self.n):
+        """The induced subgraph on `keep`, relabeled in sorted order.  A
+        kept row costs one shift-and-mask per maximal run of consecutive
+        kept vertices."""
+        kept = set(keep)
+        if kept and (min(kept) < 0 or max(kept) >= self.n):
             raise ValueError("vertex out of range")
-        index = {v: i for i, v in enumerate(kept)}
-        rows = []
-        for v in kept:
-            row = 0
-            for w in _bits(self.rows[v]):
-                if w in index:
-                    row |= 1 << index[w]
-            rows.append(row)
-        return Graph._raw(len(kept), tuple(rows))
+        runs, rows, left = [], [], sum(map((1).__lshift__, kept))
+        while left:
+            low = left & -left
+            run = left & ~(left + low)  # + low carries through the run
+            left ^= run
+            rows += self.rows[low.bit_length() - 1:run.bit_length()]
+            runs.append((run, run.bit_length() - len(rows)))  # old - new index
+        out = []
+        for row in rows:
+            new = 0
+            for run, shift in runs:
+                new |= (row & run) >> shift
+            out.append(new)
+        return Graph._raw(len(out), tuple(out))
 
     def without(self, removed: Iterable[int]) -> "Graph":
-        gone = set(removed)
-        return self.induced_on(v for v in range(self.n) if v not in gone)
+        return self.induced_on(set(range(self.n)).difference(removed))
 
     def relabeled(self, perm: Sequence[int]) -> "Graph":
         """Image under the permutation v -> perm[v]."""
@@ -381,15 +387,10 @@ def reduce_graph(g: Graph) -> Graph:
     twin of a deleted neighbour is adjacent to it too.  Two kept vertices
     that differed on a deleted twin also differ on its kept twin, or on
     each other."""
-    seen: set[int] = set()
-    keep = []
-    for v, row in enumerate(g.rows):
-        if row and row not in seen:
-            seen.add(row)
-            keep.append(v)
-    if len(keep) == g.n:
-        return g
-    return g.induced_on(keep)
+    # row -> its first vertex, which comes last when zipped backwards
+    first = dict(zip(g.rows[::-1], range(g.n - 1, -1, -1)))
+    first.pop(0, None)
+    return g if len(first) == g.n else g.induced_on(first.values())
 
 
 def neighborhood_symdiff(g: Graph, u: int, v: int) -> tuple[int, ...]:

@@ -3,7 +3,9 @@ column positions.
 
 The round-trip check runs over every isomorphism class up to order 7
 and over seeded random graphs of orders 0 to 300, so the encoder and
-decoder cannot drift apart silently.
+decoder cannot drift apart silently.  Both directions are also checked
+against a per-bit reference codec written from the graph6 definition,
+which a mirrored pair of errors would not pass.
 """
 
 import random
@@ -53,6 +55,54 @@ def test_round_trip_random_graphs(n, density, seed):
     assert graph6_encode(graph6_decode(text)) == text
 
 
+def _spec_encode(g: Graph) -> str:
+    """graph6 from its definition, one bit at a time: the order (one byte,
+    or '~' and 18 bits), then x_{i,j} for i < j column by column, in
+    big-endian 6-bit groups padded with zeros, each group plus 63."""
+    n = g.n
+    groups = [n] if n < 63 else [63, n >> 12, n >> 6 & 63, n & 63]
+    bits = [g.rows[j] >> i & 1 for j in range(n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    for at in range(0, len(bits), 6):
+        value = 0
+        for bit in bits[at:at + 6]:
+            value = 2 * value + bit
+        groups.append(value)
+    return "".join(chr(63 + value) for value in groups)
+
+
+def _spec_decode(text: str) -> Graph:
+    """The inverse of _spec_encode, one bit at a time."""
+    values = [ord(c) - 63 for c in text]
+    if values[0] == 63:
+        n, body = values[1] << 12 | values[2] << 6 | values[3], values[4:]
+    else:
+        n, body = values[0], values[1:]
+    bits = [value >> (5 - k) & 1 for value in body for k in range(6)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    assert not any(bits[len(pairs):])
+    return Graph.from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
+# every residue mod 6 of the bit count n(n-1)/2 (period 12), and both
+# sides of the long form's start at 63
+_SPEC_ORDERS = [*range(13), 62, 63, 64, 65, 66, 100, 127, 128, 200, 300]
+
+
+def test_codec_matches_the_per_bit_definition():
+    assert ({n * (n - 1) // 2 % 6 for n in _SPEC_ORDERS}
+            == {n * (n - 1) // 2 % 6 for n in range(12)})
+    rng = random.Random(6)
+    for n in _SPEC_ORDERS:
+        for density in (0.0, 0.5, 1.0):
+            g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j)
+                                     if rng.random() < density])
+            text = _spec_encode(g)
+            assert _spec_decode(text) == g
+            assert graph6_encode(g) == text
+            assert graph6_decode(text) == g
+
+
 _P63 = graph6_encode(Graph.path(63))
 
 
@@ -61,6 +111,15 @@ _P63 = graph6_encode(Graph.path(63))
     ("C!", "byte 33 outside graph6 range 63..126", 2),
     ("C\x7f", "byte 127 outside graph6 range 63..126", 2),
     (_P63[:40] + "\x10" + _P63[41:], "byte 16 outside graph6 range 63..126", 41),
+    (_P63[:40] + "\u00e9" + _P63[41:], "byte 233 outside graph6 range 63..126",
+     41),
+    (_P63[:9] + "\u20ac" + _P63[10:], "byte 8364 outside graph6 range 63..126",
+     10),
+    ("~!??", "byte 33 outside graph6 range 63..126", 2),
+    (_P63[:2] + " " + _P63[3:], "byte 32 outside graph6 range 63..126", 3),
+    ("~??>" + _P63[4:], "byte 62 outside graph6 range 63..126", 4),
+    ("~~?!", "byte 33 outside graph6 range 63..126", 4),
+    (_P63[:-1] + "\x7f", "byte 127 outside graph6 range 63..126", 330),
     ("~??", "truncated long-form order", 4),
     ("~~????", "order beyond the supported long form", 2),
     ("~??}", "long-form order 62 must use the short form", 2),

@@ -122,6 +122,33 @@ def test_graph_constructor_accepts_valid_rows():
     assert Graph(0, []) == Graph.empty(0)
 
 
+def _induced_reference(g: Graph, keep) -> Graph:
+    """Reference induced subgraph: one adjacency bit at a time."""
+    kept = sorted(set(keep))
+    return Graph.from_edges(len(kept), [
+        (a, b) for a, b in itertools.combinations(range(len(kept)), 2)
+        if g.rows[kept[a]] >> kept[b] & 1])
+
+
+def test_induced_on_and_without_match_a_per_bit_reference():
+    rng = random.Random(17)
+    for n in range(41):
+        g = _random_graph(rng, n)
+        picks = [rng.randrange(n) for _ in range(n)]  # unsorted, repeats
+        keeps = [[], range(n), range(n // 4, 3 * n // 4), range(0, n, 2),
+                 rng.sample(range(n), n // 3), picks] + [[n // 2]] * (n > 0)
+        for keep in keeps:
+            assert g.induced_on(keep) == _induced_reference(g, keep)
+        assert g.induced_on(v for v in picks) == _induced_reference(g, picks)
+        removed = rng.sample(range(n), rng.randrange(n + 1))
+        rest = set(range(n)) - set(removed)
+        assert g.without(removed) == _induced_reference(g, rest)
+        for bad in (-1, n):
+            for keep in ([bad], [*range(n), bad]):
+                with pytest.raises(ValueError):
+                    g.induced_on(keep)
+
+
 def test_rank_oracles():
     assert rank(Graph.complete(4)) == 4
     assert rank(Graph.path(4)) == 4
