@@ -198,8 +198,8 @@ class IntegralBracket:
 
 
 # Largest dimension of the acute Rankin bound: its work grows about as
-# n^1.8 (n = 100,000 takes 2.4 s, 300,000 takes 17.7 s), so a larger n
-# is refused before any work.
+# n^2 (n = 100,000 takes 1.1-1.2 s, 300,000 takes 10.4 s), so a larger
+# n is refused before any work.
 RANKIN_DIMENSION_CAP = 100_000
 
 
@@ -350,17 +350,15 @@ def closed_form_sweep(n_lo: int, n_hi: int,
     so the square of the value is c (a + b*sqrt2)/2^n with c = (n^2 - 1)^2
     and each verdict is an integer sign test on 2^n T^2 - c (a + b*sqrt2)
     for the threshold T, exact for every n; odd n encloses the root of
-    that integer triple, unreduced."""
+    that integer triple, unreduced.  The sweep starts from (2 + sqrt2)^n_lo
+    and (2 + sqrt2)^floor(n_lo/2) by binary powering and multiplies by
+    2 + sqrt2 once per dimension."""
     _check_guard(reference_params(n_lo))
     if n_hi < n_lo:
         raise ValueError("empty range")
     # (2 + sqrt2)^n = A + B sqrt2; (1 + 1/sqrt2)^n = (A + B sqrt2)/2^n
-    a, b = 1, 0
-    for _ in range(n_lo):
-        a, b = 2 * a + 2 * b, a + 2 * b
-    ah, bh = 1, 0
-    for _ in range(n_lo // 2):
-        ah, bh = 2 * ah + 2 * bh, ah + 2 * bh
+    a, b, _ = (QSqrt2(2, 1) ** n_lo).as_integers()
+    ah, bh, _ = (QSqrt2(2, 1) ** (n_lo // 2)).as_integers()
     reports: list[BoundReport] = []
     for n in range(n_lo, n_hi + 1):
         c = (n * n - 1) ** 2
@@ -421,23 +419,23 @@ class TailCertificate:
                 and self.threshold_floor_ok)
 
 
+def _ratio_ok(n: int) -> bool:
+    p, q = (n + 1) ** 2 - 1, n * n - 1
+    return sign_sqrt2(4 * q * q - 2 * p * p, -p * p) > 0
+
+
 def tail_ratio_certificate(n_lo: int = LEVENSHTEIN_CEILING,
                            n_hi: int = 10 ** 4,
                            offset: int = -4) -> TailCertificate:
+    """The TailCertificate of the window [n_lo, n_hi] at the threshold
+    offset.  Each ratio condition r(n)^2 (1 + 1/sqrt2) < 2, r(n) = p/q
+    with p = (n+1)^2 - 1 and q = n^2 - 1, is decided by _ratio_ok as the
+    integer sign of 4q^2 - 2p^2 - p^2 sqrt2: the same inequality times
+    2q^2 > 0."""
     if n_lo < 6 or n_hi < n_lo:
         raise ValueError("certificate window must start at n >= 6")
-    growth = QSqrt2(1, Fraction(1, 2))  # 1 + 1/sqrt2
-    two = QSqrt2(2)
-
-    def ratio(n: int) -> Fraction:
-        return Fraction((n + 1) ** 2 - 1, n * n - 1)
-
-    def ratio_ok(n: int) -> bool:
-        r = ratio(n)
-        return QSqrt2(r * r) * growth < two
-
     boundary = closed_form_sweep(n_lo, n_lo, offset)[0]
-    ratio_all = all(ratio_ok(n) for n in range(n_lo, n_hi + 1))
+    ratio_all = all(_ratio_ok(n) for n in range(n_lo, n_hi + 1))
 
     # r(n) - 1 = (2n+1)/(n^2-1), so r(n) > r(n+1) cross-multiplies to
     # (2n+1)(n^2+2n) - (2n+3)(n^2-1) = 2n^2 + 4n + 3, which is positive
@@ -450,5 +448,5 @@ def tail_ratio_certificate(n_lo: int = LEVENSHTEIN_CEILING,
     u_floor = threshold_value(n_lo, offset) + 2 - QSqrt2(1) / QSqrt2(2, -1)
     return TailCertificate((n_lo, n_hi), offset,
                            bool(boundary.holds),
-                           ratio_ok(n_lo), ratio_all, symbolic,
+                           _ratio_ok(n_lo), ratio_all, symbolic,
                            u_floor.sign() > 0)

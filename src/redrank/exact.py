@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import factorial, isqrt, lcm
+from math import comb, isqrt, lcm
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -340,19 +340,16 @@ def sqrt_enclosure(a: int, b: int, d: int,
 
 def gamma_half_ratio(n: int) -> tuple[Fraction, int]:
     """sqrt(pi) * Gamma((n-1)/2) / (2 * Gamma(n/2)) as (q, e), the value
-    being q * pi^e with rational q: e = 1 for even n, 0 for odd n, since
-    Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!).
+    being q * pi^e with rational q: e = 1 for even n, 0 for odd n.
+    Legendre's duplication formula (DLMF 5.5.5) gives Gamma(k + 1/2) =
+    C(2k, k) k! sqrt(pi) / 4^k, so q = 4^m / (2m C(2m, m)) for n = 2m + 1
+    and q = C(2m - 2, m - 1) / 2^(2m - 1) for n = 2m.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        # Gamma(m) / Gamma(m + 1/2), the sqrt(pi) factors cancel
-        q = Fraction(4 ** m * factorial(m) * factorial(m - 1),
-                     2 * factorial(2 * m))
-        return q, 0
     m = n // 2
+    if n % 2 == 1:
+        # Gamma(m) / Gamma(m + 1/2), the sqrt(pi) factors cancel
+        return Fraction(4 ** m, 2 * m * comb(2 * m, m)), 0
     # Gamma(m - 1/2) carries sqrt(pi), joining the explicit sqrt(pi)
-    q = Fraction(factorial(2 * m - 2),
-                 2 * 4 ** (m - 1) * factorial(m - 1) ** 2)
-    return q, 1
+    return Fraction(comb(2 * m - 2, m - 1), 1 << 2 * m - 1), 1

@@ -434,12 +434,14 @@ def min_removal_for_duplicates(g: Graph) -> int:
 
 
 # The rank-drop search is refused before it starts when it could go past
-# this cap.  Its subsets count as subsets of an order-20 graph, each
-# weighing (n/20)^3 past order 20.  A subset costs one elimination mod p,
-# which grows more slowly than the cube: the slowest search found over
-# every circulant of order 20-30 clears all 15,271 weighted subsets of
-# C_30(1, 3, 5, 7, 9, 11, 12, 13, 14) in 2.4-2.7 s on a 2-vCPU Xeon
-# (Python 3.11.7), 0.16 ms each, so about 2.6 s at the cap.
+# this cap.  Its subsets count as subsets of an order-20 graph.  A subset
+# of an order-n quotient costs one elimination mod p: about n^2/2 row
+# operations, each a fixed cost plus one linear in the n lanes.  Timed on
+# dense G(n, 1/2) rows, the slowest, at orders 20-240, a subset costs at
+# most about n^2 (n + 200) / (20^2 * 220) times one at order 20, 0.14 ms
+# on a 2-vCPU Xeon (Python 3.11.7).  The 156 single vertices of a dense
+# order-156 graph (15,358 counted) take 2.1-3.2 s, so a search at the
+# cap takes at most about 3.4 s; C_156's take 0.9-1.6 s.
 RHO_SUBSET_CAP = 16_000
 
 
@@ -450,10 +452,11 @@ class SearchCapError(ValueError):
 def _check_rho_budget(n: int, cap: int) -> None:
     """Refuse a rank-drop search over the subsets of sizes 1..cap-1 of n
     classes when it could go past RHO_SUBSET_CAP."""
+    m = max(n, 20)
     searched = 0
     for k in range(1, cap):
-        searched += comb(n, k) * max(n, 20) ** 3
-        if searched > RHO_SUBSET_CAP * 20 ** 3:
+        searched += comb(n, k) * m * m * (m + 200)
+        if searched > RHO_SUBSET_CAP * 20 * 20 * 220:
             raise SearchCapError(
                 f"rho could try more than {RHO_SUBSET_CAP} class subsets, "
                 f"counted at order 20 (RHO_SUBSET_CAP); refused")

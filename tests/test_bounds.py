@@ -8,6 +8,7 @@ library itself is exact, and the frozen literals here pin that down.
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 from math import comb
 
@@ -21,7 +22,7 @@ from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             levenshtein_bound, rankin_bound,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
-from redrank.exact import COS_REFERENCE, QSqrt2, sqrt_enclosure
+from redrank.exact import COS_REFERENCE, QSqrt2, gamma_half_ratio, sqrt_enclosure
 from redrank.poly import locate_interval
 
 
@@ -242,6 +243,40 @@ def test_closed_form_sweep_small_window():
     assert len(reports) == 83
     assert all(r.holds for r in reports)
     assert reports[0].n == 118 and reports[-1].n == 200
+
+
+def test_closed_form_sweep_from_any_start_matches_one_sweep():
+    # each start is powered up directly; it must land where one sweep
+    # from n = 6 arrives one dimension at a time, at the value
+    # (n^2 - 1) (1 + 1/sqrt2)^(n/2) computed here in Q(sqrt2)
+    grow = QSqrt2(1, Fraction(1, 2))
+    whole = closed_form_sweep(6, 2004, -4)
+    for n_lo in (6, 7, 118, 119, 2000, 2001):
+        window = whole[n_lo - 6:n_lo - 2]
+        assert closed_form_sweep(n_lo, n_lo + 3, -4) == window
+        for r in window:
+            n = r.n
+            if n % 2 == 0:
+                assert r.value == (n * n - 1) * grow ** (n // 2)
+            else:
+                square = (QSqrt2((n * n - 1) ** 2) * grow ** n).as_integers()
+                assert r.value == sqrt_enclosure(*square, 40)[1]
+
+
+def test_closed_form_and_gamma_ratio_are_quick_at_the_rankin_cap():
+    for work in (lambda: closed_form_sweep(100_000, 100_000, None),
+                 lambda: gamma_half_ratio(100_000)):
+        start = time.perf_counter()
+        work()
+        assert time.perf_counter() - start < 0.5
+
+
+def test_tail_ratio_sign_matches_qsqrt2():
+    growth = QSqrt2(1, Fraction(1, 2))  # 1 + 1/sqrt2
+    for n in range(6, 10_001):
+        r = Fraction((n + 1) ** 2 - 1, n * n - 1)
+        assert bounds._ratio_ok(n) == (QSqrt2(r * r) * growth < 2)
+    assert [n for n in range(6, 40) if not bounds._ratio_ok(n)] == list(range(6, 25))
 
 
 def test_tail_certificate():

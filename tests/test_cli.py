@@ -417,17 +417,17 @@ def test_lev_refuses_large_exponents_at_once(capsys):
 
 
 def test_rho_refuses_searches_beyond_cap(capsys):
-    # C_116 is reduced, of rank 114 and degree 2, so rho would try its
-    # 116 single vertices, each weighing (116/20)^3 subsets; C_96's 96
-    # are within the cap
-    c116 = graph6_encode(Graph.cycle(116))
+    # C_160 is reduced, of rank 158 and degree 2, so rho would try its
+    # 160 single vertices, each counted (160/20)^2 (360/220) times; C_116's
+    # 116 are within the cap
+    c160 = graph6_encode(Graph.cycle(160))
     for fmt in ("json", "text", "csv"):
-        code, out, err = run(capsys, "rho", "--graph6", c116, "--format", fmt)
+        code, out, err = run(capsys, "rho", "--graph6", c160, "--format", fmt)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "RHO_SUBSET_CAP" in err
-    c96 = graph6_encode(Graph.cycle(96))
-    assert run(capsys, "rho", "--graph6", c96) == (0, "2\n", "")
+    c116 = graph6_encode(Graph.cycle(116))
+    assert run(capsys, "rho", "--graph6", c116) == (0, "2\n", "")
 
 
 def _rho_reports(name, rho):

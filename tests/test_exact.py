@@ -10,7 +10,7 @@ written here in Fraction arithmetic.
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -256,6 +256,21 @@ def test_gamma_half_ratio_oracles():
     assert gamma_half_ratio(5) == (Fraction(2, 3), 0)
     assert gamma_half_ratio(8) == (Fraction(5, 32), 1)
     assert gamma_half_ratio(9) == (Fraction(16, 35), 0)
+
+
+def test_gamma_half_ratio_matches_factorial_quotients():
+    # Gamma(k) = (k-1)! and Gamma(k + 1/2) = (2k)! sqrt(pi) / (4^k k!)
+    # give q = 4^m m! (m-1)! / (2 (2m)!) at n = 2m + 1 and
+    # q = (2m-2)! / (2 4^(m-1) (m-1)!^2) at n = 2m, compared crosswise
+    for n in (*range(2, 401), 100_001):
+        m = n // 2
+        if n % 2:
+            num, den = 4 ** m * factorial(m) * factorial(m - 1), 2 * factorial(2 * m)
+        else:
+            num, den = factorial(2 * m - 2), 2 * 4 ** (m - 1) * factorial(m - 1) ** 2
+        q, e = gamma_half_ratio(n)
+        assert e == 1 - n % 2
+        assert q.numerator * den == q.denominator * num
 
 
 def test_gamma_half_ratio_matches_mpmath():

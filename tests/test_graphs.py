@@ -486,7 +486,7 @@ def _complete_bipartite(a: int, b: int) -> Graph:
                                     for j in range(a, a + b)])
 
 
-def test_rank_drop_search_cap():
+def test_rank_drop_search_cap(monkeypatch):
     # the twin quotient of K_{a,b} is K_2, nonsingular, so rho is the
     # lighter class: the column space is spanned by the side indicators
     for a in range(1, 11):
@@ -496,15 +496,24 @@ def test_rank_drop_search_cap():
     assert rank(Graph.cycle(95)) == 95
     assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
     # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
-    # past order 20 a subset weighs (n/20)^3, so that level alone is
-    # within the cap for C_104 and past it for C_108
-    assert 104 ** 4 <= RHO_SUBSET_CAP * 20 ** 3 < 108 ** 4
-    assert min_removal_for_rank_drop(Graph.cycle(96)) == 2
-    g = Graph.cycle(108)
-    assert is_reduced(g) and rank(g) == 106
+    # past order 20 a subset counts n^2 (n + 200) / (20^2 * 220) times,
+    # so that level alone is within the cap for C_156 and past it for C_160
+    assert 156 ** 3 * 356 <= RHO_SUBSET_CAP * 20 ** 2 * 220 < 160 ** 3 * 360
+    assert min_removal_for_rank_drop(Graph.cycle(108)) == 2
+    g = Graph.cycle(160)
+    assert is_reduced(g) and rank(g) == 158
     assert min_removal_for_duplicates(g) == 2
+    # the refusal comes before any subset is ranked
+    orders = []
+
+    def counted(rows, n):
+        orders.append(n)
+        return _rank_mod_p(rows, n)
+
+    monkeypatch.setattr(graphs, "_rank_mod_p", counted)
     with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(g)
+    assert orders and set(orders) == {160}
 
 
 def test_rank_drop_search_ranks_exactly_only_the_base(monkeypatch):
