@@ -435,13 +435,14 @@ def min_removal_for_duplicates(g: Graph) -> int:
 
 # The rank-drop search is refused before it starts when it could go past
 # this cap.  Its subsets count as subsets of an order-20 graph.  A subset
-# of an order-n quotient costs one elimination mod p: about n^2/2 row
+# of an order-n quotient costs one elimination mod p, about n^2/2 row
 # operations, each a fixed cost plus one linear in the n lanes.  Timed on
 # dense G(n, 1/2) rows, the slowest, at orders 20-240, a subset costs at
-# most about n^2 (n + 200) / (20^2 * 220) times one at order 20, 0.14 ms
-# on a 2-vCPU Xeon (Python 3.11.7).  The 156 single vertices of a dense
-# order-156 graph (15,358 counted) take 2.1-3.2 s, so a search at the
-# cap takes at most about 3.4 s; C_156's take 0.9-1.6 s.
+# most n^2 (n + 200) / (20^2 * 220) times one at order 20, 0.10-0.16 ms
+# on a 2-vCPU Xeon (Python 3.11.7; circulants at orders 20-32 alike).
+# 15,358 counted (156 dense single vertices) take 2.1-3.2 s, and 14,816
+# (C_32(1, 2, 3, 4, 6, 8, 9, 11, 12, 13, 14, 15)) 1.7-1.9 s: about 3.4 s
+# at most at the cap.
 RHO_SUBSET_CAP = 16_000
 
 

@@ -570,17 +570,18 @@ def test_rank_drop_matches_exhaustive_deletion():
 
 
 def test_each_rank_drop_bound_answers_alone():
-    # C_116 has 3 lightest classes (n - rank + 1), degree 2 and
-    # differences of at least 2, and its size-1 search is past the cap;
-    # one more component or vertex brings one bound down to 1
-    c116 = list(Graph.cycle(116).edges())
-    # an edge: rank 116 of 118 vertices, so only the degree 1 answers
-    g = Graph.from_edges(118, c116 + [(116, 117)])
-    assert rank(g) == 116
+    # C_160 has 3 lightest classes (n - rank + 1), degree 2 and
+    # differences of at least 2; one more component or vertex brings one
+    # bound down to 1, and the size-1 search of either graph (order 161
+    # or 162) is past the cap, so that bound must answer alone
+    c160 = list(Graph.cycle(160).edges())
+    # an edge: rank 160 of 162 vertices, so only the degree 1 answers
+    g = Graph.from_edges(162, c160 + [(160, 161)])
+    assert rank(g) == 160
     assert min_removal_for_rank_drop(g) == 1
     # x ~ {0, 2, 4}: degrees >= 2, and N(x) xor N(1) = {4} answers
-    g = Graph.from_edges(117, c116 + [(116, 0), (116, 2), (116, 4)])
-    assert rank(g) == 116 and min(row.bit_count() for row in g.rows) == 2
+    g = Graph.from_edges(161, c160 + [(160, 0), (160, 2), (160, 4)])
+    assert rank(g) == 160 and min(row.bit_count() for row in g.rows) == 2
     assert min_removal_for_rank_drop(g) == 1
 
 
