@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .exact import (COS_REFERENCE, PI_HI, QSqrt2, decimal_str,
                     gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
@@ -298,18 +298,17 @@ def levenshtein_bound(n: int, s: CosineLike,
 LEVENSHTEIN_CEILING = 118
 
 # Largest dimension verify_code_lemma sweeps to: the sweep grows faster
-# than n^2 (to 10^4 takes 5.8 s, to 2 * 10^4 33 s), and
-# tail_ratio_certificate carries the verdict past any window.
+# than n^2 (`lemma5` to 10^4 takes 3.8-5.1 s with process start, to
+# 2 * 10^4 31 s), and tail_ratio_certificate carries the verdict past
+# any window.
 LEMMA_DIMENSION_CAP = 10_000
 
 
-def verify_code_lemma(n_lo: int, n_hi: int,
-                      exponent_offset: int) -> list[BoundReport]:
-    """Verify bound(s0) < 5 * 2^((n + exponent_offset)/2) - 2 for every
-    dimension in [n_lo, n_hi]: the Levenshtein bound up to n = 118, the
-    closed form beyond.  exponent_offset is -4 (the census-driving
-    inequality) or +2 (the variant that holds from n = 3; n = 2 is left
-    unverified).  n_hi is at most LEMMA_DIMENSION_CAP."""
+def code_lemma_reports(n_lo: int, n_hi: int,
+                       exponent_offset: int) -> Iterator[BoundReport]:
+    """verify_code_lemma's reports one at a time, past n = 118 one
+    closed_form_sweep window of 256 at a time.  The arguments are checked
+    at the call; the guard holds from n = 6 at s0, so no window refuses."""
     if exponent_offset not in (-4, 2):
         raise ValueError("exponent offset must be -4 or +2")
     if n_lo < 3:
@@ -321,14 +320,21 @@ def verify_code_lemma(n_lo: int, n_hi: int,
             f"threshold sweep capped at dimension {LEMMA_DIMENSION_CAP} "
             f"(LEMMA_DIMENSION_CAP), got {n_hi}; tail_ratio_certificate "
             f"covers every larger dimension")
-    reports: list[BoundReport] = []
-    for n in range(n_lo, min(n_hi, LEVENSHTEIN_CEILING) + 1):
-        reports.append(levenshtein_bound(n, COS_REFERENCE,
-                                         threshold_value(n, exponent_offset)))
-    if n_hi > LEVENSHTEIN_CEILING:
-        reports.extend(closed_form_sweep(max(n_lo, LEVENSHTEIN_CEILING + 1),
-                                         n_hi, exponent_offset))
-    return reports
+    lev = (levenshtein_bound(n, COS_REFERENCE, threshold_value(n, exponent_offset))
+           for n in range(n_lo, min(n_hi, LEVENSHTEIN_CEILING) + 1))
+    windows = (closed_form_sweep(lo, min(lo + 255, n_hi), exponent_offset)
+               for lo in range(max(n_lo, LEVENSHTEIN_CEILING + 1), n_hi + 1, 256))
+    return chain(lev, chain.from_iterable(windows))
+
+
+def verify_code_lemma(n_lo: int, n_hi: int,
+                      exponent_offset: int) -> list[BoundReport]:
+    """Verify bound(s0) < 5 * 2^((n + exponent_offset)/2) - 2 for every
+    dimension in [n_lo, n_hi]: the Levenshtein bound up to n = 118, the
+    closed form beyond.  exponent_offset is -4 (the census-driving
+    inequality) or +2 (the variant that holds from n = 3; n = 2 is left
+    unverified).  n_hi is at most LEMMA_DIMENSION_CAP."""
+    return list(code_lemma_reports(n_lo, n_hi, exponent_offset))
 
 
 # ── closed-form envelope ─────────────────────────────────────────

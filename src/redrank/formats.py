@@ -7,7 +7,8 @@ column-major order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), packed
 big-endian into 6-bit groups, each emitted as byte value 63 + group;
 trailing pad bits are zero.  One graph per line.  Both directions are
 linear in the length of the body, which they write out once as a bit
-string through a 64-entry table of 6-bit groups.  Decoding pads column
+string.  Encoding takes its 6-bit groups through binascii's base64;
+decoding maps bytes to groups through a 64-entry table and pads column
 j to n bits, so entry (i, j) of the n x n column-major square is x_{i,j}
 above the diagonal and 0 elsewhere: row i is column i OR-ed with the
 stride-n slice from i.
@@ -22,6 +23,7 @@ where it makes sense, a 1-based column.
 from __future__ import annotations
 
 import re
+from binascii import b2a_base64
 from typing import Iterable, Optional
 
 from .graphs import Graph
@@ -31,7 +33,9 @@ _LONG_MARK = 126  # '~'
 _MAX_SHORT = 62
 _MAX_LONG = 258047
 _SIXES = {_OFFSET + k: format(k, "06b") for k in range(64)}  # byte -> group
-_GROUPS = {bits: chr(byte) for byte, bits in _SIXES.items()}
+_FROM_BASE64 = bytes.maketrans(  # base64's group -> graph6 byte
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(_OFFSET, _OFFSET + 64)))
 
 
 class FormatError(ValueError):
@@ -69,8 +73,11 @@ def graph6_encode(g: Graph) -> str:
     rows = g.rows
     bits = "".join([format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1]
                     for j in range(1, n)])
-    bits += "0" * (-len(bits) % 6)
-    return "".join(head + list(map(_GROUPS.get, re.findall("......", bits))))
+    # base64 reads 6-bit groups from whole 3-byte blocks, zero-padded
+    pad = -len(bits) % 24
+    blocks = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    body = b2a_base64(blocks, newline=False)[:(len(bits) + 5) // 6]
+    return "".join(head) + body.translate(_FROM_BASE64).decode("ascii")
 
 
 def graph6_decode(text: str, line: int = 1) -> Graph:

@@ -19,7 +19,7 @@ from redrank import bounds
 from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, DimensionCapError, IntegralBracket,
                             LevDenominatorZero, closed_form_sweep,
-                            levenshtein_bound, rankin_bound,
+                            code_lemma_reports, levenshtein_bound, rankin_bound,
                             reference_params, tail_ratio_certificate,
                             threshold_value, verify_code_lemma)
 from redrank.exact import COS_REFERENCE, QSqrt2, gamma_half_ratio, sqrt_enclosure
@@ -236,6 +236,30 @@ def test_verify_code_lemma_switches_method_above_ceiling():
     assert methods[:2] == ["levenshtein", "levenshtein"]
     assert all(m == "closed_form" for m in methods[2:])
     assert all(r.holds for r in reports)
+
+
+def test_code_lemma_reports_check_arguments_before_any_report(monkeypatch):
+    made = []
+    monkeypatch.setattr(bounds, "levenshtein_bound",
+                        lambda n, s, threshold: made.append(n))
+    monkeypatch.setattr(bounds, "closed_form_sweep",
+                        lambda lo, hi, offset: made.append((lo, hi)) or [])
+    for args, error in (((47, 10001, -4), DimensionCapError),
+                        ((2, 10, -4), ValueError), ((3, 10, 0), ValueError),
+                        ((10, 9, 2), ValueError)):
+        with pytest.raises(error):
+            code_lemma_reports(*args)
+    sweep = code_lemma_reports(116, 700, -4)
+    assert made == []
+    next(sweep)
+    assert made == [116]
+    list(sweep)
+    # then one closed-form window of 256 dimensions at a time
+    assert made == [116, 117, 118, (119, 374), (375, 630), (631, 700)]
+
+
+def test_code_lemma_windows_match_one_closed_form_sweep():
+    assert list(code_lemma_reports(119, 1000, -4)) == closed_form_sweep(119, 1000, -4)
 
 
 def test_closed_form_sweep_small_window():

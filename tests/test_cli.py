@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import redrank
-from redrank import cli, poly
+from redrank import bounds, cli, poly
 from redrank.bounds import (LEMMA_DIMENSION_CAP, RANKIN_DIMENSION_CAP,
                             levenshtein_bound)
 from redrank.census import MINEQ_R_CAP
@@ -542,6 +542,56 @@ def test_lemma_sweep_admits_its_cap(capsys):
     code, out, err = run(capsys, "lemma8", "--from", "10000", "--to", "10000")
     assert (code, err) == (0, "")
     assert [r["n"] for r in json.loads(out)["reports"]] == [10000]
+
+
+def test_lemma_sweep_peak_memory(traced_peak):
+    # the benchmark's sweep with stdout captured as its harness does: the
+    # reports are rendered one closed-form window at a time and JSON is
+    # written in blocks (a list of every report, then one JSON string,
+    # took 16.7 MB traced, text 3.5 MB and csv 4.4 MB)
+    for fmt, limit_mb in (("json", 10), ("text", 2), ("csv", 3)):
+        out = io.StringIO()
+        argv = ["lemma5", "--from", "47", "--to", "3000", "--format", fmt]
+        with contextlib.redirect_stdout(out):
+            peak = traced_peak(lambda: main(argv))
+        assert out.getvalue().count("\n") > 2954, fmt
+        assert peak < limit_mb * 10 ** 6, (fmt, peak)
+
+
+def test_lemma_refusal_creates_no_output_file(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    code, out, err = run(capsys, "lemma5", "--to", "10001", "--output", str(path))
+    assert code == 2 and out == "" and "LEMMA_DIMENSION_CAP" in err
+    assert not path.exists()
+
+
+def test_lemma_error_mid_sweep_prints_nothing(capsys, tmp_path, monkeypatch):
+    # a failure in the second closed-form window, after reports exist
+    real = bounds.closed_form_sweep
+
+    def failing(lo, hi, offset):
+        if lo > 119:
+            raise ValueError("window refused")
+        return real(lo, hi, offset)
+
+    monkeypatch.setattr(bounds, "closed_form_sweep", failing)
+    path = tmp_path / "sweep"
+    for fmt in ("json", "text", "csv"):
+        argv = ["lemma5", "--to", "500", "--format", fmt]
+        assert run(capsys, *argv) == (2, "", "error: window refused\n")
+        assert run(capsys, *argv, "--output", str(path))[:2] == (2, "")
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["lemma5", "lemma8"])
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_lemma_output_file_matches_stdout(capsys, tmp_path, command, fmt):
+    # past n = 118 and across two closed-form windows
+    argv = [command, "--from", "110", "--to", "700", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--output", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode()
 
 
 def test_lemma5_short_window_all_hold(capsys):

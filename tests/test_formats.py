@@ -27,6 +27,13 @@ def test_known_encodings():
     assert graph6_decode("Ch") == Graph.path(4)
 
 
+def test_encode_peak_memory_at_order_2000(traced_peak):
+    # the body goes through one bit string and its packed bytes, not one
+    # string per output byte (26 MB traced)
+    g = Graph.complete(2000)
+    assert traced_peak(lambda: graph6_encode(g)) < 8 * 10 ** 6
+
+
 def test_round_trip_every_class_up_to_seven():
     for order in range(1, 8):
         for g in enumerate_graphs(order):
