@@ -149,17 +149,17 @@ def threshold_value(n: int, offset: int) -> QSqrt2:
     return QSqrt2(c - 2, 0) if e % 2 == 0 else QSqrt2(-2, c)
 
 
-def _holds_by_squares(x: int, y: int, d: int, threshold: QSqrt2) -> bool:
-    """value < threshold for the positive value sqrt((x + y*sqrt2)/d),
-    d > 0, exactly: with threshold = (tx + ty*sqrt2)/e, that is
-    threshold > 0 and d (tx + ty*sqrt2)^2 - e^2 (x + y*sqrt2) > 0, two
-    integer sign tests."""
+def _holds_by_squares(x: int, y: int, n: int, threshold: QSqrt2) -> bool:
+    """value < threshold for the positive value sqrt((x + y*sqrt2)/2^n),
+    exactly: with threshold = (tx + ty*sqrt2)/e, that is threshold > 0
+    and 2^n (tx + ty*sqrt2)^2 - e^2 (x + y*sqrt2) > 0, two integer sign
+    tests."""
     tx, ty, e = threshold.as_integers()
     if sign_sqrt2(tx, ty) <= 0:
         return False
     e2 = e * e
-    return sign_sqrt2(d * (tx * tx + 2 * ty * ty) - e2 * x,
-                      2 * d * tx * ty - e2 * y) > 0
+    return sign_sqrt2((tx * tx + 2 * ty * ty << n) - e2 * x,
+                      (tx * ty << n + 1) - e2 * y) > 0
 
 
 # ── Rankin-style bounds ──────────────────────────────────────────
@@ -298,9 +298,9 @@ def levenshtein_bound(n: int, s: CosineLike,
 LEVENSHTEIN_CEILING = 118
 
 # Largest dimension verify_code_lemma sweeps to: the sweep grows faster
-# than n^2 (`lemma5` to 10^4 takes 3.8-5.1 s with process start, to
-# 2 * 10^4 31 s), and tail_ratio_certificate carries the verdict past
-# any window.
+# than n^2 (`lemma5` to 10^4 takes 3.0-3.2 s with process start in json,
+# 2.1-2.4 s in text, to 2 * 10^4 15 s), and tail_ratio_certificate
+# carries the verdict past any window.
 LEMMA_DIMENSION_CAP = 10_000
 
 
@@ -368,18 +368,17 @@ def closed_form_sweep(n_lo: int, n_hi: int,
     reports: list[BoundReport] = []
     for n in range(n_lo, n_hi + 1):
         c = (n * n - 1) ** 2
-        denom = 1 << n
         thr = holds = None
         if offset is not None:
             thr = threshold_value(n, offset)
-            holds = _holds_by_squares(c * a, c * b, denom, thr)
+            holds = _holds_by_squares(c * a, c * b, n, thr)
         if n % 2 == 0:
             half_denom = 1 << (n // 2)
             value: Union[QSqrt2, Fraction] = QSqrt2(
                 Fraction((n * n - 1) * ah, half_denom),
                 Fraction((n * n - 1) * bh, half_denom))
         else:
-            value = sqrt_enclosure(c * a, c * b, denom, 40)[1]
+            value = sqrt_enclosure(c * a, c * b, 1 << n, 40)[1]
         notes: tuple[str, ...] = ()
         if n < CLOSED_FORM_REPORT_FLOOR:
             notes = (f"below the conservative reporting floor n >= {CLOSED_FORM_REPORT_FLOOR}",)

@@ -181,15 +181,6 @@ def canonical_cert(g: Graph) -> int:
     return _canonical_order(g)[0]
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    _, order, _ = _canonical_order(g)
-    position = [0] * g.n
-    for pos, v in enumerate(order):
-        position[v] = pos
-    return g.relabeled(position)
-
-
 # ── isomorph-free enumeration ────────────────────────────────────
 
 

@@ -7,10 +7,11 @@ fractions.Fraction parts and have no float conversion.  Signs, floors,
 square-root enclosures and decimal renderings work on a value written
 as (A + B*sqrt2)/D with integers A, B and D > 0 (QSqrt2.as_integers) in
 integers alone: a sign is that of A + B*sqrt2 (sign_sqrt2, which
-compares A^2 with 2*B^2), and floor(x * 10^k), for k of either sign, is
-one integer isqrt and one floor division.  A rendering takes its decimal
-exponent from a bound on bit lengths (_log2_lower) and its digits from
-one such floor; the module uses no floating point.
+compares A^2 with 2*B^2, past 1,024 bits their leading bits first), and
+floor(x * 10^k), for k of either sign, is A + B*sqrt2 floored 66 bits
+below D's length and divided by D (_floor_scaled).  A rendering takes
+its decimal exponent from a bound on bit lengths (_log2_lower) and its
+digits from one such floor; the module uses no floating point.
 
 All values are immutable and every function is pure, so the module is safe
 for concurrent use.
@@ -31,16 +32,6 @@ Rational = Union[int, Fraction]
 PI_HI = Fraction(314159265358979323846264338327950288419716939937511, 10 ** 50)
 
 
-def _floor_int_sqrt2(b: int) -> int:
-    """floor(b * sqrt(2)) for an integer b, exactly."""
-    if b == 0:
-        return 0
-    if b > 0:
-        return isqrt(2 * b * b)
-    # sqrt(2)*|b| is irrational for b != 0, so the floor is never exact
-    return -isqrt(2 * b * b) - 1
-
-
 def sign_sqrt2(x: int, y: int) -> int:
     """The sign of x + y*sqrt(2) for integers x and y, exactly."""
     if y == 0:
@@ -49,14 +40,28 @@ def sign_sqrt2(x: int, y: int) -> int:
         return 1 if y > 0 else -1
     # opposite signs: |x| against |y|*sqrt2.  Bit lengths decide when
     # they differ by two or more (2^(bx-1) <= |x| < 2^bx, likewise y),
-    # otherwise x^2 against 2 y^2, which never tie as sqrt2 is irrational
+    # otherwise x^2 against 2 y^2, which never tie as sqrt2 is irrational.
+    # Past 1,024 bits (below, full squares cost less than the loop) the
+    # top bx - s bits come first, 64 of them and doubling: |x| lies in
+    # [X, X + 1) 2^s for X = |x| >> s, likewise y, so X^2 >= 2 (Y + 1)^2
+    # or (X + 1)^2 <= 2 Y^2 decides; once s <= 0 the squares are exact
     bx, by = x.bit_length(), y.bit_length()
     if bx - by >= 2:
         x_wins = True
     elif by - bx >= 1:
         x_wins = False
-    else:
+    elif bx <= 1024:
         x_wins = x * x > 2 * y * y
+    else:
+        s = bx - 64
+        while s > 0:
+            hx, hy = abs(x) >> s, abs(y) >> s
+            x_wins = hx * hx >= 2 * (hy + 1) ** 2
+            if x_wins or (hx + 1) ** 2 <= 2 * hy * hy:
+                break
+            s = 2 * s - bx
+        else:
+            x_wins = x * x > 2 * y * y
     return 1 if x_wins == (x > 0) else -1
 
 
@@ -230,12 +235,27 @@ COS_REFERENCE = QSqrt2(-1, 1)
 
 def _floor_scaled(a: int, b: int, d: int, k: int) -> int:
     """floor((a + b*sqrt2)/d * 10^k) for integers a, b, d > 0 and k,
-    exactly: for k < 0 the floor division by d * 10^-k may follow the
-    floor of a + b*sqrt2, since d * 10^-k is a positive integer."""
+    exactly, at the precision the quotient keeps (Ziv's rounding test).
+    With 10^k moved onto (a, b) or onto d, let j = max(L(d) - 66, 0)
+    (L = int.bit_length), or j = 0 when b = 0, and t = isqrt(2b^2 >> 2j)
+    = floor(|b|*sqrt2 / 2^j).  Then q = t for b >= 0 and q = -t - 1 for
+    b < 0 (|b|*sqrt2 is irrational) is floor(b*sqrt2 / 2^j), so
+    a + b*sqrt2 lies in [lo, lo + 2^j) for lo = a + q 2^j, and with
+    lo = f d + r, 0 <= r < d, the floor is f whenever r + 2^j <= d.
+    That fails only when the interval meets a multiple of d, with chance
+    about 2^-65 on generic input; the floor is then taken again at
+    j = 0, where the test always holds."""
     if k >= 0:
-        p = 10 ** k
-        return (a * p + _floor_int_sqrt2(b * p)) // d
-    return (a + _floor_int_sqrt2(b)) // (d * 10 ** -k)
+        a, b = a * 10 ** k, b * 10 ** k
+    else:
+        d *= 10 ** -k
+    j = max(d.bit_length() - 66, 0) if b else 0
+    while True:
+        q = isqrt(2 * b * b >> 2 * j)
+        f, r = divmod(a + ((q if b >= 0 else -q - 1) << j), d)
+        if r + (1 << j) <= d:
+            return f
+        j = 0
 
 
 def _log2_lower(a: int, b: int, d: int) -> int:

@@ -362,17 +362,6 @@ def rank(g: Graph) -> int:
 # ── reducedness ──────────────────────────────────────────────────
 
 
-def duplication_classes(g: Graph) -> list[tuple[int, ...]]:
-    """Maximal sets of size >= 2 of vertices sharing a neighborhood.
-    Members of a class are pairwise non-adjacent automatically."""
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.rows[v], []).append(v)
-    classes = [tuple(vs) for vs in groups.values() if len(vs) >= 2]
-    classes.sort()
-    return classes
-
-
 def is_reduced(g: Graph) -> bool:
     """No isolated vertices and no duplicated neighborhoods."""
     return all(g.rows) and len(set(g.rows)) == g.n

@@ -20,7 +20,7 @@ from redrank.census import (ORDER_CAP, CensusReport, EnumerationCapError,
                             ExtremalConstructionError, _accepts,
                             _canonical_order, _extend,
                             _refine, canonical_cert,
-                            canonical_form, census_counts, construct_extremal,
+                            census_counts, construct_extremal,
                             enumerate_graphs, lemma_suite, verify_conjecture,
                             verify_m_inequalities)
 from redrank.formats import graph6_decode, graph6_encode
@@ -28,6 +28,15 @@ from redrank.graphs import (Graph, conjectured_max_order, is_reduced,
                             min_removal_for_rank_drop, rank)
 
 KNOWN_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+
+
+def canonical_form(g):
+    """The canonically labeled representative of g's isomorphism class."""
+    _, order, _ = _canonical_order(g)
+    position = [0] * g.n
+    for pos, v in enumerate(order):
+        position[v] = pos
+    return g.relabeled(position)
 
 
 def _random_graph(rng, n):

@@ -11,11 +11,13 @@ import random
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import factorial, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 from mpmath import mp, mpf, sqrt as mpsqrt
 
+from redrank import exact
 from redrank.exact import (COS_REFERENCE, PI_HI, QSqrt2, _floor_scaled,
                            _log2_lower, decimal_str, gamma_half_ratio,
                            sign_sqrt2, sqrt_enclosure)
@@ -512,3 +514,99 @@ def test_log2_lower_brackets_log2_on_seeded_randoms():
         log2v = mp.log((mpf(a) + mpf(b) * mpsqrt(2)) / d, 2)
         assert lb < log2v < lb + 4, (a, b, d)
     assert min(cases.values()) >= 200
+
+
+# ── floors and signs at working precision ────────────────────────
+
+
+def _ref_floor_scaled(a, b, d, k):
+    """floor((a + b*sqrt2)/d * 10^k) at full precision."""
+    if k >= 0:
+        p = 10 ** k
+        return (a * p + _ref_floor_int_sqrt2(b * p)) // d
+    return (a + _ref_floor_int_sqrt2(b)) // (d * 10 ** -k)
+
+
+def _floor_and_roots(a, b, d, k):
+    """_floor_scaled(a, b, d, k) and its number of isqrt calls: 1 when
+    the guard bits decide the floor, 2 when it is taken again at j = 0."""
+    with mock.patch.object(exact, "isqrt", wraps=isqrt) as root:
+        return _floor_scaled(a, b, d, k), root.call_count
+
+
+_divisors = st.one_of(
+    st.integers(0, 700).map(lambda s: 1 << s),
+    st.integers(0, 200).map(lambda m: 10 ** m),
+    st.integers(0, 2 ** 600).map(lambda n: 2 * n + 1),
+    st.just(1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.integers(-2 ** 500, 2 ** 500), b=st.integers(-2 ** 500, 2 ** 500),
+       d=_divisors, k=st.integers(-120, 120))
+def test_floor_scaled_matches_full_precision(a, b, d, k):
+    assert _floor_scaled(a, b, d, k) == _ref_floor_scaled(a, b, d, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_divisors.filter(lambda d: d.bit_length() > 80),
+       m=st.integers(-2 ** 100, 2 ** 100),
+       b=st.integers(-2 ** 12, 2 ** 12).filter(bool),
+       c=st.integers(-1, 0))
+def test_floor_scaled_falls_back_next_to_a_multiple(d, m, b, c):
+    # a + b*sqrt2 = m d + c + frac(b*sqrt2) lies within 2^j of m d, so
+    # the guard interval straddles the multiple and the floor, m + c,
+    # is taken again at full precision
+    a = m * d + c - _ref_floor_int_sqrt2(b)
+    assert _floor_and_roots(a, b, d, 0) == (m + c, 2)
+
+
+def test_floor_scaled_decides_at_working_precision():
+    # away from a multiple of d, 0 included, r + 2^j <= d fails with
+    # chance about 2^-65: no seeded random input with a quotient of 2^3
+    # or more, and none of the closed form's odd-n enclosure floors, is
+    # taken twice
+    rng = random.Random(2665)
+    for _ in range(400):
+        bits = rng.choice([67, 100, 2000])
+        d = rng.getrandbits(bits) | 1 << bits - 1
+        bits += rng.choice([136, 160, 400])
+        a, b = (rng.getrandbits(bits) * rng.choice([-1, 1]) for _ in range(2))
+        k = rng.randint(-40, 40)
+        assert _floor_and_roots(a, b, d, k) == \
+            (_ref_floor_scaled(a, b, d, k), 1)
+    for n in range(119, 3002, 14):
+        a, b, _ = (QSqrt2(2, 1) ** n).as_integers()
+        c = (n * n - 1) ** 2
+        assert _floor_and_roots(c * a, c * b, 1 << n, 80)[1] == 1
+
+
+def test_sign_sqrt2_on_pell_pairs_past_the_gate():
+    # (1 +- sqrt2)^k = p +- q*sqrt2 with p^2 - 2q^2 = (-1)^k: p and
+    # q*sqrt2 agree on every leading bit, so the doubling runs to the
+    # exact comparison; each pair is scaled by 2^m and moved by e
+    p, q = 1, 0
+    for k in range(1, 4000):
+        p, q = p + 2 * q, p + q
+        if k % 7:
+            continue
+        for m in (0, 1, 37, 600):
+            for e in (-1, 0, 1):
+                x, y = (p << m) + e, -(q << m)
+                expected = 1 if x * x > 2 * y * y else -1
+                assert sign_sqrt2(x, y) == expected
+                assert sign_sqrt2(-x, -y) == -expected
+    assert q.bit_length() > 5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.integers(2 ** 1000, 2 ** 6000), delta_bits=st.integers(0, 6000),
+       delta=st.integers(-2 ** 64, 2 ** 64), negate=st.booleans())
+def test_sign_sqrt2_on_near_ties_matches_squares(y, delta_bits, delta, negate):
+    # |x| = floor(y sqrt2) moved by a perturbation of any bit length, so
+    # the top bits of x^2 and 2y^2 agree to every depth of the doubling
+    x = isqrt(2 * y * y) + (delta << delta_bits)
+    if negate:
+        x, y = -x, -y
+    expected = 1 if (x * x > 2 * y * y) == (x > 0) else -1
+    assert sign_sqrt2(x, -y) == expected

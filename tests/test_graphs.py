@@ -21,7 +21,7 @@ from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
                             _bareiss_rank, _rank_mod_p,
-                            conjectured_max_order, duplication_classes,
+                            conjectured_max_order,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
                             min_removal_for_rank_drop, neighborhood_symdiff,
@@ -30,6 +30,15 @@ from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
 PETERSEN = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
                                  (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
                                  (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
+
+
+def duplication_classes(g):
+    """Maximal sets of size >= 2 of vertices sharing a neighborhood.
+    Members of a class are pairwise non-adjacent automatically."""
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(g.rows[v], []).append(v)
+    return sorted(tuple(vs) for vs in groups.values() if len(vs) >= 2)
 
 
 def _fraction_rank(matrix: list[list[int]]) -> int:
