@@ -1,19 +1,17 @@
 """Graphs, adjacency rank over Q, and the reducedness invariants.
 
-A graph is a tuple of neighbor bitmasks.  Rank of the 0/1 adjacency
-matrix is the exact rank over Q (equivalently over R).  Above order 9
-it is taken on the twin quotient (reduce_graph), which has the same
-rank.  Gaussian elimination modulo the prime p = 32749 comes first, with
-each row packed into one Python integer of 48-bit lanes.  Its rank r_p
-is a lower bound on the rank, as a minor that is nonzero mod p is a
-nonzero integer, and rank returns it in three cases: r_p = n; order at
-most 9, where Hadamard's inequality keeps every minor below p; or r_p
-at most n/3 with a span certificate, an integer Gauss-Jordan pass on
-the r_p pivot rows, packed in lanes wide enough for every minor, that
-proves they span every row.  Any other matrix (of higher rank mod p, or
-where p divides a minor the certificate needs) goes to fraction-free
-Bareiss elimination on Python integers.  The same bound lets the
-rank-drop search clear most vertex sets without an exact rank.
+A graph is a tuple of neighbor bitmasks, and rank is the exact rank over
+Q of its 0/1 adjacency matrix, above order 9 on the twin quotient
+(reduce_graph).  Gaussian elimination modulo the prime p = 32749 comes
+first, with each row packed into one Python integer of 48-bit lanes.
+Its rank r_p is a lower bound on the rank, as a minor that is nonzero
+mod p is a nonzero integer, and rank returns it in three cases: r_p =
+n; order at most 9, where Hadamard's inequality keeps every minor below
+p; or r_p at most n/3 with a span certificate, an integer Gauss-Jordan
+pass on the r_p pivot rows, packed in lanes wide enough for every
+minor, that proves they span every row.  Any other matrix goes to
+fraction-free Bareiss elimination on Python integers, which by back
+substitution also gives an integer basis K of the kernel.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -22,9 +20,9 @@ with identical neighborhoods.  For reduced graphs the module provides:
     removal leaves a graph with two duplicated vertices (the minimum of
     |N(u) xor N(v)| over non-adjacent pairs),
   * min_removal_for_rank_drop: the least number of vertices whose
-    removal lowers the rank: the least weight of a nonzero Ax, bounded
-    on the twin quotient, with a search below the bounds capped by
-    RHO_SUBSET_CAP,
+    removal lowers the rank: the lightest set of twin classes whose rows
+    of K are linearly dependent, bounded without a rank, with a search
+    below the bounds capped by RHO_SUBSET_CAP,
   * duplication_witness: a largest induced subgraph with duplicated
     vertices together with the two-sided split of the removed set,
     solved in one pass over it for any number of duplicated pairs,
@@ -38,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -181,9 +179,10 @@ def _bits(mask: int) -> Iterator[int]:
 # ── rank ─────────────────────────────────────────────────────────
 
 
-def _bareiss_rank(matrix: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination
-    column by column.  The matrix is consumed.
+def _bareiss(matrix: list[list[int]]) -> list[int]:
+    """The pivot columns of a fraction-free elimination of an integer
+    matrix, column by column; there are as many as its rank over Q.  The
+    matrix is left with pivot row k in row k, exact from its pivot on.
 
     A column that is zero in every row not yet a pivot row is skipped.
     Otherwise a row nonzero there becomes the pivot row, and each later
@@ -193,8 +192,9 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
     column, and prev the last pivot minor, so each division is exact."""
     nrows = len(matrix)
     prev = 1
-    r = 0
+    pivots = []
     for c in range(len(matrix[0]) if nrows else 0):
+        r = len(pivots)
         pi = next((i for i in range(r, nrows) if matrix[i][c]), None)
         if pi is None:
             continue
@@ -206,8 +206,26 @@ def _bareiss_rank(matrix: list[list[int]]) -> int:
             for j in range(c + 1, len(prow)):
                 row[j] = (row[j] * pivot - head * prow[j]) // prev
         prev = pivot
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def _kernel(matrix: list[list[int]], pivots: list[int]) -> list[tuple[int, ...]]:
+    """An integer basis of the kernel of a matrix that _bareiss left with
+    these pivot columns, one row per column.  Its vector for a free column
+    f has d, the last pivot, in column f and 0 in the other free columns.
+    Its pivot entries are then -adj(M) times f's entries in the pivot rows,
+    M the pivot minor of determinant d: integers, so the back substitution x_c = -sum_{j>c}
+    U[c][j] x_j // U[c][c] through the pivot rows divides exactly."""
+    n = len(matrix[0])
+    d = matrix[len(pivots) - 1][pivots[-1]] if pivots else 1
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [d if j == f else 0 for j in range(n)]
+        for row, c in reversed(list(zip(matrix, pivots))):
+            x[c] = -sum(row[j] * x[j] for j in range(c + 1, n)) // row[c]
+        basis.append(x)
+    return list(zip(*basis))
 
 
 # The certificate's prime, p = 2^15 - 19, so that 2^15 = 19 (mod p).
@@ -356,7 +374,7 @@ def rank(g: Graph) -> int:
             _SPAN_SHARE * found <= g.n and _span_certified(g.rows, pivots)):
         return found
     matrix = [[g.rows[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]
-    return _bareiss_rank(matrix)
+    return len(_bareiss(matrix))
 
 
 # ── reducedness ──────────────────────────────────────────────────
@@ -422,77 +440,58 @@ def min_removal_for_duplicates(g: Graph) -> int:
     return _min_symdiff_pair(g)[2]
 
 
-# The rank-drop search is refused before it starts when it could go past
-# this cap.  Its subsets count as subsets of an order-20 graph.  A subset
-# of an order-n quotient costs one elimination mod p, about n^2/2 row
-# operations, each a fixed cost plus one linear in the n lanes.  Timed on
-# dense G(n, 1/2) rows, the slowest, at orders 20-240, a subset costs at
-# most n^2 (n + 200) / (20^2 * 220) times one at order 20, 0.10-0.16 ms
-# on a 2-vCPU Xeon (Python 3.11.7; circulants at orders 20-32 alike).
-# 15,358 counted (156 dense single vertices) take 2.1-3.2 s, and 14,816
-# (C_32(1, 2, 3, 4, 6, 8, 9, 11, 12, 13, 14, 15)) 1.7-1.9 s: about 3.4 s
-# at most at the cap.
-RHO_SUBSET_CAP = 16_000
+# The rank-drop search is refused before it ranks a subset when it has
+# more class subsets to rank than this.  Ranking one costs at most 48 us
+# (sizes 7-8 of N = 8-10; 2-vCPU Xeon, Python 3.11.7), 2.4 s at the cap;
+# the slowest search within it found, C_22(1, 2, 3, 4, 5, 11) (N = 10,
+# 35,442 subsets), takes 0.6-1.1 s.
+RHO_SUBSET_CAP = 50_000
 
 
 class SearchCapError(ValueError):
     """An exhaustive search would go past its declared cap."""
 
 
-def _check_rho_budget(n: int, cap: int) -> None:
-    """Refuse a rank-drop search over the subsets of sizes 1..cap-1 of n
-    classes when it could go past RHO_SUBSET_CAP."""
-    m = max(n, 20)
-    searched = 0
-    for k in range(1, cap):
-        searched += comb(n, k) * m * m * (m + 200)
-        if searched > RHO_SUBSET_CAP * 20 * 20 * 220:
-            raise SearchCapError(
-                f"rho could try more than {RHO_SUBSET_CAP} class subsets, "
-                f"counted at order 20 (RHO_SUBSET_CAP); refused")
-
-
 def min_removal_for_rank_drop(g: Graph) -> int:
     """Least k such that deleting some k vertices lowers the rank.
 
-    Lemma: deleting S lowers the rank r of A iff S holds the support of
-    a nonzero Ax.  The rows outside S span A's row space iff they have
-    A's kernel, iff no x has Ax != 0 zero outside S.  If they span it, r
-    of them, I, do; A = A[:, I] D by symmetry, so A[I, I] D = A[I, :]
-    makes A[I, I] nonsingular (Kotlov and Lovász, J. Graph Theory 23,
-    1996) and the principal submatrix left keeps rank r.  If not, its
-    rank is below r.
+    Lemma: deleting S lowers the rank r of A iff the rows outside S miss
+    some of the row space (ker A)^perp, iff it holds a nonzero y = Ax zero
+    outside S, iff the rows K[S] of a kernel basis K are dependent.  If
+    they span it, r of them, I, do; A = A[:, I] D by symmetry, so A[I, I]
+    D = A[I, :] makes A[I, I] nonsingular (Kotlov and Lovász, J. Graph
+    Theory 23, 1996) and the principal submatrix left keeps rank r.
 
-    Twins share every coordinate of Ax and isolated vertices have none,
-    so rho is the least weight (vertex count) of a set of classes of the
-    twin quotient q whose deletion lowers rank(q) = r.  Three bounds need
-    no rank: the q.n - r + 1 lightest classes, every positive degree (A
-    e_v) and every positive |N(u) xor N(v)| (A(e_u - e_v)).  Lighter
-    class sets are searched, unless SearchCapError refuses at once.
-
-    A set S is cleared without an exact rank when the rank mod p of
-    q - S is at least r: that is a lower bound on its rank over Q, and
-    deleting vertices never raises the rank, so the rank stays r.
+    Twins share every coordinate of y, isolated vertices have none, so
+    rho is the least weight (vertex count) of a dependent set of rows of
+    K on the twin quotient, one row per class.  Bounds: every degree (A
+    e_v) and every |N(u) xor N(v)| (A(e_u - e_v)), before any rank, and
+    the N + 1 lightest classes for nullity N.  Lighter sets of at most N
+    classes are ranked on K, unless SearchCapError refuses them first.
     """
     classes = Counter(row for row in g.rows if row)
     if not classes:
         raise ValueError("rank drop needs at least one edge")
+    diffs = (a ^ b for a, b in combinations(classes, 2))
+    cap = min(map(int.bit_count, chain(classes, diffs)))
     q = reduce_graph(g)  # vertex i of q is the i-th key of classes
     weight = list(classes.values())
-    base = rank(q)
-    cap = sum(sorted(weight)[:q.n - base + 1])
-    if cap > 1:
-        diffs = (a ^ b for a, b in combinations(classes, 2))
-        cap = min(cap, *map(int.bit_count, classes), *map(int.bit_count, diffs))
-    _check_rho_budget(q.n, cap)
-    best = cap
-    for k in range(1, cap):
+    if cap == 1 or _rank_mod_p(q.rows, q.n)[0] == q.n:
+        return min(cap, *weight)
+    matrix = [[q.rows[u] >> v & 1 for v in range(q.n)] for u in range(q.n)]
+    pivots = _bareiss(matrix)
+    nullity = q.n - len(pivots)
+    best = min(cap, sum(sorted(weight)[:nullity + 1]))
+    sizes = range(1, min(best, nullity + 1))
+    if sum(comb(q.n, k) for k in sizes) > RHO_SUBSET_CAP:
+        raise SearchCapError(f"rho could rank more than {RHO_SUBSET_CAP} "
+                             "class subsets (RHO_SUBSET_CAP); refused")
+    kernel = _kernel(matrix, pivots)
+    for k in sizes:
         for subset in combinations(range(q.n), k):
             light = sum(weight[c] for c in subset)
-            if light < best:
-                rest = q.without(subset)
-                if _rank_mod_p(rest.rows, rest.n)[0] < base and rank(rest) < base:
-                    best = light
+            if light < best and len(_bareiss([list(kernel[c]) for c in subset])) < k:
+                best = light
     return best
 
 

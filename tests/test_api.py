@@ -79,6 +79,7 @@ def test_trimmed_members_are_pinned():
         assert not hasattr(redrank.Graph, name), name
     for module, name in (("exact", "GammaRatio"), ("exact", "PI_LO"),
                          ("graphs", "rank_drops_hold"),
+                         ("graphs", "_check_rho_budget"),
                          ("poly", "gegenbauer_values")):
         assert not hasattr(importlib.import_module(f"redrank.{module}"),
                            name), name

@@ -417,17 +417,20 @@ def test_lev_refuses_large_exponents_at_once(capsys):
 
 
 def test_rho_refuses_searches_beyond_cap(capsys):
-    # C_160 is reduced, of rank 158 and degree 2, so rho would try its
-    # 160 single vertices, each counted (160/20)^2 (360/220) times; C_116's
-    # 116 are within the cap
-    c160 = graph6_encode(Graph.cycle(160))
+    # C_32(1, 6, 7, 14) is reduced, of nullity 9, degree 8 and differences
+    # of at least 8, so rho would rank every subset of up to 7 of its 32
+    # classes, 4,514,872 of them; the cycles' single vertices are within
+    # the cap
+    c32 = graph6_encode(Graph.from_edges(
+        32, [(v, (v + j) % 32) for v in range(32) for j in (1, 6, 7, 14)]))
     for fmt in ("json", "text", "csv"):
-        code, out, err = run(capsys, "rho", "--graph6", c160, "--format", fmt)
+        code, out, err = run(capsys, "rho", "--graph6", c32, "--format", fmt)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "RHO_SUBSET_CAP" in err
-    c116 = graph6_encode(Graph.cycle(116))
-    assert run(capsys, "rho", "--graph6", c116) == (0, "2\n", "")
+    for n in (116, 160):
+        cycle = graph6_encode(Graph.cycle(n))
+        assert run(capsys, "rho", "--graph6", cycle) == (0, "2\n", "")
 
 
 def _rho_reports(name, rho):

@@ -20,7 +20,7 @@ from redrank.census import construct_extremal, enumerate_graphs
 from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
-                            _bareiss_rank, _rank_mod_p,
+                            _bareiss, _bits, _kernel, _rank_mod_p,
                             conjectured_max_order,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
@@ -60,9 +60,12 @@ def _fraction_rank(matrix: list[list[int]]) -> int:
     return r
 
 
+def _matrix(g: Graph) -> list[list[int]]:
+    return [[g.rows[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
+
+
 def _gauss_rank(g: Graph) -> int:
-    return _fraction_rank([[g.rows[i] >> j & 1 for j in range(g.n)]
-                           for i in range(g.n)])
+    return _fraction_rank(_matrix(g))
 
 
 def _modp_rank(g: Graph, p: int) -> int:
@@ -193,9 +196,8 @@ def test_rank_matches_mod_p():
         assert max(modp) == r
 
 
-def _bareiss(g: Graph) -> int:
-    return _bareiss_rank([[g.rows[u] >> v & 1 for v in range(g.n)]
-                          for u in range(g.n)])
+def _bareiss_rank(g: Graph) -> int:
+    return len(_bareiss(_matrix(g)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -203,7 +205,7 @@ def _bareiss(g: Graph) -> int:
 def test_rank_matches_bareiss_on_dense_graphs(n, density, seed):
     # orders past 64 and 128 cross the periodic lane folds
     g = _random_graph(random.Random(seed), n, density)
-    assert rank(g) == _bareiss(g)
+    assert rank(g) == _bareiss_rank(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +213,7 @@ def test_rank_matches_bareiss_on_dense_graphs(n, density, seed):
 def test_rank_matches_bareiss_on_small_graphs(n, density, seed):
     # through order 9 the rank mod p is taken as exact, singular or not
     g = _random_graph(random.Random(seed), n, density)
-    assert rank(g) == _bareiss(g)
+    assert rank(g) == _bareiss_rank(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,7 +222,7 @@ def test_rank_matches_bareiss_on_twin_blowups(k, extra, seed):
     rng = random.Random(seed)
     base = _random_graph(rng, k)
     g = _twin_blowup(rng, base, k + extra)
-    assert rank(g) == _bareiss(g) == _bareiss(base)
+    assert rank(g) == _bareiss_rank(g) == _bareiss_rank(base)
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,7 +234,7 @@ def test_rank_matches_bareiss_on_dense_twin_blowups(k, density, n, seed):
     rng = random.Random(seed)
     base = _random_graph(rng, k, density)
     g = _twin_blowup(rng, base, n)
-    assert rank(g) == _bareiss(g) == _bareiss(base)
+    assert rank(g) == _bareiss_rank(g) == _bareiss_rank(base)
 
 
 @pytest.mark.parametrize("r", range(4, 13))
@@ -242,10 +244,10 @@ def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
     # quotient, the base itself, but never at the blow-up's order
     def refuse_large(matrix):
         assert len(matrix) <= base.n, "Bareiss ran at the blow-up's order"
-        return _bareiss_rank(matrix)
+        return _bareiss(matrix)
 
     base = construct_extremal(r)  # which checks its own rank
-    monkeypatch.setattr(graphs, "_bareiss_rank", refuse_large)
+    monkeypatch.setattr(graphs, "_bareiss", refuse_large)
     rng = random.Random(r)
     for n in sorted({max(base.n, 3 * r), 70, 130, 150}):
         if n >= base.n:
@@ -265,7 +267,7 @@ def test_rank_of_twin_blowups_matches_the_full_matrix():
         g = _twin_blowup(rng, base, rng.randint(max(10, base.n), 60))
         q = reduce_graph(g)
         sides.add((q.n > 9, 3 * rank(q) <= q.n))
-        assert rank(g) == _bareiss(g) == _bareiss(base)
+        assert rank(g) == _bareiss_rank(g) == _bareiss_rank(base)
     assert {(True, True), (True, False)} <= sides
 
 
@@ -290,7 +292,7 @@ def _dependent_matrix(rng: random.Random, nrows: int, ncols: int):
 def test_bareiss_matches_fraction_elimination():
     # square and non-square shapes, dependent rows and all-zero columns,
     # so the elimination skips columns before, between and after pivots
-    assert _bareiss_rank([]) == _bareiss_rank([[]]) == 0
+    assert _bareiss([]) == _bareiss([[]]) == []
     rng = random.Random(1968)
     ranks = set()
     for _ in range(300):
@@ -299,7 +301,7 @@ def test_bareiss_matches_fraction_elimination():
             ncols = nrows
         matrix = _dependent_matrix(rng, nrows, ncols)
         expected = _fraction_rank(matrix)
-        assert _bareiss_rank([row[:] for row in matrix]) == expected, matrix
+        assert len(_bareiss([row[:] for row in matrix])) == expected, matrix
         ranks.add((expected, min(nrows, ncols)))
     assert any(r < full for r, full in ranks)
     assert any(r == full > 0 for r, full in ranks)
@@ -307,9 +309,9 @@ def test_bareiss_matches_fraction_elimination():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 64, 65, 129, 200])
 def test_rank_of_empty_and_complete_graphs(n):
-    assert rank(Graph.empty(n)) == _bareiss(Graph.empty(n)) == 0
+    assert rank(Graph.empty(n)) == _bareiss_rank(Graph.empty(n)) == 0
     expected = n if n >= 2 else 0
-    assert rank(Graph.complete(n)) == _bareiss(Graph.complete(n)) == expected
+    assert rank(Graph.complete(n)) == _bareiss_rank(Graph.complete(n)) == expected
 
 
 # Found by a seeded search (random.Random(32749), G(30, 1/2)): its
@@ -321,15 +323,15 @@ DET_DIVISIBLE_BY_P = (r"]olvaL~qpAQws}FyDBj?c?xrEgRjV\jc^NRzGwQM?PDkgrPiKynNUBZp
 
 
 def _recording_bareiss(monkeypatch) -> list[int]:
-    """Route graphs._bareiss_rank through a wrapper that records the
-    order of each matrix it ranks."""
+    """Route graphs._bareiss through a wrapper that records the
+    number of rows of each matrix it eliminates."""
     orders: list[int] = []
 
     def record(matrix):
         orders.append(len(matrix))
-        return _bareiss_rank(matrix)
+        return _bareiss(matrix)
 
-    monkeypatch.setattr(graphs, "_bareiss_rank", record)
+    monkeypatch.setattr(graphs, "_bareiss", record)
     return orders
 
 
@@ -338,7 +340,7 @@ def test_rank_falls_back_when_p_divides_the_determinant(monkeypatch):
     assert g.n == 30
     assert _rank_mod_p(g.rows, g.n)[0] < 30
     orders = _recording_bareiss(monkeypatch)
-    assert rank(g) == _bareiss(g) == _gauss_rank(g) == 30
+    assert rank(g) == _bareiss_rank(g) == _gauss_rank(g) == 30
     assert orders == [30]
 
 
@@ -355,7 +357,7 @@ def test_span_certificate_refuses_when_p_divides_a_minor(monkeypatch):
     orders = _recording_bareiss(monkeypatch)
     assert rank(g) == 30
     assert orders == [30]  # on the twin quotient
-    assert _bareiss(g) == 30
+    assert _bareiss_rank(g) == 30
 
 
 def test_rank_invariant_under_relabeling():
@@ -495,6 +497,15 @@ def _complete_bipartite(a: int, b: int) -> Graph:
                                     for j in range(a, a + b)])
 
 
+def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+# nullity 9, degree 8 and differences of at least 8: every subset of up
+# to 7 of its 32 classes (4,514,872) would be ranked
+C32_PAST_CAP = _circulant(32, (1, 6, 7, 14))
+
+
 def test_rank_drop_search_cap(monkeypatch):
     # the twin quotient of K_{a,b} is K_2, nonsingular, so rho is the
     # lighter class: the column space is spanned by the side indicators
@@ -504,41 +515,79 @@ def test_rank_drop_search_cap(monkeypatch):
     # a nonsingular graph answers 1 with no search, at any order
     assert rank(Graph.cycle(95)) == 95
     assert min_removal_for_rank_drop(Graph.cycle(95)) == 1
-    # C_n with 4 | n has nullity 2 and tau 2, so sizes 1 are searched;
-    # past order 20 a subset counts n^2 (n + 200) / (20^2 * 220) times,
-    # so that level alone is within the cap for C_156 and past it for C_160
-    assert 156 ** 3 * 356 <= RHO_SUBSET_CAP * 20 ** 2 * 220 < 160 ** 3 * 360
-    assert min_removal_for_rank_drop(Graph.cycle(108)) == 2
-    g = Graph.cycle(160)
-    assert is_reduced(g) and rank(g) == 158
-    assert min_removal_for_duplicates(g) == 2
-    # the refusal comes before any subset is ranked
-    orders = []
-
-    def counted(rows, n):
-        orders.append(n)
-        return _rank_mod_p(rows, n)
-
-    monkeypatch.setattr(graphs, "_rank_mod_p", counted)
+    # C_n with 4 | n has nullity 2 and tau 2, so its n single vertices
+    # are ranked on K, far within the cap
+    for n in (108, 160, 200):
+        assert min_removal_for_rank_drop(Graph.cycle(n)) == 2
+    g = C32_PAST_CAP
+    assert is_reduced(g) and rank(g) == 23
+    assert min_removal_for_duplicates(g) == 8
+    assert sum(comb(32, k) for k in range(1, 8)) > RHO_SUBSET_CAP
+    # the refusal comes after the one elimination, before any K[S] is ranked
+    orders = _recording_bareiss(monkeypatch)
     with pytest.raises(SearchCapError, match="RHO_SUBSET_CAP"):
         min_removal_for_rank_drop(g)
-    assert orders and set(orders) == {160}
+    assert orders == [32]
 
 
 def test_rank_drop_search_ranks_exactly_only_the_base(monkeypatch):
-    # deleting one vertex of C_92 leaves P_91, of rank 90 mod p: the
-    # bound clears all 92 subsets, so only the base is ranked exactly
-    calls = []
-
-    def counted(g):
-        calls.append(g.n)
-        return rank(g)
-
-    monkeypatch.setattr(graphs, "rank", counted)
+    # C_92 has nullity 2 and degree 2: one order-92 elimination gives its
+    # rank and K, and each of its 92 classes is one row of K, ranked alone
+    orders = _recording_bareiss(monkeypatch)
     start = time.perf_counter()
     assert min_removal_for_rank_drop(Graph.cycle(92)) == 2
     assert time.perf_counter() - start < 1.5
-    assert calls == [92]
+    assert orders == [92] + [1] * 92
+
+
+def test_rank_free_bounds_answer_before_any_elimination(monkeypatch):
+    # P_601 has rank 600 of 601, so rank pays a full Bareiss, but its
+    # degree-1 ends answer first
+    orders = _recording_bareiss(monkeypatch)
+    start = time.perf_counter()
+    assert min_removal_for_rank_drop(Graph.path(601)) == 1
+    assert time.perf_counter() - start < 1.0
+    assert orders == []
+
+
+def test_kernel_is_an_integer_basis():
+    # A K = 0 over the integers and K has rank N = n - rank, on sparse
+    # singular cycles with chords, twin blow-up quotients and dense graphs
+    rng = random.Random(1996)
+    cases = [_sparse_singular_graph(rng, rng.randint(10, 40)) for _ in range(15)]
+    cases += [reduce_graph(_twin_blowup(rng, _random_graph(rng, rng.randint(3, 20),
+                                                           rng.choice([0.3, 0.5])), 40))
+              for _ in range(15)]
+    cases += [_random_graph(rng, rng.randint(2, 40), rng.choice([0.5, 0.8]))
+              for _ in range(15)]
+    cases += [_circulant(22, (1, 2, 3, 4, 5, 11)), C32_PAST_CAP]
+    nullities = set()
+    for g in cases:
+        matrix = _matrix(g)
+        pivots = _bareiss(matrix)
+        kernel = _kernel(matrix, pivots)
+        nullity = g.n - rank(g)
+        assert len(pivots) == rank(g)
+        assert len(kernel) == (g.n if nullity else 0)
+        columns = list(zip(*kernel))
+        assert len(columns) == nullity
+        assert len(_bareiss([list(x) for x in columns])) == nullity
+        for x in columns:
+            assert all(sum(x[v] for v in _bits(row)) == 0 for row in g.rows), g
+        nullities.add(nullity)
+    assert {0, 1, 2} <= nullities and max(nullities) >= 9
+
+
+def test_rank_drop_of_a_circulant_matches_exhaustive_deletion():
+    # C_20(1, 2, 3, 6): nullity 5 and differences of 6, so subsets of up to
+    # 5 classes (21,699) are counted; the search finds a pair
+    g = _circulant(20, (1, 2, 3, 6))
+    base = rank(g)
+    assert base == 15
+    assert min_removal_for_rank_drop(g) == 2
+    assert not any(rank(g.without([v])) < base for v in range(20))
+    assert any(rank(g.without(pair)) < base
+               for pair in itertools.combinations(range(20), 2))
 
 
 def _sparse_singular_graph(rng: random.Random, n: int) -> Graph:
@@ -578,20 +627,24 @@ def test_rank_drop_matches_exhaustive_deletion():
     assert len(rhos) >= 75 and len(set(rhos)) >= 4
 
 
-def test_each_rank_drop_bound_answers_alone():
-    # C_160 has 3 lightest classes (n - rank + 1), degree 2 and
-    # differences of at least 2; one more component or vertex brings one
-    # bound down to 1, and the size-1 search of either graph (order 161
-    # or 162) is past the cap, so that bound must answer alone
-    c160 = list(Graph.cycle(160).edges())
-    # an edge: rank 160 of 162 vertices, so only the degree 1 answers
-    g = Graph.from_edges(162, c160 + [(160, 161)])
-    assert rank(g) == 160
+def test_each_rank_drop_bound_answers_alone(monkeypatch):
+    # C_32(1, 6, 7, 14) plus one vertex x has nullity 8; with degrees and
+    # differences of at least 7 the search would rank every subset of up
+    # to 6 classes, past the cap.  x brings one rank-free bound down to 1,
+    # so that bound must answer alone, before any elimination
+    c32 = list(C32_PAST_CAP.edges())
+    assert sum(comb(33, k) for k in range(1, 7)) > RHO_SUBSET_CAP
+    orders = _recording_bareiss(monkeypatch)
+    # x ~ {0}: only the degree 1 answers
+    g = Graph.from_edges(33, c32 + [(32, 0)])
     assert min_removal_for_rank_drop(g) == 1
-    # x ~ {0, 2, 4}: degrees >= 2, and N(x) xor N(1) = {4} answers
-    g = Graph.from_edges(161, c160 + [(160, 0), (160, 2), (160, 4)])
-    assert rank(g) == 160 and min(row.bit_count() for row in g.rows) == 2
+    # x ~ N(1) - {0}: degrees >= 7, and N(x) xor N(1) = {0} answers
+    g = Graph.from_edges(33, c32 + [(32, v) for v in (2, 7, 8, 15, 19, 26, 27)])
+    assert min(row.bit_count() for row in g.rows) == 7
     assert min_removal_for_rank_drop(g) == 1
+    assert orders == []
+    assert rank(g) == 25
+    assert rank(Graph.from_edges(33, c32 + [(32, 0)])) == 25
 
 
 @pytest.mark.parametrize("n", [150, 300, 500])
