@@ -79,12 +79,6 @@ class AngleParams:
         return cls(n, sv, one_minus, one_minus / sv)
 
 
-def reference_params(n: int) -> AngleParams:
-    """Parameters at the reference cosine s0 = sqrt(2) - 1, where
-    sin^2(alpha) = 2 - sqrt(2) and tan^2(alpha) = sqrt(2)."""
-    return AngleParams.from_cos(n, COS_REFERENCE)
-
-
 def _check_guard(params: AngleParams) -> None:
     """Refuse n = params.n unless n > max(6 tan^2(alpha) - 3, 5), the
     range of the integral bracket and of the closed form.  The condition
@@ -226,7 +220,7 @@ def rankin_bound(n: int, case: str) -> BoundReport:
         raise DimensionCapError(
             f"acute Rankin bound capped at dimension {RANKIN_DIMENSION_CAP} "
             f"(RANKIN_DIMENSION_CAP), got {n}")
-    params = reference_params(n)
+    params = AngleParams.from_cos(n, COS_REFERENCE)
     lo_sq = IntegralBracket(params).lo_sq
     q, e = gamma_half_ratio(n)
     # value = pi^e sqrt(q^2 sin^2(alpha) tan^2(alpha) / lo^2), e = 0 or 1
@@ -359,7 +353,7 @@ def closed_form_sweep(n_lo: int, n_hi: int,
     that integer triple, unreduced.  The sweep starts from (2 + sqrt2)^n_lo
     and (2 + sqrt2)^floor(n_lo/2) by binary powering and multiplies by
     2 + sqrt2 once per dimension."""
-    _check_guard(reference_params(n_lo))
+    _check_guard(AngleParams.from_cos(n_lo, COS_REFERENCE))
     if n_hi < n_lo:
         raise ValueError("empty range")
     # (2 + sqrt2)^n = A + B sqrt2; (1 + 1/sqrt2)^n = (A + B sqrt2)/2^n

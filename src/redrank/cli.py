@@ -64,15 +64,6 @@ def _add_io_options(p: argparse.ArgumentParser, default_format: str) -> None:
                    help="accepted and ignored; output is deterministic")
 
 
-def _add_graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph6", metavar="STR", default=None,
-                   help="inline graph6 string")
-    p.add_argument("--input", metavar="PATH", default=None,
-                   help="graph file, '-' for stdin")
-    p.add_argument("--input-format", choices=("auto", "graph6", "edges"),
-                   default="auto", help="input format (default: autodetect)")
-
-
 def _read_source(args: argparse.Namespace) -> str:
     if args.input == "-":
         return sys.stdin.read()
@@ -80,25 +71,20 @@ def _read_source(args: argparse.Namespace) -> str:
         return fh.read()
 
 
-def _load_graphs(args: argparse.Namespace) -> list[Graph]:
+def _load_one_graph(args: argparse.Namespace) -> Graph:
     if (args.graph6 is None) == (args.input is None):
         raise _UsageError("supply exactly one of --graph6 or --input")
     if args.graph6 is not None:
-        return [graph6_decode(args.graph6)]
+        return graph6_decode(args.graph6)
     text = _read_source(args)
     fmt = args.input_format
     if fmt == "auto":
         fmt = sniff_format(text)
     if fmt == "edges":
-        return [parse_edge_list(text)]
+        return parse_edge_list(text)
     graphs = parse_graph6(text)
     if not graphs:
         raise _UsageError("no graphs found in input")
-    return graphs
-
-
-def _load_one_graph(args: argparse.Namespace) -> Graph:
-    graphs = _load_graphs(args)
     if len(graphs) != 1:
         raise _UsageError(f"expected exactly one graph, found {len(graphs)}")
     return graphs[0]
@@ -415,7 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
                   default_format: str = "text"):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(handler=handler)
-        _add_graph_options(p)
+        p.add_argument("--graph6", metavar="STR", default=None,
+                       help="inline graph6 string")
+        p.add_argument("--input", metavar="PATH", default=None,
+                       help="graph file, '-' for stdin")
+        p.add_argument("--input-format", choices=("auto", "graph6", "edges"),
+                       default="auto", help="input format (default: autodetect)")
         _add_io_options(p, default_format)
         return p
 
@@ -496,16 +487,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_join_cosine(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExtremalConstructionError, LevDenominatorZero,
             CellCertificateError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -10,8 +10,8 @@ n; order at most 9, where Hadamard's inequality keeps every minor below
 p; or r_p at most n/3 with a span certificate, an integer Gauss-Jordan
 pass on the r_p pivot rows, packed in lanes wide enough for every
 minor, that proves they span every row.  Any other matrix goes to
-fraction-free Bareiss elimination on Python integers, which by back
-substitution also gives an integer basis K of the kernel.
+fraction-free Bareiss elimination of the rows each pivot changes, which
+by back substitution also gives an integer basis K of the kernel.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -189,9 +189,17 @@ def _bareiss(matrix: list[list[int]]) -> list[int]:
     row becomes (row[j] * pivot - head * prow[j]) // prev for j > c: by
     Sylvester's identity (Bareiss, Math. Comp. 22, 1968) its entries are
     then the minors on the pivot rows and columns plus its own row and
-    column, and prev the last pivot minor, so each division is exact."""
+    column, and prev the last pivot minor, so each division is exact.
+
+    A row whose head is 0 would only be multiplied by pivot / prev.  It
+    is left alone, with div[i] the pivot at which it was last updated (1
+    before any): the skipped factors telescope to prev / div[i], so it
+    stands for row * prev / div[i].  An update divides by div[i] in place
+    of prev, and a pivot row first becomes row * prev // div[r]; both
+    results are minors, so both divisions are exact."""
     nrows = len(matrix)
     prev = 1
+    div = [1] * nrows
     pivots = []
     for c in range(len(matrix[0]) if nrows else 0):
         r = len(pivots)
@@ -199,12 +207,17 @@ def _bareiss(matrix: list[list[int]]) -> list[int]:
         if pi is None:
             continue
         matrix[r], matrix[pi] = matrix[pi], matrix[r]
+        div[r], div[pi] = div[pi], div[r]
         prow = matrix[r]
+        if div[r] != prev:
+            prow[c:] = [x * prev // div[r] for x in prow[c:]]
         pivot = prow[c]
-        for row in matrix[r + 1:]:
-            head = row[c]
-            for j in range(c + 1, len(prow)):
-                row[j] = (row[j] * pivot - head * prow[j]) // prev
+        for i in range(r + 1, nrows):
+            row, head = matrix[i], matrix[i][c]
+            if head:
+                for j in range(c + 1, len(prow)):
+                    row[j] = (row[j] * pivot - head * prow[j]) // div[i]
+                div[i] = pivot
         prev = pivot
         pivots.append(c)
     return pivots
@@ -441,10 +454,10 @@ def min_removal_for_duplicates(g: Graph) -> int:
 
 
 # The rank-drop search is refused before it ranks a subset when it has
-# more class subsets to rank than this.  Ranking one costs at most 48 us
-# (sizes 7-8 of N = 8-10; 2-vCPU Xeon, Python 3.11.7), 2.4 s at the cap;
+# more class subsets to rank than this.  Ranking one costs at most 25 us
+# (7-10 rows of N = 10; 2-vCPU Xeon, Python 3.11.7), 1.2 s at the cap;
 # the slowest search within it found, C_22(1, 2, 3, 4, 5, 11) (N = 10,
-# 35,442 subsets), takes 0.6-1.1 s.
+# 35,442 subsets), takes 0.43-0.51 s with no early stop.
 RHO_SUBSET_CAP = 50_000
 
 

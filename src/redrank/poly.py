@@ -13,30 +13,35 @@ Q_k(1) = 1 and satisfy
     Q_0 = 1,  Q_1 = t,
     Q_{k+1} = ((2k + n - 2) t Q_k - k Q_{k-1}) / (k + n - 2).
 
-The adjacent families are derived from them by one exact division each:
+They are the Jacobi polynomials P_k^{(a,a)}, a = (n-3)/2, normalized at
+t = 1, and the adjacent polynomials Q_k^{1,0}, Q_k^{1,1} are P_k^{(a+1,a)}
+and P_k^{(a+1,a+1)} so normalized, that is (n-1) (Q_k - Q_{k+j}) /
+((2k+n-2+j) (1 - t^j)) for j = 1, 2 (Levenshtein, "Universal bounds for
+codes and designs", Handbook of Coding Theory, 1998, section 5).  As
+a + 1 belongs to dimension n + 2, with Q'_k for that dimension (DLMF
+18.7.1, and 18.9.5 at (a+1, a)):
 
-    Q_k^{1,0} = (n-1) (Q_k - Q_{k+1}) / ((2k + n - 1) (1 - t)),
-    Q_k^{1,1} = (n-1) (Q_k - Q_{k+2}) / ((2k + n) (1 - t^2)),
+    Q_k^{1,1} = Q'_k,
+    Q_k^{1,0} = ((k + n - 1) Q'_k + k Q'_{k-1}) / (2k + n - 1).
 
-and their largest zeros t_k^{1,0} < t_k^{1,1} partition [-1, 1) into the
-cells on which the Levenshtein-style bound switches branch.
+The tests check both against the defining quotient.  The largest zeros
+t_k^{1,0} < t_k^{1,1} partition [-1, 1) into the cells on which the
+Levenshtein-style bound switches branch.
 
 locate_interval finds the cell of s without building a polynomial per k.
-It runs the recurrence on the values Q_j(s) in exact integer arithmetic,
-reads the sign of each adjacent polynomial at s off Q_j(s) - Q_{j+1}(s) and
-Q_j(s) - Q_{j+2}(s), and takes the first k with Q_k^{1,1}(s) < 0.  The
-cell is certified before it is returned, with no theorem assumed: its
-upper end by the intermediate value theorem, its lower end by Descartes'
-rule of signs on the Taylor coefficients at s.  Where the rule proves
-nothing, s is refused with CellCertificateError.  Two theorems show that
-this never happens.  The adjacent polynomials are Jacobi polynomials, so
-their zeros are real and simple in (-1, 1) (Szego, "Orthogonal
-Polynomials", Thm 3.3.1), and p(s + t) = c * prod(t + s - t_i) has
-coefficients of one sign once every zero t_i is at or below s.  The
-largest zeros interlace, t_{k-1}^{1,1} < t_k^{1,0} < t_k^{1,1}
-(Levenshtein, "Universal bounds for codes and designs", Handbook of
-Coding Theory, 1998, section 5), which makes the scan's k the cell of s.
-No floating point is used anywhere.
+It runs the recurrence for dimension n + 2 on the values Q'_j(s) in exact
+integer arithmetic and takes the first k with Q'_k(s) < 0; the sign of
+the two-term sum gives the branch.  The cell is certified before it is
+returned, with no theorem assumed: its upper end by the intermediate
+value theorem, its lower end by Descartes' rule of signs on the Taylor
+coefficients at s.  Where the rule proves nothing, s is refused with
+CellCertificateError.  Two theorems show that this never happens.  The
+adjacent polynomials are Jacobi polynomials, so their zeros are real and
+simple in (-1, 1) (Szego, "Orthogonal Polynomials", Thm 3.3.1), and
+p(s + t) = c * prod(t + s - t_i) has coefficients of one sign once every
+zero t_i is at or below s.  The largest zeros interlace,
+t_{k-1}^{1,1} < t_k^{1,0} < t_k^{1,1} (Levenshtein, section 5), which
+makes the scan's k the cell of s.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -105,31 +110,22 @@ def _scaled_gegenbauer_values(n: int, s: Scalar) -> Iterator[tuple[int, int, int
 @lru_cache(maxsize=None)
 def adjacent_poly(n: int, k: int, kind: str) -> tuple[int, ...]:
     """Adjacent Gegenbauer polynomial Q_k^{1,0} (kind "10") or Q_k^{1,1}
-    (kind "11") for dimension n, as its primitive integer multiple.
-
-    With j = 1 or 2, Q_k and Q_{k+j} are brought over one common
-    denominator D, and P = D (Q_k - Q_{k+j}) = (1 - t^j) q coefficientwise
-    reads p_i = q_i - q_{i-j}, solved for q from the top down in integers;
-    the j lowest equations, q_i = p_i, are left over and must hold.  Then
-    q is D (2k+n-2+j)/(n-1) times Q_k^{kind}, a positive multiple, and its
-    content is divided out."""
+    (kind "11") for dimension n, as its primitive integer multiple: that of
+    Q'_k, or of (k + n - 1) Q'_k + k Q'_{k-1}, with Q' for dimension n + 2
+    (the identities of the module docstring), over one common denominator."""
     if n < 3:
         raise ValueError("dimension must be at least 3")
     if kind not in ("10", "11"):
         raise ValueError(f'kind must be "10" or "11", got {kind!r}')
-    j = 1 if kind == "10" else 2
-    if k < 2 - j:
-        raise ValueError(f'kind "{kind}" needs k >= {2 - j}')
-    low, high = gegenbauer(n, k) + ((0, 1),) * j, gegenbauer(n, k + j)
-    den = lcm(*(d for _, d in low + high))
-    p = [a * (den // b) - c * (den // d) for (a, b), (c, d) in zip(low, high)]
-    q = [0] * len(p)
-    for i in range(len(p) - 1, j - 1, -1):
-        q[i - j] = q[i] - p[i]
-    if q[:j] != p[:j]:
-        raise ValueError(f"inexact division: n = {n}, k = {k}, kind {kind}")
+    if kind == "10" and k < 1:
+        raise ValueError('kind "10" needs k >= 1')
+    u, v = (k + n - 1, k) if kind == "10" else (1, 0)
+    high = gegenbauer(n + 2, k)
+    low = gegenbauer(n + 2, k - 1) + ((0, 1),) if v else ((0, 1),) * (k + 1)
+    den = lcm(*(d for _, d in high + low))
+    q = [u * a * (den // b) + v * c * (den // d) for (a, b), (c, d) in zip(high, low)]
     g = gcd(*q)
-    return tuple(c // g for c in q[:k + 1])
+    return tuple(c // g for c in q)
 
 
 # ── locating s among the adjacent zeros ──────────────────────────
@@ -198,25 +194,19 @@ def _no_zero_above(p: tuple[int, ...], s: Scalar) -> bool:
 def _scan(n: int, s: Scalar) -> tuple[int, bool]:
     """The first k >= 1 with Q_k^{1,1}(s) < 0, and whether Q_k^{1,0}(s) < 0.
 
-    For -1 < s < 1, Q_k^{1,1}(s) has the sign of Q_k(s) - Q_{k+2}(s), since
-    (2k + n)(1 - s^2) > 0, and Q_k^{1,0}(s) the sign of Q_k(s) - Q_{k+1}(s),
-    since 1 - s > 0.  With Q_j(s) = R_j / w_j, those are the signs of
-    R_k m - R_{k+2} and R_k m' - R_{k+1} for the integer ratios m, m' of
-    the scales."""
+    With Q'_j(s) = R_j / w_j for dimension n + 2, by the identities of the
+    module docstring these are the signs of R_k and of
+    (k + n - 1) R_k + k m R_{k-1}, where m = w_k / w_{k-1} is b (k + n - 1),
+    but b at k = 1: one sign per step."""
     b = QSqrt2._coerce(s).as_integers()[2]
-
-    def sign(p: tuple[int, int, int], q: tuple[int, int, int], m: int) -> int:
-        return sign_sqrt2(p[0] * m - q[0], p[1] * m - q[1])
-
-    values = _scaled_gegenbauer_values(n, s)
-    next(values)
-    q = [next(values), next(values)]
+    values = _scaled_gegenbauer_values(n + 2, s)
+    x0, y0, _ = next(values)
     for k in range(1, LOCATE_CELL_CAP + 1):
-        q.append(next(values))
-        step = b * (k + n - 2)  # w_{k+1} / w_k
-        if sign(q[0], q[2], step * b * (k + n - 1)) < 0:
-            return k, sign(q[0], q[1], step) < 0
-        del q[0]
+        x, y, _ = next(values)
+        if sign_sqrt2(x, y) < 0:
+            m = b * (k + n - 1 if k > 1 else 1)
+            return k, sign_sqrt2((k + n - 1) * x + k * m * x0, (k + n - 1) * y + k * m * y0) < 0
+        x0, y0 = x, y
     raise CellCapError(f"no cell k <= {LOCATE_CELL_CAP} (LOCATE_CELL_CAP) "
                        f"holds s at n = {n}; refused")
 

@@ -77,7 +77,8 @@ def test_trimmed_members_are_pinned():
         "branch_used", "notes"]
     for name in ("has_edge", "edge_count"):
         assert not hasattr(redrank.Graph, name), name
-    for module, name in (("exact", "GammaRatio"), ("exact", "PI_LO"),
+    for module, name in (("bounds", "reference_params"),
+                         ("exact", "GammaRatio"), ("exact", "PI_LO"),
                          ("graphs", "rank_drops_hold"),
                          ("graphs", "_check_rho_budget"),
                          ("poly", "gegenbauer_values")):

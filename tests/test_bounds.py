@@ -20,14 +20,14 @@ from redrank.bounds import (CLOSED_FORM_REPORT_FLOOR, LEVENSHTEIN_CEILING,
                             AngleParams, DimensionCapError, IntegralBracket,
                             LevDenominatorZero, closed_form_sweep,
                             code_lemma_reports, levenshtein_bound, rankin_bound,
-                            reference_params, tail_ratio_certificate,
-                            threshold_value, verify_code_lemma)
+                            tail_ratio_certificate, threshold_value,
+                            verify_code_lemma)
 from redrank.exact import COS_REFERENCE, QSqrt2, gamma_half_ratio, sqrt_enclosure
 from redrank.poly import locate_interval
 
 
 def test_angle_params_identities():
-    p = reference_params(9)
+    p = AngleParams.from_cos(9, COS_REFERENCE)
     assert p.n == 9
     assert p.s == COS_REFERENCE
     assert p.sin_sq_alpha == QSqrt2(1) - p.s
@@ -358,17 +358,17 @@ def test_rankin_acute_is_true_upper():
 
 def test_integral_bracket_ratio_and_guard():
     for n in range(6, 41):
-        br = IntegralBracket(reference_params(n))
+        br = IntegralBracket(AngleParams.from_cos(n, COS_REFERENCE))
         assert br.hi_sq < br.lo_sq * 4    # hi / lo < 2
         assert br.lo_sq < br.hi_sq
     with pytest.raises(ValueError):
-        IntegralBracket(reference_params(5))
+        IntegralBracket(AngleParams.from_cos(5, COS_REFERENCE))
 
 
 def test_integral_bracket_quadrature_containment():
     mp.dps = 40
     for n in (6, 7, 10, 15, 40):
-        br = IntegralBracket(reference_params(n))
+        br = IntegralBracket(AngleParams.from_cos(n, COS_REFERENCE))
         alpha = mp.acos(mp.sqrt(mp.sqrt(2) - 1))
         I = mp.quad(lambda t: mp.sin(t) ** (n - 2) * (mp.cos(t) - mp.cos(alpha)),
                     [0, alpha])
@@ -379,7 +379,7 @@ def test_integral_bracket_quadrature_containment():
 
 
 def test_integral_bracket_enclosures_nest():
-    br = IntegralBracket(reference_params(9))
+    br = IntegralBracket(AngleParams.from_cos(9, COS_REFERENCE))
     lo_lo, lo_hi = sqrt_enclosure(*br.lo_sq.as_integers(), 30)
     hi_lo, hi_hi = sqrt_enclosure(*br.hi_sq.as_integers(), 30)
     assert lo_lo <= lo_hi <= hi_lo <= hi_hi

@@ -289,22 +289,78 @@ def _dependent_matrix(rng: random.Random, nrows: int, ncols: int):
              for j in range(ncols)] for _ in range(nrows)]
 
 
+def _fraction_echelon(matrix: list[list[int]]) -> tuple[list[int], list[list[Fraction]]]:
+    """Fraction elimination with _bareiss's choice of pivot row (the first
+    row not yet a pivot row that is nonzero in the column), every later row
+    reduced at every pivot: the pivot columns and the rows."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pi = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pi is None:
+            continue
+        m[r], m[pi] = m[pi], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m
+
+
 def test_bareiss_matches_fraction_elimination():
     # square and non-square shapes, dependent rows and all-zero columns,
-    # so the elimination skips columns before, between and after pivots
+    # so the elimination skips columns before, between and after pivots;
+    # and banded, sparse and dense signed matrices, where most rows have a
+    # zero head at most pivots.  The pivot columns agree, and pivot row k
+    # is the fraction row times the pivot minor before it, the previous
+    # pivot, from its pivot on.
     assert _bareiss([]) == _bareiss([[]]) == []
     rng = random.Random(1968)
-    ranks = set()
-    for _ in range(300):
+
+    def dependent() -> list[list[int]]:
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        if rng.random() < 0.3:
-            ncols = nrows
-        matrix = _dependent_matrix(rng, nrows, ncols)
-        expected = _fraction_rank(matrix)
-        assert len(_bareiss([row[:] for row in matrix])) == expected, matrix
-        ranks.add((expected, min(nrows, ncols)))
-    assert any(r < full for r, full in ranks)
-    assert any(r == full > 0 for r, full in ranks)
+        return _dependent_matrix(rng, nrows, nrows if rng.random() < 0.3 else ncols)
+
+    def banded() -> list[list[int]]:
+        n, width = rng.randint(2, 24), rng.randint(1, 3)
+        return [[rng.randint(-3, 3) if abs(i - j) <= width else 0
+                 for j in range(n)] for i in range(n)]
+
+    def sparse() -> list[list[int]]:
+        n, density = rng.randint(2, 24), rng.choice([0.1, 0.3])
+        return [[rng.choice([-2, -1, 1, 3]) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+
+    def signed() -> list[list[int]]:
+        n = rng.randint(2, 24)
+        matrix = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # a repeated row
+            matrix[rng.randrange(n)] = matrix[0][:]
+        return matrix
+
+    shapes = set()
+    for make, count in ((dependent, 300), (banded, 40), (sparse, 40), (signed, 40)):
+        for _ in range(count):
+            matrix = make()
+            want, rows = _fraction_echelon(matrix)
+            got = [row[:] for row in matrix]
+            pivots = _bareiss(got)
+            assert pivots == want and len(pivots) == _fraction_rank(matrix), matrix
+            for k, c in enumerate(pivots):
+                minor = got[k - 1][pivots[k - 1]] if k else 1
+                assert got[k][c:] == [x * minor for x in rows[k][c:]], (matrix, k)
+            shapes.add((make.__name__, len(pivots) < min(len(matrix), len(matrix[0]))))
+    assert len(shapes) == 8
+
+
+def test_rank_of_long_paths_and_cycles_is_fast():
+    # reduced, singular and of rank above n/3, so rank pays Bareiss, whose
+    # rows with a zero head are left alone
+    for g, want in ((Graph.path(601), 600), (Graph.cycle(600), 598)):
+        start = time.perf_counter()
+        assert rank(g) == want
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 10, 64, 65, 129, 200])

@@ -117,10 +117,14 @@ def reference_adjacent(qs, n, k, kind):
 
 
 def test_adjacent_poly_normalization():
-    for n in range(3, 41):
-        qs = three_term_ladder(n, 26)
+    # the dimension-(n + 2) identities against the defining quotient, up to
+    # 20-digit dimensions at small k
+    cases = [(n, 25) for n in range(3, 41)]
+    cases += [(n, 7) for n in (10 ** 6 + 1, 10 ** 19 + 7, 10 ** 20 - 1)]
+    for n, top in cases:
+        qs = three_term_ladder(n, top + 1)
         for kind in ("10", "11"):
-            for k in range(1 if kind == "10" else 0, 25):
+            for k in range(1 if kind == "10" else 0, top):
                 got = adjacent_poly(n, k, kind)
                 want = reference_adjacent(qs, n, k, kind)
                 assert horner(want, Fraction(1)) == 1
@@ -249,28 +253,6 @@ def test_no_zero_above_is_sound_against_mpmath_roots():
             continue
         assert poly._no_zero_above(tuple(coeffs), s) is stable, (coeffs, s)
         checked[stable] += 1
-
-
-def test_adjacent_poly_refuses_inexact_division(monkeypatch):
-    exact = poly.gegenbauer
-    want = adjacent_poly(10, 2, "10")
-
-    def perturbed(n, k):
-        # Q_3's constant term (0, 1) becomes 1/7
-        q = exact(n, k)
-        (a, b), rest = q[0], q[1:]
-        return ((7 * a + b, 7 * b),) + rest if k == 3 else q
-
-    adjacent_poly.cache_clear()
-    monkeypatch.setattr(poly, "gegenbauer", perturbed)
-    try:
-        for k, kind in ((2, "10"), (1, "11")):  # Q_k - Q_3
-            with pytest.raises(ValueError, match="inexact"):
-                adjacent_poly(10, k, kind)
-    finally:
-        monkeypatch.undo()
-        adjacent_poly.cache_clear()
-    assert adjacent_poly(10, 2, "10") == want
 
 
 def test_adjacent_largest_zero_interval():
@@ -430,6 +412,48 @@ def test_locate_interval_refuses_an_uncertified_cell(monkeypatch):
         else:
             with pytest.raises(CellCertificateError):
                 locate_interval(n, s)
+
+
+def difference_scan(n, s):
+    """_scan by the defining quotients at dimension n: for -1 < s < 1,
+    Q_k^{1,1}(s) has the sign of Q_k(s) - Q_{k+2}(s), as (2k+n)(1 - s^2) > 0,
+    and Q_k^{1,0}(s) the sign of Q_k(s) - Q_{k+1}(s), as 1 - s > 0.  With
+    Q_j(s) = R_j / w_j those are the signs of m R_k - R_{k+2} and
+    m' R_k - R_{k+1} for the integer ratios m, m' of the scales."""
+    b = QSqrt2._coerce(s).as_integers()[2]
+
+    def sign(p, q, m):
+        return QSqrt2(p[0] * m - q[0], p[1] * m - q[1]).sign()
+
+    values = poly._scaled_gegenbauer_values(n, s)
+    next(values)
+    q = [next(values), next(values)]
+    for k in range(1, LOCATE_CELL_CAP + 1):
+        q.append(next(values))
+        step = b * (k + n - 2)  # w_{k+1} / w_k
+        if sign(q[0], q[2], step * b * (k + n - 1)) < 0:
+            return k, sign(q[0], q[1], step) < 0
+        del q[0]
+    raise CellCapError(n, s)
+
+
+def test_scan_matches_the_difference_scan():
+    # one sign per step at dimension n + 2 proposes the cell and branch
+    # that the defining quotients at dimension n give, k = 1 cells
+    # (-1 < s < -1/n on branch A, -1/n <= s < 0 on B) included
+    rng = random.Random(1998)
+    seen = set()
+    for n in range(3, 151):
+        points = [COS_REFERENCE, Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                  Fraction(-1, n), Fraction(-1, 2 * n)]
+        for _ in range(4):
+            d = rng.randint(2, 400)
+            points.append(Fraction(rng.randint(1 - d, d - 1), d))
+        for s in points:
+            got = poly._scan(n, s)
+            assert got == difference_scan(n, s), (n, s)
+            seen.add((got[0] == 1, got[1]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_locate_interval_large_k_frozen():
