@@ -1,17 +1,12 @@
 """Graphs, adjacency rank over Q, and the reducedness invariants.
 
 A graph is a tuple of neighbor bitmasks, and rank is the exact rank over
-Q of its 0/1 adjacency matrix, above order 9 on the twin quotient
-(reduce_graph).  Gaussian elimination modulo the prime p = 32749 comes
-first, with each row packed into one Python integer of 48-bit lanes.
-Its rank r_p is a lower bound on the rank, as a minor that is nonzero
-mod p is a nonzero integer, and rank returns it in three cases: r_p =
-n; order at most 9, where Hadamard's inequality keeps every minor below
-p; or r_p at most n/3 with a span certificate, an integer Gauss-Jordan
-pass on the r_p pivot rows, packed in lanes wide enough for every
-minor, that proves they span every row.  Any other matrix goes to
-fraction-free Bareiss elimination of the rows each pivot changes, which
-by back substitution also gives an integer basis K of the kernel.
+Q of its 0/1 adjacency matrix, by the policy in rank's docstring:
+Gaussian elimination modulo p = 32749 in rows packed into 40-bit lanes,
+column by column up to the first column without a pivot and then row by
+row, decides it or hands it to fraction-free Bareiss elimination of the
+rows each pivot changes, which by back substitution also gives an
+integer basis K of the kernel.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -33,6 +28,7 @@ Graphs are immutable; all functions are pure.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -247,7 +243,7 @@ _P = 32749
 # inequality an r x r 0/1 minor is at most r^(r/2) <= 9^4.5 = 19683 < p
 # in absolute value, so it vanishes mod p only when it vanishes.
 _EXACT_ORDER = 9
-_LANE = 48
+_LANE = 40
 _LANE_MASK = (1 << _LANE) - 1
 _FOLD_EVERY = 64
 # A singular matrix of order n > 9 gets the span certificate when its
@@ -268,37 +264,53 @@ def _pack(row: int, width: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _lane_masks(n: int) -> tuple[int, int, int]:
-    """For n lanes: the low 15 bits of each lane, the next 33, and 3p in
-    each lane."""
+def _lane_masks(n: int) -> tuple[int, int, int, int]:
+    """For n lanes: 1, the low 15 bits, the other _LANE - 15 bits and 3p
+    in each lane."""
     ones = _pack((1 << n) - 1, _LANE)
-    return ones * ((1 << 15) - 1), ones * ((1 << 33) - 1), ones * 3 * _P
+    return (ones, ones * ((1 << 15) - 1), ones * ((1 << _LANE - 15) - 1),
+            ones * 3 * _P)
 
 
 def _fold(x: int, lo: int, hi: int) -> int:
     """x with every lane replaced by a smaller one congruent to it mod p,
-    by the rule 2^15 = 19: three rounds take lanes below 2^38 to lanes
-    below 2^16 (bounds 2^27.3, 2^17, then 2^15 + 57)."""
+    by the rule 2^15 = 19: three rounds take lanes below 2^40 to lanes
+    below 2^29.3, 2^18.7, then 2^15 + 228 < 2p."""
     x = (x >> 15 & hi) * 19 + (x & lo)
     x = (x >> 15 & hi) * 19 + (x & lo)
     return (x >> 15 & hi) * 19 + (x & lo)
 
 
 def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]]:
-    """The rank r_p modulo p of the 0/1 matrix with these row bitmasks,
-    and the (0/1 row, column) of each pivot.  The rank over Q is at
-    least r_p: the pivot rows and columns hold a minor that is nonzero
-    mod p, hence a nonzero integer.
+    """The rank r_p modulo p of the 0/1 matrix A with these row bitmasks,
+    and the (0/1 row, column) of each pivot, in the order found.  The rank
+    over Q is at least r_p: the pivot rows B and columns C hold a minor
+    that is nonzero mod p, hence a nonzero integer.
 
-    Each row is one integer with entry v in lane v (bits 48v..48v+47).
-    The elimination keeps the current column in lane 0: a row y becomes
-    (y >> 48) + f*neg, where f is y's lane 0 divided by the pivot, mod p,
-    and neg holds 3p - b for the lanes b of the pivot row folded below
-    2^16 < 3p, so no lane borrows.  Each step adds less than 3p^2 to a
-    lane, so lanes that start below 2^16 stay under 2^16 + 64*3p^2 <
-    2^38 < 2^48 for 64 steps; the lanes are folded every 64 steps.
+    Each row is one integer with entry v in lane v (bits 40v..40v+39).
+    Column phase: a row y becomes (y >> 40) + f*neg, f its lane 0, the
+    current column, over the pivot mod p, and neg 3p - b for the pivot
+    row's lanes b folded below 3p, so no lane borrows.  Once every live row
+    is 0 mod p in lane 0, they hold the Schur complement S of the pivots,
+    and r_p is their count plus rank S.  Row phase: each row y of S is
+    reduced, in pivot order, by a basis of rows in [0, p), each 0 below
+    its pivot, its lowest nonzero lane: y += f*neg with f = y_c / b_c and
+    neg = 3p - b clears lane c of y mod p and keeps lower lanes mod p.
+    Folded and brought into [0, p) (a lane below 2p loses p when lane +
+    2^16 - p reaches bit 16), y is 0 exactly when the basis, in echelon
+    form, spans it; else it joins the basis with a pivot of its own.
+
+    The pivot rows so reduced, in the order found, are R = L A[B, :] with L
+    unit lower triangular, and R[:, C] is upper triangular with a diagonal
+    nonzero mod p, as each row is 0 mod p on the pivots found before it:
+    the leading minors of A[B, C], those of R[:, C], are nonzero mod p.
+
+    A column step or a reduction adds less than p*3p to a lane, so lanes
+    below 2^16 stay under 2^16 + 64*3p^2 < 2^37.6 < 2^40 for 64 of them:
+    lanes are folded every 64 column steps, and a row of S before every 64
+    reductions and at its end.
     """
-    lo, hi, three_p = _lane_masks(n)
+    ones, lo, hi, three_p = _lane_masks(n)
     live = [_pack(row, _LANE) for row in rows]
     sources = list(rows)  # the 0/1 row each live row came from
     pivots = []
@@ -309,15 +321,28 @@ def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]
             if (y & _LANE_MASK) % _P:
                 break
         else:
-            live = [y >> _LANE for y in live]
-            three_p >>= _LANE
-            continue
+            break
         pivot = live.pop(at)
         pivots.append((sources.pop(at), step))
         inv = pow(pivot & _LANE_MASK, -1, _P)
         neg = (three_p - _fold(pivot, lo, hi)) >> _LANE
         three_p >>= _LANE
         live = [(y >> _LANE) + (y & _LANE_MASK) * inv % _P * neg for y in live]
+    else:
+        return len(pivots), pivots
+    to_bit_16 = ones * ((1 << 16) - _P)
+    basis = []  # (shift to the pivot lane, 1 / pivot, neg), in pivot order
+    for source, y in zip(sources, live):  # lane 0, column step, is 0 mod p
+        for at in range(0, len(basis), _FOLD_EVERY):
+            y = _fold(y, lo, hi)
+            for shift, inv, neg in basis[at:at + _FOLD_EVERY]:
+                y += (y >> shift & _LANE_MASK) * inv % _P * neg
+        y = _fold(y, lo, hi)
+        y -= (y + to_bit_16 >> 16 & ones) * _P
+        if y:
+            shift = ((y & -y).bit_length() - 1) // _LANE * _LANE
+            insort(basis, (shift, pow(y >> shift & _LANE_MASK, -1, _P), three_p - y))
+            pivots.append((source, step + shift // _LANE))
     return len(pivots), pivots
 
 
@@ -330,10 +355,10 @@ def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
     pivoting on c_0, c_1, ... in order, turns row k into Z_k, where Z =
     d M^-1 A[B, :] and d = det M: Z_k has d in column c_k and 0 in the
     other columns of C.  Its pivots are the leading minors of M, nonzero
-    mod p, so no row exchange is needed.  A row x lies in the span of
-    A[B, :] iff d x is the sum of the Z_k with x[c_k] = 1 (the
-    coefficients must be x[C] M^-1).  If p divides a minor, some row
-    fails and the answer is False.
+    mod p (_rank_mod_p), so no row exchange is needed.  A row x lies in
+    the span of A[B, :] iff d x is the sum of the Z_k with x[c_k] = 1
+    (the coefficients must be x[C] M^-1).  If p divides a minor, some
+    row fails and the answer is False.
 
     Rows are packed in `width`-bit lanes, and a step sets z_i to the
     integer (pv*z_i - h*z_k) // prev: that is prev times the packed new
@@ -427,14 +452,13 @@ def _min_symdiff_pair(g: Graph) -> tuple[int, int, int]:
     """(u, v, |symdiff|) minimizing the symmetric difference size over
     non-adjacent pairs; ties resolved by lexicographic (u, v).  Requires
     g not complete, which both callers check first."""
-    best: Optional[tuple[int, int, int]] = None
-    for u in range(g.n):
+    rows, best = g.rows, (0, 0, g.n + 1)  # no symmetric difference is larger
+    for u, row in enumerate(rows):
         for v in range(u + 1, g.n):
-            if g.rows[u] >> v & 1:
-                continue
-            size = (g.rows[u] ^ g.rows[v]).bit_count()
-            if best is None or size < best[2]:
-                best = (u, v, size)
+            if not row >> v & 1:
+                size = (row ^ rows[v]).bit_count()
+                if size < best[2]:
+                    best = (u, v, size)
     return best
 
 

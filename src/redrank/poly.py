@@ -233,9 +233,10 @@ def locate_interval(n: int, s: Scalar) -> tuple[int, str]:
         raise ValueError("dimension must be at least 3")
     sv = s if isinstance(s, QSqrt2) else Fraction(s)
     _check_digits(n, sv)
-    if not (-1 <= sv and sv < 1):
+    a, c, b = QSqrt2._coerce(sv).as_integers()  # s = (a + c sqrt2) / b, b > 0
+    if sign_sqrt2(a + b, c) < 0 or sign_sqrt2(a - b, c) >= 0:
         raise ValueError("s must lie in [-1, 1)")
-    if sv == -1:
+    if a == -b and not c:
         return 1, "A"
     k, below_10 = _scan(n, sv)
     for j, kind in [(k - 1, "11")] * (k > 1) + [(k, "10")] * (not below_10):

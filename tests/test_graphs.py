@@ -241,8 +241,11 @@ def test_rank_matches_bareiss_on_dense_twin_blowups(k, density, n, seed):
 def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
     # shaped like the benchmark stream's blow-ups; orders past 64 and 128
     # cross the periodic lane folds.  Bareiss may decide on the twin
-    # quotient, the base itself, but never at the blow-up's order
+    # quotient, the base itself, below rank 8, but never at the blow-up's
+    # order; from rank 8 on, 3r <= m(r) and the span certificate decides,
+    # taking the pivots of the row phase in the order found
     def refuse_large(matrix):
+        assert r < 8, "Bareiss ran where the span certificate applies"
         assert len(matrix) <= base.n, "Bareiss ran at the blow-up's order"
         return _bareiss(matrix)
 
@@ -252,6 +255,74 @@ def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
     for n in sorted({max(base.n, 3 * r), 70, 130, 150}):
         if n >= base.n:
             assert rank(_twin_blowup(rng, base, n)) == r
+
+
+def test_rank_mod_p_row_phase_matches_bareiss(monkeypatch):
+    # vertex 1 a twin of vertex 0 leaves column 1 without a pivot, so every
+    # later row is ranked one at a time, against more than 128 basis rows,
+    # crossing the row phase's folds.  Every lane reaching a fold is below
+    # the docstring's bound 2^16 + 64*3p^2, which is what keeps a row from
+    # carrying out of its 40-bit lanes.  Twins leave the rank mod p alone,
+    # so the quotient, ranked column by column, agrees.
+    fold = graphs._fold
+
+    def checked_fold(x, lo, hi):
+        digits = format(x, "x")  # ten hex digits to a lane
+        assert max(int(digits[max(0, i - 10):i], 16)
+                   for i in range(len(digits), 0, -10)) < 2**16 + 64 * 3 * 32749**2
+        return fold(x, lo, hi)
+
+    monkeypatch.setattr(graphs, "_fold", checked_fold)
+    rng = random.Random(2012)
+    for n in (131, 166, 200):
+        base = _random_graph(rng, n - 1, rng.choice([0.3, 0.5, 0.7]))
+        owner = [0] + list(range(n - 1))
+        g = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                 if base.rows[owner[a]] >> owner[b] & 1])
+        found, pivots = _rank_mod_p(g.rows, n)
+        columns = [c for _, c in pivots]
+        assert columns[0] == 0 and 1 not in columns and found - 1 > 128
+        assert found == _rank_mod_p(base.rows, n - 1)[0] == _bareiss_rank(g)
+
+
+def _leading_minors(matrix: list[list[int]]) -> list[Fraction]:
+    """The leading principal minors of a square matrix, by Fraction
+    elimination without row exchanges, up to the first that is 0."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    minors, det = [], Fraction(1)
+    for k in range(len(m)):
+        det *= m[k][k]
+        minors.append(det)
+        if not det:
+            break
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return minors
+
+
+def test_rank_mod_p_pivots_have_nonzero_leading_minors():
+    # the span certificate pivots on the rows and columns in the order
+    # _rank_mod_p found them, which the row phase leaves out of column
+    # order; every leading minor of A[B, C] must be nonzero mod p
+    rng = random.Random(32749)
+    unordered = 0
+    for t in range(60):
+        if t % 3 == 0:
+            base = _random_graph(rng, rng.randint(3, 16), rng.choice([0.3, 0.6]))
+            g = _twin_blowup(rng, base, rng.randint(base.n, 40))
+        elif t % 3 == 1:
+            g = _random_graph(rng, rng.randint(10, 40), rng.choice([0.05, 0.15]))
+        else:
+            g = _twin_blowup(rng, _random_graph(rng, 24, 0.5), 25)
+        found, pivots = _rank_mod_p(g.rows, g.n)
+        assert found == len(pivots) == _modp_rank(g, 32749)
+        minors = _leading_minors([[row >> c & 1 for _, c in pivots]
+                                  for row, _ in pivots])
+        assert len(minors) == found and all(int(d) % 32749 for d in minors)
+        columns = [c for _, c in pivots]
+        unordered += columns != sorted(columns)
+    assert unordered >= 10
 
 
 def test_rank_of_twin_blowups_matches_the_full_matrix():
