@@ -28,7 +28,7 @@ Larger orders are rejected outright rather than invited to run for days.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -479,14 +479,7 @@ class InequalityReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "r_max": self.r_max,
-            "recurrence_checks": self.recurrence_checks,
-            "family_i_checks": self.family_i_checks,
-            "family_ii_checks": self.family_ii_checks,
-            "failures": list(self.failures),
-            "holds": self.holds,
-        }
+        return {**asdict(self), "holds": self.holds}
 
 
 def verify_m_inequalities(r_max: int) -> InequalityReport:
@@ -639,8 +632,7 @@ class PropertySuiteReport:
         return {
             "max_order": self.max_order,
             "graphs_processed": self.graphs_processed,
-            "checks": [{"name": c.name, "run": c.run, "passed": c.passed}
-                       for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "failures": [{"graph6": g6, "check": name}
                          for g6, name in self.failures],
             "holds": self.holds,

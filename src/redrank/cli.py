@@ -45,10 +45,6 @@ from .poly import CellCapError, CellCertificateError
 SCHEMA = 1
 
 
-class _UsageError(Exception):
-    """Bad arguments or bad input discovered after argparse."""
-
-
 # ── argument plumbing ────────────────────────────────────────────
 
 
@@ -73,7 +69,7 @@ def _read_source(args: argparse.Namespace) -> str:
 
 def _load_one_graph(args: argparse.Namespace) -> Graph:
     if (args.graph6 is None) == (args.input is None):
-        raise _UsageError("supply exactly one of --graph6 or --input")
+        raise ValueError("supply exactly one of --graph6 or --input")
     if args.graph6 is not None:
         return graph6_decode(args.graph6)
     text = _read_source(args)
@@ -84,9 +80,9 @@ def _load_one_graph(args: argparse.Namespace) -> Graph:
         return parse_edge_list(text)
     graphs = parse_graph6(text)
     if not graphs:
-        raise _UsageError("no graphs found in input")
+        raise ValueError("no graphs found in input")
     if len(graphs) != 1:
-        raise _UsageError(f"expected exactly one graph, found {len(graphs)}")
+        raise ValueError(f"expected exactly one graph, found {len(graphs)}")
     return graphs[0]
 
 
@@ -98,12 +94,12 @@ def _parse_cosine(text: str) -> Union[QSqrt2, Fraction]:
              else f"{text[:20]!r}… ({len(text)} characters)")
     # Fraction builds 10^exponent before any digit cap can refuse it
     if re.search(r"[eE][-+]?0*[1-9]\d\d", text.replace("_", "")):
-        raise _UsageError(f"cosine {shown} has a decimal exponent of 100 or "
-                          f"more in magnitude; refused")
+        raise ValueError(f"cosine {shown} has a decimal exponent of 100 or "
+                         f"more in magnitude; refused")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(
+        raise ValueError(
             f"cosine {shown} not understood; use 's0' or a rational like -1/2"
         ) from None
 
@@ -245,7 +241,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n = args.n
     if n < 3:
-        raise _UsageError("no bound applies below dimension 3")
+        raise ValueError("no bound applies below dimension 3")
     # first, as it refuses past RANKIN_DIMENSION_CAP before any work
     acute = [rankin_bound(n, "acute")] if n >= 6 else []
     reports = []
@@ -487,7 +483,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_join_cosine(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExtremalConstructionError, LevDenominatorZero,

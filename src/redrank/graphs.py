@@ -31,19 +31,20 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """A finite simple graph on vertices 0..n-1 with bitmask adjacency."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: Sequence[int]) -> None:
-        rows = tuple(rows)
+    def __post_init__(self) -> None:
+        rows, n = tuple(self.rows), self.n
         if n < 0:
             raise ValueError("negative order")
         if len(rows) != n:
@@ -58,11 +59,7 @@ class Graph:
             for v in _bits(rows[u]):
                 if not rows[v] >> u & 1:
                     raise ValueError(f"asymmetric edge {u}-{v}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def _raw(cls, n: int, rows: tuple[int, ...]) -> "Graph":
@@ -152,14 +149,6 @@ class Graph:
             for v in _bits(self.rows[u]):
                 rows[perm[u]] |= 1 << perm[v]
         return Graph._raw(self.n, tuple(rows))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, edges={list(self.edges())})"
@@ -251,9 +240,10 @@ _FOLD_EVERY = 64
 # r^2 operations on packed rows whose lanes grow with r, Bareiss about
 # r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), mod-p pass and
 # certificate against Bareiss alone: extremal graphs of rank 8 / 10 / 12
-# (order 30 / 62 / 126), 0.3 / 1.3 / 6.1 against 0.4 / 2.4 / 12.6 ms;
+# (order 30 / 62 / 126), 0.25 / 0.80 / 3.0 against 0.19 / 0.95 / 4.1 ms;
 # dense reduced singular graphs of rank 50 / 84 / 125 (order 60 / 100 /
-# 150), with no cutoff, 12 / 93 / 597 against 8 / 31 / 122 ms.
+# 150), with no cutoff, 8.6 / 84 / 485 against 3.6 / 19 / 77 ms.
+# Of these, only rank 8 is under the cutoff yet faster by Bareiss.
 _SPAN_SHARE = 3
 
 
@@ -261,15 +251,6 @@ def _pack(row: int, width: int) -> int:
     """The 0/1 row bitmask as one integer with entry v in lane v of
     `width` bits (a multiple of 4): in hex, each bit padded to a lane."""
     return int(("0" * (width // 4 - 1)).join(format(row, "b")), 16)
-
-
-@lru_cache(maxsize=64)
-def _lane_masks(n: int) -> tuple[int, int, int, int]:
-    """For n lanes: 1, the low 15 bits, the other _LANE - 15 bits and 3p
-    in each lane."""
-    ones = _pack((1 << n) - 1, _LANE)
-    return (ones, ones * ((1 << 15) - 1), ones * ((1 << _LANE - 15) - 1),
-            ones * 3 * _P)
 
 
 def _fold(x: int, lo: int, hi: int) -> int:
@@ -310,7 +291,8 @@ def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]
     lanes are folded every 64 column steps, and a row of S before every 64
     reductions and at its end.
     """
-    ones, lo, hi, three_p = _lane_masks(n)
+    ones = ((1 << _LANE * n) - 1) // _LANE_MASK  # 1 in each of n lanes
+    lo, hi, three_p = ones * 0x7FFF, ones * ((1 << _LANE - 15) - 1), ones * 3 * _P
     live = [_pack(row, _LANE) for row in rows]
     sources = list(rows)  # the 0/1 row each live row came from
     pivots = []

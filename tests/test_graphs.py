@@ -124,7 +124,7 @@ def test_graph_construction_and_accessors():
     (3, [0b010, 0b000, 0b000], "asymmetric edge 0-1"),
 ])
 def test_graph_constructor_validates(n, rows, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Graph(n, rows)
 
 
@@ -132,6 +132,16 @@ def test_graph_constructor_accepts_valid_rows():
     g = Graph(4, [0b0010, 0b0101, 0b1010, 0b0100])
     assert g == Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert Graph(0, []) == Graph.empty(0)
+    assert type(g.rows) is tuple and g.rows == (0b0010, 0b0101, 0b1010, 0b0100)
+    # a Graph is the value (n, rows): equal ones hash alike, and it is
+    # never equal to that tuple itself
+    assert hash(g) == hash(Graph.path(4)) and len({g, Graph.path(4)}) == 1
+    assert g != Graph.cycle(4) and g != Graph.path(5) and Graph(0, []) != Graph.empty(1)
+    assert g != (4, g.rows) and (4, g.rows) != g
+    for name, value in (("n", 5), ("rows", Graph.cycle(4).rows)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g == Graph.path(4)
 
 
 def _induced_reference(g: Graph, keep) -> Graph:
