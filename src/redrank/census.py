@@ -22,7 +22,7 @@ nothing between calls: the module holds no graphs, only the previous
 level is kept while the next is built, and the last level streams.
 
 Orders up to ORDER_CAP = 10 are accepted; on a 2-vCPU Xeon 8 takes
-about 1.8 s and 9 about 37 s, and 10 is a stretch for patient hardware.
+about 1.8 s and 9 about 34 s, and 10 is a stretch for patient hardware.
 Larger orders are rejected outright rather than invited to run for days.
 """
 

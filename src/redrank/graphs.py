@@ -240,17 +240,29 @@ _FOLD_EVERY = 64
 # r^2 operations on packed rows whose lanes grow with r, Bareiss about
 # r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), mod-p pass and
 # certificate against Bareiss alone: extremal graphs of rank 8 / 10 / 12
-# (order 30 / 62 / 126), 0.25 / 0.80 / 3.0 against 0.19 / 0.95 / 4.1 ms;
+# (order 30 / 62 / 126), 0.20 / 0.60 / 2.2 against 0.19 / 0.91 / 4.2 ms;
 # dense reduced singular graphs of rank 50 / 84 / 125 (order 60 / 100 /
-# 150), with no cutoff, 8.6 / 84 / 485 against 3.6 / 19 / 77 ms.
+# 150), with no cutoff, 8.7 / 80 / 483 against 3.5 / 17 / 73 ms.
 # Of these, only rank 8 is under the cutoff yet faster by Bareiss.
 _SPAN_SHARE = 3
 
 
-def _pack(row: int, width: int) -> int:
-    """The 0/1 row bitmask as one integer with entry v in lane v of
-    `width` bits (a multiple of 4): in hex, each bit padded to a lane."""
-    return int(("0" * (width // 4 - 1)).join(format(row, "b")), 16)
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _pack(rows: Sequence[int], n: int, width: int) -> list[int]:
+    """The 0/1 row bitmasks of n bits, each as one integer with entry v in
+    lane v of `width` bits (a multiple of 8), in one pass through bytes:
+    the rows' bytes as one integer, in binary below a leading 1, give all
+    entries in reverse, set as bytes 0 and 1 width/8 bytes apart."""
+    size, step = (n + 7) // 8, width // 8
+    span = 8 * size * step  # bytes per packed row
+    joined = b"".join([row.to_bytes(size, "little") for row in rows])
+    digits = format(int.from_bytes(joined + b"\1", "little"), "b").encode()
+    out = bytearray(span * len(rows))
+    out[::step] = digits[:0:-1].translate(_BINARY)
+    return [int.from_bytes(out[span * i:span * i + span], "little")
+            for i in range(len(rows))]
 
 
 def _fold(x: int, lo: int, hi: int) -> int:
@@ -293,7 +305,7 @@ def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]
     """
     ones = ((1 << _LANE * n) - 1) // _LANE_MASK  # 1 in each of n lanes
     lo, hi, three_p = ones * 0x7FFF, ones * ((1 << _LANE - 15) - 1), ones * 3 * _P
-    live = [_pack(row, _LANE) for row in rows]
+    live = _pack(rows, n, _LANE)
     sources = list(rows)  # the 0/1 row each live row came from
     pivots = []
     for step in range(n):
@@ -342,23 +354,25 @@ def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
     (the coefficients must be x[C] M^-1).  If p divides a minor, some
     row fails and the answer is False.
 
-    Rows are packed in `width`-bit lanes, and a step sets z_i to the
-    integer (pv*z_i - h*z_k) // prev: that is prev times the packed new
-    row whatever carries pass between lanes, so the division is exact.
-    Each stored entry is, up to sign, a minor of A[B, :] (Cramer's
-    rule), so at most H = sqrt(prod of the degrees of B) in absolute
-    value by Hadamard's inequality, and a lane of the final sums is at
-    most r H.  With 2^(width-2) > (r+1) H every lane lies in
-    [-2^(width-1), 2^(width-1)), so a lane reads back exactly (a
+    Rows are packed in lanes of `width` bits, a multiple of 8, and a
+    step sets z_i to the integer (pv*z_i - h*z_k) // prev: that is prev
+    times the packed new row whatever carries pass between lanes, so the
+    division is exact.  Each stored entry is, up to sign, a minor of
+    A[B, :] (Cramer's rule), so at most H = sqrt(prod of the degrees of
+    B) in absolute value by Hadamard's inequality, and a lane of the
+    final sums is at most r H.  With 2^(width-2) > (r+1) H every lane
+    lies in [-2^(width-1), 2^(width-1)), so a lane reads back exactly (a
     rounding shift drops the lanes below it and a 2^(width-1) offset
     makes it non-negative) and equal packed integers have equal lanes.
+    Twin rows are checked once.
     """
     r = len(pivots)
     degrees = prod(row.bit_count() for row, _ in pivots)
-    width = (((r + 1) * (isqrt(degrees) + 1)).bit_length() + 5) // 4 * 4
+    width = (((r + 1) * (isqrt(degrees) + 1)).bit_length() + 9) // 8 * 8
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    z = [_pack(row, width) for row, _ in pivots]
+    packed = dict(zip(rows, _pack(rows, len(rows), width)))
+    z = [packed[row] for row, _ in pivots]
     prev = 1
     for k, (_, c) in enumerate(pivots):
         shift = width * c
@@ -371,8 +385,8 @@ def _span_certified(rows: Sequence[int], pivots: list[tuple[int, int]]) -> bool:
                 z[i] = (pv * y - h * zk) // prev
         prev = pv
     spans = [(1 << c, zk) for (_, c), zk in zip(pivots, z)]
-    return all(prev * _pack(x, width) == sum(zk for bit, zk in spans if x & bit)
-               for x in rows)
+    return all(prev * y == sum(zk for bit, zk in spans if x & bit)
+               for x, y in packed.items())
 
 
 def rank(g: Graph) -> int:

@@ -20,7 +20,7 @@ from redrank.census import construct_extremal, enumerate_graphs
 from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
-                            _bareiss, _bits, _kernel, _rank_mod_p,
+                            _bareiss, _bits, _kernel, _pack, _rank_mod_p,
                             conjectured_max_order,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
@@ -479,6 +479,30 @@ def test_rank_falls_back_when_p_divides_the_determinant(monkeypatch):
     orders = _recording_bareiss(monkeypatch)
     assert rank(g) == _bareiss_rank(g) == _gauss_rank(g) == 30
     assert orders == [30]
+
+
+@pytest.mark.parametrize("width", [8, 16, 40, 64])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 150])
+def test_pack_spreads_each_row_into_lanes(n, width):
+    # entry v of a row lands in lane v, bits width*v..width*v+width-1,
+    # whether the row is zero, full, only bit n - 1, or random
+    rng = random.Random(n * width)
+    top = [1 << n - 1] if n else []
+    rows = [0, (1 << n) - 1, *top] + [rng.getrandbits(n) for _ in range(5)]
+    assert _pack(rows, n, width) == [
+        sum((row >> v & 1) << width * v for v in range(n)) for row in rows]
+    assert _pack([], n, width) == []
+
+
+@pytest.mark.parametrize("r", range(4, 11))
+def test_span_certificate_accepts_twin_blowups_of_extremal_graphs(r):
+    # the blow-up keeps the base's rank r, so its r pivot rows span every
+    # row; twins share one packed row, checked once against the span
+    base = construct_extremal(r)
+    g = _twin_blowup(random.Random(r), base, max(3 * r, base.n + 10))
+    found, pivots = _rank_mod_p(g.rows, g.n)
+    assert found == r < g.n
+    assert graphs._span_certified(g.rows, pivots)
 
 
 def test_span_certificate_refuses_when_p_divides_a_minor(monkeypatch):
