@@ -292,8 +292,8 @@ def levenshtein_bound(n: int, s: CosineLike,
 LEVENSHTEIN_CEILING = 118
 
 # Largest dimension verify_code_lemma sweeps to: the sweep grows faster
-# than n^2 (`lemma5` to 10^4 takes 3.0-3.2 s with process start in json,
-# 2.1-2.4 s in text, to 2 * 10^4 15 s), and tail_ratio_certificate
+# than n^2 (`lemma5` to 10^4 takes 2.3-2.5 s with process start in json,
+# 1.5-1.6 s in text, on a 2-vCPU Xeon), and tail_ratio_certificate
 # carries the verdict past any window.
 LEMMA_DIMENSION_CAP = 10_000
 

@@ -8,8 +8,9 @@ square-root enclosures and decimal renderings work on a value written
 as (A + B*sqrt2)/D with integers A, B and D > 0 (QSqrt2.as_integers) in
 integers alone: a sign is that of A + B*sqrt2 (sign_sqrt2, which
 compares A^2 with 2*B^2, past 1,024 bits their leading bits first), and
-floor(x * 10^k), for k of either sign, is A + B*sqrt2 floored 66 bits
-below D's length and divided by D (_floor_scaled).  A rendering takes
+floor(x * 10^k), for k of either sign, is that of A + B*sqrt2 bracketed
+to 2^(L(D)-65), B*sqrt2 from B's top bits times a cached binary
+expansion of sqrt2, over D (_floor_scaled).  A rendering takes
 its decimal exponent from a bound on bit lengths (_log2_lower) and its
 digits from one such floor; the module uses no floating point.
 
@@ -20,7 +21,7 @@ for concurrent use.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import comb, isqrt, lcm
 from typing import Union
 
@@ -233,29 +234,40 @@ COS_REFERENCE = QSqrt2(-1, 1)
 # ── directed decimal rendering ───────────────────────────────────
 
 
+@cache
+def _sqrt2_bits(p: int) -> int:
+    """floor(sqrt2 * 2^p), for p a power of two."""
+    return isqrt(2 << 2 * p)
+
+
 def _floor_scaled(a: int, b: int, d: int, k: int) -> int:
     """floor((a + b*sqrt2)/d * 10^k) for integers a, b, d > 0 and k,
     exactly, at the precision the quotient keeps (Ziv's rounding test).
-    With 10^k moved onto (a, b) or onto d, let j = max(L(d) - 66, 0)
-    (L = int.bit_length), or j = 0 when b = 0, and t = isqrt(2b^2 >> 2j)
-    = floor(|b|*sqrt2 / 2^j).  Then q = t for b >= 0 and q = -t - 1 for
-    b < 0 (|b|*sqrt2 is irrational) is floor(b*sqrt2 / 2^j), so
-    a + b*sqrt2 lies in [lo, lo + 2^j) for lo = a + q 2^j, and with
-    lo = f d + r, 0 <= r < d, the floor is f whenever r + 2^j <= d.
-    That fails only when the interval meets a multiple of d, with chance
-    about 2^-65 on generic input; the floor is then taken again at
-    j = 0, where the test always holds."""
+    With 10^k moved onto (a, b) or onto d, let j = L(d) - 66 (L =
+    int.bit_length).  For b != 0 and j >= 1, p = max(L(|b|) - j + 1, 1),
+    s = floor(sqrt2 2^p) = _sqrt2_bits(P) >> (P - p) for the least
+    power of two P >= p (a floor of a floor is exact), B = 4|b| >> j <
+    2^(p+1), q = B s >> (p + 2) has q <= |b|*sqrt2 / 2^j < q + 2, as the
+    truncations lose (B + s + 1)/2^(p+2) < 1.  So a + b*sqrt2 lies in
+    [lo, lo + 2^(j+1)) for lo = a + q 2^j (b > 0) or a - (q + 2) 2^j
+    (b < 0), and with lo = f d + r, 0 <= r < d, the floor is f whenever
+    r + 2^(j+1) <= d.  That fails only when the interval meets a multiple
+    of d, with chance about 2^-64 on generic input; the floor is then
+    taken at full precision, isqrt(2b^2) being floor(|b|*sqrt2), which
+    is irrational for b != 0."""
     if k >= 0:
         a, b = a * 10 ** k, b * 10 ** k
     else:
         d *= 10 ** -k
-    j = max(d.bit_length() - 66, 0) if b else 0
-    while True:
-        q = isqrt(2 * b * b >> 2 * j)
-        f, r = divmod(a + ((q if b >= 0 else -q - 1) << j), d)
-        if r + (1 << j) <= d:
+    j = d.bit_length() - 66
+    if b and j >= 1:
+        p = max(abs(b).bit_length() - j + 1, 1)
+        P = 1 << (p - 1).bit_length()
+        q = (abs(b) << 2 >> j) * (_sqrt2_bits(P) >> P - p) >> p + 2
+        f, r = divmod(a + (q << j) if b > 0 else a - (q + 2 << j), d)
+        if r + (2 << j) <= d:
             return f
-        j = 0
+    return (a + isqrt(2 * b * b) if b >= 0 else a - isqrt(2 * b * b) - 1) // d
 
 
 def _log2_lower(a: int, b: int, d: int) -> int:

@@ -7,6 +7,7 @@ integer decimal renderer is also checked against a reference renderer
 written here in Fraction arithmetic.
 """
 
+import itertools
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -528,8 +529,10 @@ def _ref_floor_scaled(a, b, d, k):
 
 
 def _floor_and_roots(a, b, d, k):
-    """_floor_scaled(a, b, d, k) and its number of isqrt calls: 1 when
-    the guard bits decide the floor, 2 when it is taken again at j = 0."""
+    """_floor_scaled(a, b, d, k) and its number of isqrt calls once a
+    first call has cached the expansion of sqrt2 it reads: 0 when the
+    guard bits decide the floor, 1 when it is taken at full precision."""
+    _floor_scaled(a, b, d, k)
     with mock.patch.object(exact, "isqrt", wraps=isqrt) as root:
         return _floor_scaled(a, b, d, k), root.call_count
 
@@ -558,7 +561,7 @@ def test_floor_scaled_falls_back_next_to_a_multiple(d, m, b, c):
     # the guard interval straddles the multiple and the floor, m + c,
     # is taken again at full precision
     a = m * d + c - _ref_floor_int_sqrt2(b)
-    assert _floor_and_roots(a, b, d, 0) == (m + c, 2)
+    assert _floor_and_roots(a, b, d, 0) == (m + c, 1)
 
 
 def test_floor_scaled_decides_at_working_precision():
@@ -574,11 +577,76 @@ def test_floor_scaled_decides_at_working_precision():
         a, b = (rng.getrandbits(bits) * rng.choice([-1, 1]) for _ in range(2))
         k = rng.randint(-40, 40)
         assert _floor_and_roots(a, b, d, k) == \
-            (_ref_floor_scaled(a, b, d, k), 1)
+            (_ref_floor_scaled(a, b, d, k), 0)
     for n in range(119, 3002, 14):
         a, b, _ = (QSqrt2(2, 1) ** n).as_integers()
         c = (n * n - 1) ** 2
-        assert _floor_and_roots(c * a, c * b, 1 << n, 80)[1] == 1
+        assert _floor_and_roots(c * a, c * b, 1 << n, 80)[1] == 0
+
+
+def test_sqrt2_expansion_shifts_to_every_precision():
+    # the working pass reads floor(sqrt2 * 2^p) off the cached expansion
+    # at the power of two P >= p, shifted right by P - p; every p to
+    # 4,200 bits, each side of every power of two up to 4,096 included
+    for p in range(1, 4201):
+        P = 1 << (p - 1).bit_length()
+        assert P >= p > P // 2
+        assert exact._sqrt2_bits(P) >> P - p == isqrt(2 << 2 * p), p
+
+
+def _up_to_bits(top):
+    """Integers of either sign below 2^bits, for bits drawn in 0..top,
+    so that every length of the working precision is reached."""
+    return st.integers(0, top).flatmap(
+        lambda bits: st.integers(-2 ** bits, 2 ** bits))
+
+
+def _wide_divisors(low):
+    """Divisors of low to 4,000 bits: powers of two, odd numbers and
+    powers of ten."""
+    return st.one_of(
+        st.integers(low, 4000).map(lambda s: 1 << s),
+        st.integers(2 ** (low - 1), 2 ** 3999).map(lambda n: 2 * n + 1),
+        st.integers(low * 3 // 10 + 1, 1204).map(lambda m: 10 ** m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_up_to_bits(8000), b=_up_to_bits(8000), d=_wide_divisors(68),
+       k=st.integers(-50, 50))
+def test_floor_scaled_matches_full_precision_at_large_b(a, b, d, k):
+    # |b| to 2^8000 against d to 2^4000 runs the working pass at every
+    # p from 1 to about 8,100 bits, with both signs of a and b
+    assert _floor_scaled(a, b, d, k) == _ref_floor_scaled(a, b, d, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_wide_divisors(81), m=st.integers(-2 ** 100, 2 ** 100),
+       b=_up_to_bits(6000).filter(bool), c=st.integers(-1, 0))
+def test_floor_scaled_falls_back_next_to_a_multiple_at_large_b(d, m, b, c):
+    # as below 2^12, but with |b| to 2^6000: a + b*sqrt2 lies within 1 of
+    # the multiple m d, on its far side for c = 0 and its near side for
+    # c = -1, so a bracket that misses b*sqrt2 by a unit of 2^j floors
+    # to the wrong side, and a right one straddles m d and falls back
+    a = m * d + c - _ref_floor_int_sqrt2(b)
+    assert _floor_and_roots(a, b, d, 0) == (m + c, 1)
+
+
+def test_floor_scaled_falls_back_where_the_truncations_lose_most():
+    # the working pass loses (B + s + 1)/2^(p+2) < 1 to its truncations,
+    # most when the top bits and the bits of |b| below 2^(j-2) are all
+    # ones: every length of |b| to 600 bits puts the fraction of
+    # sqrt2 * 2^p anywhere, so a bracket a bit too narrow misses
+    # b*sqrt2 on some of them, and next to a multiple of d, as above,
+    # floors to the wrong side
+    rng = random.Random(4046)
+    d, j = 1 << 100, 35
+    for length in range(j + 8, 600):
+        ones = (1 << length) - 1
+        b = ones ^ rng.getrandbits(length - 6 - (j - 2)) << j - 2
+        for b, c in itertools.product((b, -b), (-1, 0)):
+            m = rng.getrandbits(100)
+            a = m * d + c - _ref_floor_int_sqrt2(b)
+            assert _floor_and_roots(a, b, d, 0) == (m + c, 1), (b, c)
 
 
 def test_sign_sqrt2_on_pell_pairs_past_the_gate():

@@ -435,6 +435,31 @@ def test_bareiss_matches_fraction_elimination():
     assert len(shapes) == 8
 
 
+def test_kernel_beside_the_identity_is_the_adjugate():
+    # [M | I] for a nonsingular graph M of order r: the pivots are M's
+    # columns 0..r-1, and the kernel vector of free column r + i holds
+    # -d M^-1 e_i on them, d the last pivot (+-det M).  So N, minus the
+    # kernel's first r rows, has M N = d I and is symmetric, as M is
+    count = 0
+    for r in range(1, 8):
+        for g in enumerate_graphs(r):
+            if rank(g) < r:
+                continue
+            m = _matrix(g)
+            matrix = [row + [int(i == j) for j in range(r)]
+                      for i, row in enumerate(m)]
+            pivots = _bareiss(matrix)
+            assert pivots == list(range(r)), g
+            d = matrix[r - 1][r - 1]
+            adj = [[-x for x in row] for row in _kernel(matrix, pivots)[:r]]
+            assert all(sum(m[i][k] * adj[k][j] for k in range(r))
+                       == (d if i == j else 0)
+                       for i in range(r) for j in range(r)), g
+            assert adj == [list(col) for col in zip(*adj)], g
+            count += 1
+    assert count == 426
+
+
 def test_rank_of_long_paths_and_cycles_is_fast():
     # reduced, singular and of rank above n/3, so rank pays Bareiss, whose
     # rows with a zero head are left alone
