@@ -28,8 +28,9 @@ Larger orders are rejected outright rather than invited to run for days.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .formats import graph6_encode
@@ -324,13 +325,9 @@ class CensusReport:
     violations: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "total_graphs": self.total_graphs,
-            "reduced_graphs": self.reduced_graphs,
-            "per_rank_max_order": {str(r): o for r, o in self.per_rank_max_order},
-            "violations": list(self.violations),
-        }
+        return {**asdict(self),
+                "per_rank_max_order": {str(r): o for r, o in self.per_rank_max_order},
+                "violations": list(self.violations)}
 
 
 @dataclass(frozen=True)
@@ -407,8 +404,6 @@ def verify_conjecture(max_order: int,
         levels = [b.values() for b in bins.values()]
 
     reports: list[CensusReport] = []
-    aggregate: dict[int, int] = {}
-    all_violations: list[str] = []
     for order, pool in enumerate(levels, start=1):
         total = 0
         reduced = 0
@@ -423,31 +418,22 @@ def verify_conjecture(max_order: int,
             ranks_here[r] = order
             if order > conjectured_max_order(r):
                 violations.append(graph6_encode(g))
-        for r, o in ranks_here.items():
-            aggregate[r] = max(aggregate.get(r, 0), o)
-        all_violations.extend(violations)
         reports.append(CensusReport(order, total, reduced,
                                     tuple(sorted(ranks_here.items())),
                                     tuple(violations)))
+    # orders ascend, so the last report holding a rank gives its maximum
+    per_rank = dict(chain.from_iterable(r.per_rank_max_order for r in reports))
     return ConjectureSummary(max_order, tuple(reports),
-                             tuple(sorted(aggregate.items())),
-                             tuple(all_violations),
+                             tuple(sorted(per_rank.items())),
+                             tuple(chain.from_iterable(r.violations for r in reports)),
                              _covered_ranks(max_order))
 
 
 def census_counts(max_order: int) -> list[tuple[int, int, int]]:
     """(order, total classes, reduced classes) rows for 1..max_order."""
     _check_order(max_order, "max_order", "census")
-    rows = []
-    for order, level in enumerate(_grow(max_order), start=1):
-        total = 0
-        reduced = 0
-        for g in level:
-            total += 1
-            if is_reduced(g):
-                reduced += 1
-        rows.append((order, total, reduced))
-    return rows
+    counts = (Counter(map(is_reduced, level)) for level in _grow(max_order))
+    return [(order, c.total(), c[True]) for order, c in enumerate(counts, start=1)]
 
 
 # ── max-order arithmetic ─────────────────────────────────────────
@@ -629,14 +615,10 @@ class PropertySuiteReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "graphs_processed": self.graphs_processed,
-            "checks": [asdict(c) for c in self.checks],
-            "failures": [{"graph6": g6, "check": name}
-                         for g6, name in self.failures],
-            "holds": self.holds,
-        }
+        return {**asdict(self),
+                "failures": [{"graph6": g6, "check": name}
+                             for g6, name in self.failures],
+                "holds": self.holds}
 
 
 def lemma_suite(max_order: int) -> PropertySuiteReport:

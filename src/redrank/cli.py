@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain, islice
 from types import SimpleNamespace
@@ -213,19 +214,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             out.append(f"t2: {' '.join(map(str, w.t2)) or '-'}")
         return out
 
-    _emit(args,
-          lambda: {
-              "command": "witness",
-              "pair": list(w.pair),
-              "removed": list(w.removed),
-              "classes": [list(c) for c in w.classes],
-              "oriented": None if w.oriented is None else [list(p) for p in w.oriented],
-              "t1": None if w.t1 is None else list(w.t1),
-              "t2": None if w.t2 is None else list(w.t2),
-              "isolated": w.isolated,
-              "split_ok": w.split_ok,
-          },
-          lines,
+    # the fields are in the report's key order; json writes tuples as lists
+    _emit(args, lambda: {"command": "witness", **asdict(w)}, lines,
           lambda: (["pair", "removed", "classes", "t1", "t2", "split_ok"],
                    [[" ".join(map(str, w.pair)), " ".join(map(str, w.removed)),
                      ";".join(" ".join(map(str, c)) for c in w.classes),
@@ -358,17 +348,14 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_mineq(args: argparse.Namespace) -> int:
     report = verify_m_inequalities(args.r_max)
+    row = {**report.to_json(), "failures": len(report.failures)}
     _emit(args, lambda: {"command": "mineq", **report.to_json()},
           lambda: [f"recurrence checks: {report.recurrence_checks}",
                    f"family (i) checks: {report.family_i_checks}",
                    f"family (ii) checks: {report.family_ii_checks}",
                    f"failures: {len(report.failures)}",
                    f"holds: {report.holds}"],
-          lambda: (["r_max", "recurrence_checks", "family_i_checks",
-                    "family_ii_checks", "failures", "holds"],
-                   [[report.r_max, report.recurrence_checks,
-                     report.family_i_checks, report.family_ii_checks,
-                     len(report.failures), report.holds]]))
+          lambda: (list(row), [list(row.values())]))
     return 0 if report.holds else 1
 
 

@@ -13,6 +13,8 @@ to 2^(L(D)-65), B*sqrt2 from B's top bits times a cached binary
 expansion of sqrt2, over D (_floor_scaled).  A rendering takes
 its decimal exponent from a bound on bit lengths (_log2_lower) and its
 digits from one such floor; the module uses no floating point.
+decimal.Decimal serves only as an exact int-to-str conversion past the
+interpreter's digit limit (_int_str), never for arithmetic.
 
 All values are immutable and every function is pure, so the module is safe
 for concurrent use.
@@ -20,6 +22,7 @@ for concurrent use.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, total_ordering
 from math import comb, isqrt, lcm
@@ -206,19 +209,14 @@ def _int_str(n: int) -> str:
     """str(n) for an integer of any length.
 
     Plain str() is the fast path; past the interpreter's limit on the
-    digits of an integer-to-string conversion (ValueError) the number is
-    split at a power of ten into halves rendered the same way.  The limit
-    itself is left alone."""
+    digits of an integer-to-string conversion (ValueError) the digits
+    come from Decimal, whose conversion from int is exact, ignores the
+    context precision and has no digit limit.  The limit itself is left
+    alone."""
     try:
         return str(n)
     except ValueError:
-        pass
-    if n < 0:
-        return "-" + _int_str(-n)
-    # about half the digit count, and below it, as any split must be
-    half = n.bit_length() * 3 // 20
-    high, low = divmod(n, 10 ** half)
-    return _int_str(high) + _int_str(low).zfill(half)
+        return str(Decimal(n))
 
 
 def _frac_str(x: Fraction) -> str:

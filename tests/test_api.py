@@ -145,17 +145,34 @@ def test_graph_and_bound_layers_meet_only_in_cli():
 def test_library_uses_no_floating_point():
     """No module of the library holds a float or complex literal, uses
     the name float, or imports from math anything but integer functions.
-    The scan cannot see true division between ints, x / y, which makes a
-    float without naming one."""
+    From decimal it imports Decimal alone, and uses it only as
+    str(Decimal(x)), an exact int-to-str conversion, so no decimal
+    floating-point arithmetic is possible.  The scan cannot see true
+    division between ints, x / y, which makes a float without naming
+    one."""
     integer_math = {"comb", "factorial", "gcd", "isqrt", "lcm", "prod"}
     for path in sorted(Path(redrank.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the Decimal names that stand in str(Decimal(x))
+        rendered = {id(node.args[0].func) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "str"
+                    and len(node.args) == 1 and not node.keywords
+                    and isinstance(node.args[0], ast.Call)
+                    and len(node.args[0].args) == 1
+                    and not node.args[0].keywords}
+        for node in ast.walk(tree):
             where = (path.name, getattr(node, "lineno", None))
             if isinstance(node, ast.Constant):
                 assert not isinstance(node.value, (float, complex)), where
             elif isinstance(node, ast.Name):
                 assert node.id != "float", where
+                assert node.id != "Decimal" or id(node) in rendered, where
             elif isinstance(node, ast.Import):
-                assert all(a.name != "math" for a in node.names), where
+                assert all(a.name not in ("math", "decimal")
+                           for a in node.names), where
             elif isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert {a.name for a in node.names} <= integer_math, where
+            elif isinstance(node, ast.ImportFrom) and node.module == "decimal":
+                assert [(a.name, a.asname) for a in node.names] == \
+                    [("Decimal", None)], where

@@ -378,6 +378,43 @@ def test_census_report_json_shape():
     assert blob["violations"] == []
 
 
+def test_census_summary_collects_the_per_order_reports(monkeypatch):
+    # a cap of r makes every singular reduced graph a violation, which
+    # happens at orders 5 and 6; the summary must list the per-order
+    # violations in order and the largest order seen per rank, whether
+    # the generator or a shuffled external stream supplies the graphs
+    monkeypatch.setattr(census, "conjectured_max_order", lambda r: r)
+    graphs = [g for order in range(1, 7) for g in enumerate_graphs(order)]
+    largest: dict[int, int] = {}
+    singular = [0] * 7
+    for g in filter(is_reduced, graphs):
+        r = rank(g)
+        largest[r] = max(largest.get(r, 0), g.n)
+        singular[g.n] += r < g.n
+    assert sum(map(bool, singular)) >= 2
+    random.Random(6).shuffle(graphs)
+    for summary in (verify_conjecture(6), verify_conjecture(6, iter(graphs))):
+        assert [len(rep.violations) for rep in summary.reports] == singular[1:]
+        assert summary.violations == tuple(
+            g6 for rep in summary.reports for g6 in rep.violations)
+        assert summary.per_rank_max_order == tuple(sorted(largest.items()))
+        assert not summary.holds
+
+        rep = next(rep for rep in summary.reports if rep.violations)
+        blob = rep.to_json()
+        assert list(blob) == ["order", "total_graphs", "reduced_graphs",
+                              "per_rank_max_order", "violations"]
+        assert blob["per_rank_max_order"] == {
+            str(r): o for r, o in rep.per_rank_max_order}
+        assert type(blob["violations"]) is list
+        assert blob["violations"] == list(rep.violations)
+        blob = summary.to_json()
+        assert list(blob) == ["max_order", "orders", "per_rank_max_order",
+                              "violations", "covered_ranks", "holds"]
+        assert type(blob["violations"]) is list
+        assert blob["violations"] == list(summary.violations)
+
+
 def test_construct_extremal_chain():
     for r in range(2, 9):
         g = construct_extremal(r)
@@ -489,6 +526,24 @@ def test_suite_flags_a_neighborhood_removal_that_drops_too_little(
     liar = p4.without([1])
     monkeypatch.setattr(census, "rank", lambda h: 3 if h == liar else real(h))
     assert _suite_failures(monkeypatch, [p4], check) == {graph6_encode(p4)}
+
+
+def test_suite_report_json_with_a_failure(monkeypatch):
+    # P_4 with rank() misreporting one removal, as in the test above, so
+    # the report that to_json renders holds one failure
+    p4, real = Graph.path(4), census.rank
+    liar = p4.without([1])
+    monkeypatch.setattr(census, "rank", lambda h: 3 if h == liar else real(h))
+    monkeypatch.setattr(census, "_grow", lambda _max_order: iter([[p4]]))
+    rep = lemma_suite(4)
+    blob = rep.to_json()
+    assert list(blob) == ["max_order", "graphs_processed", "checks",
+                          "failures", "holds"]
+    assert blob["failures"] == [{"graph6": graph6_encode(p4),
+                                 "check": "neighborhood_removal_rank_drop"}]
+    assert blob["holds"] is False
+    assert json.loads(json.dumps(blob["checks"]))[0] == {
+        "name": "neighborhood_removal_rank_drop", "run": 1, "passed": 0}
 
 
 def test_lemma_suite_full_at_order_six():

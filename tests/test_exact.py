@@ -9,6 +9,7 @@ written here in Fraction arithmetic.
 
 import itertools
 import random
+import sys
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import factorial, isqrt
@@ -20,8 +21,8 @@ from mpmath import mp, mpf, sqrt as mpsqrt
 
 from redrank import exact
 from redrank.exact import (COS_REFERENCE, PI_HI, QSqrt2, _floor_scaled,
-                           _log2_lower, decimal_str, gamma_half_ratio,
-                           sign_sqrt2, sqrt_enclosure)
+                           _int_str, _log2_lower, decimal_str,
+                           gamma_half_ratio, sign_sqrt2, sqrt_enclosure)
 
 
 def _to_mpf(x, dps=100):
@@ -309,6 +310,26 @@ def test_repr_renders_parts_beyond_the_conversion_limit():
     assert repr(QSqrt2(10 ** 5000)) == f"QSqrt2(Fraction({text}, 1), Fraction(0, 1))"
     assert repr(QSqrt2(0, Fraction(-1, 10 ** 5000))) == \
         f"QSqrt2(Fraction(0, 1), Fraction(-1, {text}))"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str digit limit")
+def test_int_str_matches_str_under_a_raised_limit():
+    # 10^4300 - 1 is the longest integer the default limit lets str()
+    # convert, 10^4300 the shortest it refuses
+    rng = random.Random(4300)
+    cases = [10 ** 4300 - 1, 10 ** 4300,
+             *(rng.randrange(10 ** (d - 1), 10 ** d) for d in (20_000, 60_000))]
+    cases = [0, *cases, *(-n for n in cases)]
+    limit = sys.get_int_max_str_digits()
+    got = [_int_str(n) for n in cases]
+    assert sys.get_int_max_str_digits() == limit
+    try:
+        sys.set_int_max_str_digits(0)
+        want = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 # ── the integer renderer against the Fraction algorithm it replaced ──
