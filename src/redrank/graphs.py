@@ -2,11 +2,11 @@
 
 A graph is a tuple of neighbor bitmasks, and rank is the exact rank over
 Q of its 0/1 adjacency matrix, by the policy in rank's docstring:
-Gaussian elimination modulo p = 32749 in rows packed into 40-bit lanes,
-column by column up to the first column without a pivot and then row by
-row, decides it or hands it to fraction-free Bareiss elimination of the
-rows each pivot changes, which by back substitution also gives an
-integer basis K of the kernel.
+Gaussian elimination modulo 251, or 32749 when 251 leaves it undecided,
+in rows packed into lanes, column by column up to the first column
+without a pivot and then row by row, decides it or hands it to
+fraction-free Bareiss elimination of the rows each pivot changes, which
+by back substitution also gives an integer basis K of the kernel.
 
 A graph is *reduced* when it has no isolated vertex and no two vertices
 with identical neighborhoods.  For reduced graphs the module provides:
@@ -226,24 +226,24 @@ def _kernel(matrix: list[list[int]], pivots: list[int]) -> list[tuple[int, ...]]
     return list(zip(*basis))
 
 
-# The certificate's prime, p = 2^15 - 19, so that 2^15 = 19 (mod p).
-_P = 32749
-# Orders whose rank mod p is their rank over Q: by Hadamard's
-# inequality an r x r 0/1 minor is at most r^(r/2) <= 9^4.5 = 19683 < p
-# in absolute value, so it vanishes mod p only when it vanishes.
+# The certificate's primes, in the order tried, as (p, lane bits, s, c)
+# with 2^s = c (mod p), for the lane bounds of _rank_mod_p and _fold.
+_PRIMES = ((251, 24, 8, 5), (32749, 40, 15, 19))
+# Orders whose rank mod p is their rank over Q: an r x r 0/1 minor M,
+# bordered by 1s and with J - 2M in place of M, is a +-1 matrix of
+# determinant (-2)^r det M, so |det M| <= (r+1)^((r+1)/2) / 2^r < 196
+# < 251 by Hadamard's inequality, and it vanishes mod p only if it does.
 _EXACT_ORDER = 9
-_LANE = 40
-_LANE_MASK = (1 << _LANE) - 1
 _FOLD_EVERY = 64
 # A singular matrix of order n > 9 gets the span certificate when its
 # rank mod p is at most n / _SPAN_SHARE.  The certificate costs about
 # r^2 operations on packed rows whose lanes grow with r, Bareiss about
-# r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), mod-p pass and
+# r n^2 scalar ones.  On a 2-vCPU Xeon (Python 3.11.7), mod-251 pass and
 # certificate against Bareiss alone: extremal graphs of rank 8 / 10 / 12
-# (order 30 / 62 / 126), 0.20 / 0.60 / 2.2 against 0.19 / 0.91 / 4.2 ms;
+# (order 30 / 62 / 126), 0.22 / 0.60 / 2.0 against 0.22 / 1.1 / 5.0 ms;
 # dense reduced singular graphs of rank 50 / 84 / 125 (order 60 / 100 /
-# 150), with no cutoff, 8.7 / 80 / 483 against 3.5 / 17 / 73 ms.
-# Of these, only rank 8 is under the cutoff yet faster by Bareiss.
+# 150), with no cutoff, 9.1 / 89 / 547 against 3.5 / 21 / 81 ms.
+# Of these, only rank 8 is under the cutoff, and there the two tie.
 _SPAN_SHARE = 3
 
 
@@ -265,33 +265,35 @@ def _pack(rows: Sequence[int], n: int, width: int) -> list[int]:
             for i in range(len(rows))]
 
 
-def _fold(x: int, lo: int, hi: int) -> int:
+def _fold(x: int, lo: int, hi: int, s: int, c: int) -> int:
     """x with every lane replaced by a smaller one congruent to it mod p,
-    by the rule 2^15 = 19: three rounds take lanes below 2^40 to lanes
-    below 2^29.3, 2^18.7, then 2^15 + 228 < 2p."""
-    x = (x >> 15 & hi) * 19 + (x & lo)
-    x = (x >> 15 & hi) * 19 + (x & lo)
-    return (x >> 15 & hi) * 19 + (x & lo)
+    by the rule 2^s = c: three rounds take lanes below 2^24 to at most
+    380 < 2p for p = 251, and below 2^40 to 2^15 + 227 < 2p for 32749."""
+    x = (x >> s & hi) * c + (x & lo)
+    x = (x >> s & hi) * c + (x & lo)
+    return (x >> s & hi) * c + (x & lo)
 
 
-def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]]:
+def _rank_mod_p(rows: Sequence[int], n: int,
+                prime: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, int]]]:
     """The rank r_p modulo p of the 0/1 matrix A with these row bitmasks,
-    and the (0/1 row, column) of each pivot, in the order found.  The rank
-    over Q is at least r_p: the pivot rows B and columns C hold a minor
-    that is nonzero mod p, hence a nonzero integer.
+    and the (0/1 row, column) of each pivot, in the order found, for the
+    _PRIMES entry (p, w, s, c), 2^s = c (mod p).  The rank over Q is at
+    least r_p: the pivot rows B and columns C hold a minor that is
+    nonzero mod p, hence a nonzero integer.
 
-    Each row is one integer with entry v in lane v (bits 40v..40v+39).
-    Column phase: a row y becomes (y >> 40) + f*neg, f its lane 0, the
+    Each row is one integer with entry v in lane v (bits wv..wv+w-1).
+    Column phase: a row y becomes (y >> w) + f*neg, f its lane 0, the
     current column, over the pivot mod p, and neg 3p - b for the pivot
     row's lanes b folded below 3p, so no lane borrows.  Once every live row
     is 0 mod p in lane 0, they hold the Schur complement S of the pivots,
     and r_p is their count plus rank S.  Row phase: each row y of S is
     reduced, in pivot order, by a basis of rows in [0, p), each 0 below
-    its pivot, its lowest nonzero lane: y += f*neg with f = y_c / b_c and
-    neg = 3p - b clears lane c of y mod p and keeps lower lanes mod p.
-    Folded and brought into [0, p) (a lane below 2p loses p when lane +
-    2^16 - p reaches bit 16), y is 0 exactly when the basis, in echelon
-    form, spans it; else it joins the basis with a pivot of its own.
+    its pivot, its lowest nonzero lane j: y += f*neg, f = y_j / b_j and
+    neg = 3p - b, clears lane j of y mod p and keeps lower lanes mod p.
+    Folded and brought into [0, p) (a lane below 2p <= 2^(s+1) loses p
+    when lane + 2^(s+1) - p reaches bit s + 1), y is 0 exactly when the
+    basis, in echelon form, spans it; else it joins with its own pivot.
 
     The pivot rows so reduced, in the order found, are R = L A[B, :] with L
     unit lower triangular, and R[:, C] is upper triangular with a diagonal
@@ -299,44 +301,46 @@ def _rank_mod_p(rows: Sequence[int], n: int) -> tuple[int, list[tuple[int, int]]
     the leading minors of A[B, C], those of R[:, C], are nonzero mod p.
 
     A column step or a reduction adds less than p*3p to a lane, so lanes
-    below 2^16 stay under 2^16 + 64*3p^2 < 2^37.6 < 2^40 for 64 of them:
-    lanes are folded every 64 column steps, and a row of S before every 64
-    reductions and at its end.
+    below 2^(s+1) stay under 2^(s+1) + 64*3p^2 < 2^w for 64 of them (2^23.6
+    for 251, 2^37.6 for 32749): lanes are folded every 64 column steps,
+    and a row of S before every 64 reductions and at its end.
     """
-    ones = ((1 << _LANE * n) - 1) // _LANE_MASK  # 1 in each of n lanes
-    lo, hi, three_p = ones * 0x7FFF, ones * ((1 << _LANE - 15) - 1), ones * 3 * _P
-    live = _pack(rows, n, _LANE)
+    p, lane, s, c = prime
+    lane_mask = (1 << lane) - 1
+    ones = ((1 << lane * n) - 1) // lane_mask  # 1 in each of n lanes
+    lo, hi, three_p = ones * ((1 << s) - 1), ones * ((1 << lane - s) - 1), ones * 3 * p
+    live = _pack(rows, n, lane)
     sources = list(rows)  # the 0/1 row each live row came from
     pivots = []
     for step in range(n):
         if step and step % _FOLD_EVERY == 0:
-            live = [_fold(y, lo, hi) for y in live]
+            live = [_fold(y, lo, hi, s, c) for y in live]
         for at, y in enumerate(live):
-            if (y & _LANE_MASK) % _P:
+            if (y & lane_mask) % p:
                 break
         else:
             break
         pivot = live.pop(at)
         pivots.append((sources.pop(at), step))
-        inv = pow(pivot & _LANE_MASK, -1, _P)
-        neg = (three_p - _fold(pivot, lo, hi)) >> _LANE
-        three_p >>= _LANE
-        live = [(y >> _LANE) + (y & _LANE_MASK) * inv % _P * neg for y in live]
+        inv = pow(pivot & lane_mask, -1, p)
+        neg = (three_p - _fold(pivot, lo, hi, s, c)) >> lane
+        three_p >>= lane
+        live = [(y >> lane) + (y & lane_mask) * inv % p * neg for y in live]
     else:
         return len(pivots), pivots
-    to_bit_16 = ones * ((1 << 16) - _P)
+    to_top = ones * ((2 << s) - p)
     basis = []  # (shift to the pivot lane, 1 / pivot, neg), in pivot order
     for source, y in zip(sources, live):  # lane 0, column step, is 0 mod p
         for at in range(0, len(basis), _FOLD_EVERY):
-            y = _fold(y, lo, hi)
+            y = _fold(y, lo, hi, s, c)
             for shift, inv, neg in basis[at:at + _FOLD_EVERY]:
-                y += (y >> shift & _LANE_MASK) * inv % _P * neg
-        y = _fold(y, lo, hi)
-        y -= (y + to_bit_16 >> 16 & ones) * _P
+                y += (y >> shift & lane_mask) * inv % p * neg
+        y = _fold(y, lo, hi, s, c)
+        y -= (y + to_top >> s + 1 & ones) * p
         if y:
-            shift = ((y & -y).bit_length() - 1) // _LANE * _LANE
-            insort(basis, (shift, pow(y >> shift & _LANE_MASK, -1, _P), three_p - y))
-            pivots.append((source, step + shift // _LANE))
+            shift = ((y & -y).bit_length() - 1) // lane * lane
+            insort(basis, (shift, pow(y >> shift & lane_mask, -1, p), three_p - y))
+            pivots.append((source, step + shift // lane))
     return len(pivots), pivots
 
 
@@ -393,20 +397,21 @@ def rank(g: Graph) -> int:
     """Exact rank over Q of the adjacency matrix of g.
 
     Above order 9, g's twin quotient (reduce_graph, same rank) is used.
-    Its rank mod p = 32749, r_p, is a lower bound, and it is the rank
-    when r_p = n; when n <= 9, as Hadamard's inequality keeps every
-    minor below p; or when r_p <= n/3 and the span certificate, an
-    integer Gauss-Jordan pass on the r_p pivot rows, proves that they
-    span every row.  Otherwise (a higher r_p, or p dividing a minor that
-    decides the rank) the rank comes from fraction-free Bareiss
-    elimination on integers.
+    Its rank mod p, r_p, for p = 251 and then, if that leaves the rank
+    undecided, p = 32749 (_PRIMES), is a lower bound, and it is the rank
+    when r_p = n; when n <= 9, as every minor is below 251 (_EXACT_ORDER);
+    or when r_p <= n/3 and the span certificate, an integer Gauss-Jordan
+    pass on the r_p pivot rows, proves that they span every row.
+    Otherwise (a higher r_p, or both primes dividing a minor that decides
+    the rank) the rank comes from fraction-free Bareiss elimination.
     """
     if g.n > _EXACT_ORDER:
         g = reduce_graph(g)
-    found, pivots = _rank_mod_p(g.rows, g.n)
-    if found == g.n or g.n <= _EXACT_ORDER or (
-            _SPAN_SHARE * found <= g.n and _span_certified(g.rows, pivots)):
-        return found
+    for prime in _PRIMES:
+        found, pivots = _rank_mod_p(g.rows, g.n, prime)
+        if found == g.n or g.n <= _EXACT_ORDER or (
+                _SPAN_SHARE * found <= g.n and _span_certified(g.rows, pivots)):
+            return found
     matrix = [[g.rows[u] >> v & 1 for v in range(g.n)] for u in range(g.n)]
     return len(_bareiss(matrix))
 
@@ -509,7 +514,7 @@ def min_removal_for_rank_drop(g: Graph) -> int:
     cap = min(map(int.bit_count, chain(classes, diffs)))
     q = reduce_graph(g)  # vertex i of q is the i-th key of classes
     weight = list(classes.values())
-    if cap == 1 or _rank_mod_p(q.rows, q.n)[0] == q.n:
+    if cap == 1 or any(_rank_mod_p(q.rows, q.n, prime)[0] == q.n for prime in _PRIMES):
         return min(cap, *weight)
     matrix = [[q.rows[u] >> v & 1 for v in range(q.n)] for u in range(q.n)]
     pivots = _bareiss(matrix)

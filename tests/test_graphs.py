@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,8 @@ from redrank.census import construct_extremal, enumerate_graphs
 from redrank.formats import graph6_decode
 from redrank.graphs import (RHO_SUBSET_CAP, DuplicationWitness, Graph,
                             SearchCapError,
-                            _bareiss, _bits, _kernel, _pack, _rank_mod_p,
+                            _EXACT_ORDER, _PRIMES, _bareiss, _bits, _kernel,
+                            _pack, _rank_mod_p,
                             conjectured_max_order,
                             duplication_witness,
                             is_reduced, min_removal_for_duplicates,
@@ -270,29 +271,57 @@ def test_low_rank_blowups_never_reach_bareiss(r, monkeypatch):
 def test_rank_mod_p_row_phase_matches_bareiss(monkeypatch):
     # vertex 1 a twin of vertex 0 leaves column 1 without a pivot, so every
     # later row is ranked one at a time, against more than 128 basis rows,
-    # crossing the row phase's folds.  Every lane reaching a fold is below
-    # the docstring's bound 2^16 + 64*3p^2, which is what keeps a row from
-    # carrying out of its 40-bit lanes.  Twins leave the rank mod p alone,
-    # so the quotient, ranked column by column, agrees.
+    # crossing the row phase's folds.  For each prime, every lane reaching
+    # a fold is below the docstring's bound 2^(s+1) + 64*3p^2, which is
+    # what keeps a row from carrying out of its lanes.  Twins leave the
+    # rank mod p alone, so the quotient, ranked column by column, agrees.
     fold = graphs._fold
-
-    def checked_fold(x, lo, hi):
-        digits = format(x, "x")  # ten hex digits to a lane
-        assert max(int(digits[max(0, i - 10):i], 16)
-                   for i in range(len(digits), 0, -10)) < 2**16 + 64 * 3 * 32749**2
-        return fold(x, lo, hi)
-
-    monkeypatch.setattr(graphs, "_fold", checked_fold)
     rng = random.Random(2012)
+    cases = []
     for n in (131, 166, 200):
         base = _random_graph(rng, n - 1, rng.choice([0.3, 0.5, 0.7]))
         owner = [0] + list(range(n - 1))
         g = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
                                  if base.rows[owner[a]] >> owner[b] & 1])
-        found, pivots = _rank_mod_p(g.rows, n)
-        columns = [c for _, c in pivots]
-        assert columns[0] == 0 and 1 not in columns and found - 1 > 128
-        assert found == _rank_mod_p(base.rows, n - 1)[0] == _bareiss_rank(g)
+        cases.append((base, g))
+    for prime in _PRIMES:
+        p, width, s, c = prime
+        hex_lane = width // 4
+
+        def checked_fold(x, lo, hi, shift, mult):
+            assert (shift, mult) == (s, c)
+            digits = format(x, "x")
+            assert max(int(digits[max(0, i - hex_lane):i], 16)
+                       for i in range(len(digits), 0, -hex_lane)) < 2**(s + 1) + 64 * 3 * p**2
+            return fold(x, lo, hi, shift, mult)
+
+        monkeypatch.setattr(graphs, "_fold", checked_fold)
+        for base, g in cases:
+            found, pivots = _rank_mod_p(g.rows, g.n, prime)
+            columns = [c for _, c in pivots]
+            assert columns[0] == 0 and 1 not in columns and found - 1 > 128
+            assert found == _rank_mod_p(base.rows, base.n, prime)[0] == _bareiss_rank(g)
+
+
+def test_prime_constants_hold_their_bounds():
+    # each entry (p, width, s, c) of _PRIMES, checked in integers: a fold
+    # round maps a lane x <= top to (x >> s) c + (x mod 2^s) <= (top >> s)
+    # c + 2^s - 1, three rounds must end below 2p <= 2^(s+1), and 64 steps
+    # of less than 3p^2 from there must stay inside the lane
+    for p, width, s, c in _PRIMES:
+        assert p > 2 and all(p % d for d in range(2, isqrt(p) + 1))
+        assert pow(2, s, p) == c
+        assert width % 8 == 0
+        assert 2 * p <= 2 ** (s + 1)
+        top = 2 ** width - 1
+        for _ in range(3):
+            top = (top >> s) * c + 2 ** s - 1
+        assert top < 2 * p
+        assert 2 ** (s + 1) + graphs._FOLD_EVERY * 3 * p * p < 2 ** width
+    # the first prime exceeds every minor through _EXACT_ORDER: squared,
+    # |det M| <= (r+1)^((r+1)/2) / 2^r < p
+    p = _PRIMES[0][0]
+    assert all((r + 1) ** (r + 1) < p * p * 4 ** r for r in range(_EXACT_ORDER + 1))
 
 
 def _leading_minors(matrix: list[list[int]]) -> list[Fraction]:
@@ -314,25 +343,28 @@ def _leading_minors(matrix: list[list[int]]) -> list[Fraction]:
 def test_rank_mod_p_pivots_have_nonzero_leading_minors():
     # the span certificate pivots on the rows and columns in the order
     # _rank_mod_p found them, which the row phase leaves out of column
-    # order; every leading minor of A[B, C] must be nonzero mod p
-    rng = random.Random(32749)
-    unordered = 0
-    for t in range(60):
-        if t % 3 == 0:
-            base = _random_graph(rng, rng.randint(3, 16), rng.choice([0.3, 0.6]))
-            g = _twin_blowup(rng, base, rng.randint(base.n, 40))
-        elif t % 3 == 1:
-            g = _random_graph(rng, rng.randint(10, 40), rng.choice([0.05, 0.15]))
-        else:
-            g = _twin_blowup(rng, _random_graph(rng, 24, 0.5), 25)
-        found, pivots = _rank_mod_p(g.rows, g.n)
-        assert found == len(pivots) == _modp_rank(g, 32749)
-        minors = _leading_minors([[row >> c & 1 for _, c in pivots]
-                                  for row, _ in pivots])
-        assert len(minors) == found and all(int(d) % 32749 for d in minors)
-        columns = [c for _, c in pivots]
-        unordered += columns != sorted(columns)
-    assert unordered >= 10
+    # order; for each prime, every leading minor of A[B, C] must be
+    # nonzero mod p
+    for prime in _PRIMES:
+        p = prime[0]
+        rng = random.Random(32749)
+        unordered = 0
+        for t in range(60):
+            if t % 3 == 0:
+                base = _random_graph(rng, rng.randint(3, 16), rng.choice([0.3, 0.6]))
+                g = _twin_blowup(rng, base, rng.randint(base.n, 40))
+            elif t % 3 == 1:
+                g = _random_graph(rng, rng.randint(10, 40), rng.choice([0.05, 0.15]))
+            else:
+                g = _twin_blowup(rng, _random_graph(rng, 24, 0.5), 25)
+            found, pivots = _rank_mod_p(g.rows, g.n, prime)
+            assert found == len(pivots) == _modp_rank(g, p)
+            minors = _leading_minors([[row >> c & 1 for _, c in pivots]
+                                      for row, _ in pivots])
+            assert len(minors) == found and all(int(d) % p for d in minors)
+            columns = [c for _, c in pivots]
+            unordered += columns != sorted(columns)
+        assert unordered >= 10
 
 
 def test_rank_of_twin_blowups_matches_the_full_matrix():
@@ -478,10 +510,22 @@ def test_rank_of_empty_and_complete_graphs(n):
 
 # Found by a seeded search (random.Random(32749), G(30, 1/2)): its
 # determinant is 78826843 = 2407 * 32749, a nonzero multiple of the
-# certificate's prime, so elimination mod p proves nothing and the rank
-# must come from the Bareiss fallback.
+# second prime, so elimination mod 32749 proves nothing.
 DET_DIVISIBLE_BY_P = (r"]olvaL~qpAQws}FyDBj?c?xrEgRjV\jc^NRzGwQM?PDkgrPiKynNUBZp_Xwb"
                       r"\jREwVmR@bXpP_")
+# Found by a seeded search (random.Random(251), G(30, 1/2), the 411th
+# graph): its determinant is 330567 = 1317 * 251, a nonzero multiple of
+# the first prime and not of the second.
+DET_DIVISIBLE_BY_251 = (r"]ietJM?m{N{]dYUxqOMj_pvUv@IYPnIWQLTFnkNFLR~Xx\Nf[@H\sXXVfKj"
+                        r"EZVdJHk[uiBpL~W")
+
+
+def _det_divisible_by_both() -> Graph:
+    """The disjoint union of the two graphs above, of order 60.  Its
+    determinant is the product of theirs, so every prime of _PRIMES
+    divides it and the rank must come from the Bareiss fallback."""
+    a, b = graph6_decode(DET_DIVISIBLE_BY_251), graph6_decode(DET_DIVISIBLE_BY_P)
+    return Graph(a.n + b.n, a.rows + tuple(row << a.n for row in b.rows))
 
 
 def _recording_bareiss(monkeypatch) -> list[int]:
@@ -498,15 +542,39 @@ def _recording_bareiss(monkeypatch) -> list[int]:
 
 
 def test_rank_falls_back_when_p_divides_the_determinant(monkeypatch):
-    g = graph6_decode(DET_DIVISIBLE_BY_P)
-    assert g.n == 30
-    assert _rank_mod_p(g.rows, g.n)[0] < 30
+    g = _det_divisible_by_both()
+    assert g.n == 60 and is_reduced(g)
+    for prime in _PRIMES:
+        assert _rank_mod_p(g.rows, g.n, prime)[0] < 60
     orders = _recording_bareiss(monkeypatch)
-    assert rank(g) == _bareiss_rank(g) == _gauss_rank(g) == 30
-    assert orders == [30]
+    assert rank(g) == _bareiss_rank(g) == _gauss_rank(g) == 60
+    assert orders == [60]
 
 
-@pytest.mark.parametrize("width", [8, 16, 40, 64])
+def test_rank_answers_from_the_second_prime_without_bareiss(monkeypatch):
+    # 251 divides the determinant, so the first pass finds rank 29 of 30,
+    # above the span certificate's cutoff; 32749 does not, and the second
+    # pass proves full rank
+    g = graph6_decode(DET_DIVISIBLE_BY_251)
+    assert [_rank_mod_p(g.rows, g.n, prime)[0] for prime in _PRIMES] == [29, 30]
+    orders = _recording_bareiss(monkeypatch)
+    assert rank(g) == _gauss_rank(g) == 30
+    assert orders == []
+
+
+def test_rank_drop_tries_every_prime_before_bareiss(monkeypatch):
+    # every vertex of the 251-divisible graph doubled: the twin quotient is
+    # nonsingular, which only the second prime shows, so rho is the
+    # lightest class, 2, with no elimination over Q
+    g = graph6_decode(DET_DIVISIBLE_BY_251)
+    doubled = Graph.from_edges(60, [(a, b) for a in range(60) for b in range(a + 1, 60)
+                                    if g.rows[a // 2] >> b // 2 & 1])
+    orders = _recording_bareiss(monkeypatch)
+    assert min_removal_for_rank_drop(doubled) == 2
+    assert orders == []
+
+
+@pytest.mark.parametrize("width", [8, 16, 24, 40, 64])
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 150])
 def test_pack_spreads_each_row_into_lanes(n, width):
     # entry v of a row lands in lane v, bits width*v..width*v+width-1,
@@ -525,25 +593,57 @@ def test_span_certificate_accepts_twin_blowups_of_extremal_graphs(r):
     # row; twins share one packed row, checked once against the span
     base = construct_extremal(r)
     g = _twin_blowup(random.Random(r), base, max(3 * r, base.n + 10))
-    found, pivots = _rank_mod_p(g.rows, g.n)
-    assert found == r < g.n
-    assert graphs._span_certified(g.rows, pivots)
+    for prime in _PRIMES:
+        found, pivots = _rank_mod_p(g.rows, g.n, prime)
+        assert found == r < g.n
+        assert graphs._span_certified(g.rows, pivots)
 
 
 def test_span_certificate_refuses_when_p_divides_a_minor(monkeypatch):
-    # blown up to order 95 its rank mod p, 29, is within the cutoff n/3,
-    # so the span certificate applies; a row outside the span of the 29
-    # pivot rows makes it refuse.  rank itself reduces to the order-30
-    # twin quotient first, where 3 * 29 > 30, and Bareiss finds the rank
-    g = _twin_blowup(random.Random(95), graph6_decode(DET_DIVISIBLE_BY_P), 95)
-    found, pivots = _rank_mod_p(g.rows, g.n)
-    assert _modp_rank(g, 32749) == found == 29
-    assert 3 * 29 <= g.n
-    assert not graphs._span_certified(g.rows, pivots)
+    # blown up to order 180 its rank mod p, 59 for each prime, is within
+    # the cutoff n/3, so the span certificate applies; a row outside the
+    # span of the 59 pivot rows makes it refuse.  rank itself reduces to
+    # the order-60 twin quotient first, where 3 * 59 > 60, and Bareiss
+    # finds the rank
+    g = _twin_blowup(random.Random(95), _det_divisible_by_both(), 180)
+    assert 3 * 59 <= g.n
+    for prime in _PRIMES:
+        found, pivots = _rank_mod_p(g.rows, g.n, prime)
+        assert _modp_rank(g, prime[0]) == found == 59
+        assert not graphs._span_certified(g.rows, pivots)
     orders = _recording_bareiss(monkeypatch)
-    assert rank(g) == 30
-    assert orders == [30]  # on the twin quotient
-    assert _bareiss_rank(g) == 30
+    assert rank(g) == 60
+    assert orders == [60]  # on the twin quotient
+    assert _bareiss_rank(g) == 60
+
+
+def test_span_certificate_lanes_hold_the_hadamard_bound(monkeypatch):
+    # the lanes the certificate picks must meet its docstring's condition
+    # 2^(width-2) > (r+1) H, H <= isqrt(prod of the pivot rows' degrees)
+    # + 1, for every entry and final sum to read back from its lane; then
+    # it accepts exactly when the rank mod p is the rank
+    widths = []
+    pack = graphs._pack
+
+    def capture(rows, n, width):
+        widths.append(width)
+        return pack(rows, n, width)
+
+    monkeypatch.setattr(graphs, "_pack", capture)
+    rng = random.Random(251)
+    for t in range(24):
+        base = _random_graph(rng, rng.randint(2, 30), rng.choice([0.2, 0.5, 0.9]))
+        g = _twin_blowup(rng, base, 3 * base.n + rng.randint(0, 30))
+        found, pivots = _rank_mod_p(g.rows, g.n, _PRIMES[t % len(_PRIMES)])
+        widths.clear()
+        certified = graphs._span_certified(g.rows, pivots)
+        [width] = widths
+        degrees = 1
+        for row, _ in pivots:
+            degrees *= bin(row).count("1")
+        assert width % 8 == 0
+        assert 2 ** (width - 2) > (found + 1) * (isqrt(degrees) + 1)
+        assert certified == (found == _bareiss_rank(base))
 
 
 def test_rank_invariant_under_relabeling():
